@@ -139,9 +139,9 @@ class Sortition:
         leader_credentials: list[Credential] = []
         committee_credentials: list[Credential] = []
         online = [p for p in self.participants.values() if p.online]
-        # Both selection messages (and their group elements) depend only
-        # on the round, not the participant: hash once, share across the
-        # whole population.
+        # Both selection messages (and their group elements, which only
+        # credentials need) depend only on the round, not the
+        # participant: hash once, share across the whole population.
         round_tag = round_number.to_bytes(8, "big")
         leader_msg = tagged_hash("repro/sortition-leader", seed, round_tag)
         committee_msg = tagged_hash("repro/sortition-committee", seed, round_tag)
@@ -151,12 +151,12 @@ class Sortition:
             # The cheap gamma-only output decides selection; the full
             # DLEQ credential is produced only for winners (the VRF
             # nonce is deterministic, so the lazy proof is identical).
-            output = participant.vrf.output_for(leader_msg, base=leader_base)
+            output = participant.vrf.output_for(leader_msg)
             seats = sortition_seats(output, participant.stake, total, self.expected_leaders)
             if seats > 0:
                 proof = participant.vrf.evaluate(leader_msg, base=leader_base)
                 leader_credentials.append(Credential(participant.address, proof, seats))
-            vote_output = participant.vrf.output_for(committee_msg, base=committee_base)
+            vote_output = participant.vrf.output_for(committee_msg)
             vote_seats = sortition_seats(vote_output, participant.stake, total, self.expected_committee)
             if vote_seats > 0:
                 vote_proof = participant.vrf.evaluate(committee_msg, base=committee_base)

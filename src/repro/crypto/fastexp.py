@@ -1,4 +1,4 @@
-"""Fixed-base exponentiation for the group generator.
+"""Fixed-base exponentiation for the group generators.
 
 Profiling the proof-journey kernel shows modular exponentiation is the
 dominant cost at scale: every key derivation, Schnorr signature, and
@@ -13,12 +13,17 @@ window lookups instead of ~200 square-and-multiply steps inside
 codebase.
 
 Only bases that are reused thousands of times deserve a table (the
-8-bit table costs a few thousand modmuls to build, once per process);
-:func:`g_pow` maintains the one global table for ``G``.  Wider windows
-were measured and rejected: past 8 bits the table stops fitting in
-cache and lookup misses eat the saved multiplications.  Arbitrary
-bases (per-witness keys in signature verification) still go through
-builtin ``pow``.
+8-bit table costs a few thousand modmuls to build, once per process).
+There are two global tables, one per group generator: :func:`g_pow`
+for ``G`` (keys, signatures, ElGamal) and :func:`h_pow` for ``H``.
+Every hash-to-group element is ``H ** e`` for a public exponent ``e``,
+so the VRF's exponentiations of round-message elements -- Algorand
+sortition, every participant every round -- are ``H`` comb lookups
+too.  Wider windows were measured and rejected: past 8 bits the table
+stops fitting in cache and lookup misses eat the saved
+multiplications.  Arbitrary bases (per-witness keys in signature
+verification, a VRF proof's ``gamma``) still go through builtin
+``pow``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from repro.crypto import group
 from repro.obs import prof as _prof
 
-__all__ = ["FixedBaseComb", "g_pow"]
+__all__ = ["FixedBaseComb", "g_pow", "h_pow"]
 
 #: default window width in bits; 8 trades a small one-time table build
 #: (21 teeth x 255 modmuls) for a fifth of the multiplications of
@@ -90,21 +95,18 @@ class FixedBaseComb:
         return result
 
 
-_G_COMB: FixedBaseComb | None = None
-
-
-def _make_g_comb() -> FixedBaseComb:
-    """The generator's comb: the OpenSSL-backed extension when the host
-    can build and load it (see :mod:`repro.crypto.native`), else the
-    pure-Python table.  The native comb is only trusted after its
-    output matches the Python comb on a spread of exponents -- both
+def _make_comb(base: int) -> FixedBaseComb:
+    """The comb for one shared generator: the OpenSSL-backed extension
+    when the host can build and load it (see :mod:`repro.crypto.native`),
+    else the pure-Python table.  The native comb is only trusted after
+    its output matches the Python comb on a spread of exponents -- both
     paths compute the identical function, so which one serves a given
     process is unobservable in results.
     """
-    reference = FixedBaseComb(group.G, group.P)
+    reference = FixedBaseComb(base, group.P)
     from repro.crypto.native import load_native_comb
 
-    native = load_native_comb(group.G, group.P)
+    native = load_native_comb(base, group.P)
     if native is None:
         return reference
     probes = [0, 1, 2, group.Q - 1, group.Q // 2]
@@ -115,6 +117,24 @@ def _make_g_comb() -> FixedBaseComb:
     except RuntimeError:
         pass
     return reference
+
+
+#: one lazily built comb per shared generator (``G``, ``H``)
+_COMBS: dict[int, FixedBaseComb] = {}
+
+
+def _comb_pow(base: int, exponent: int) -> int:
+    comb = _COMBS.get(base)
+    if comb is None:
+        comb = _COMBS[base] = _make_comb(base)
+    profiler = _prof.ACTIVE
+    if not profiler.enabled:
+        return comb.pow(exponent % group.Q)
+    profiler.enter("crypto.comb")
+    try:
+        return comb.pow(exponent % group.Q)
+    finally:
+        profiler.exit()
 
 
 def g_pow(exponent: int) -> int:
@@ -128,15 +148,15 @@ def g_pow(exponent: int) -> int:
     fixed-base exponentiation is the kernel's dominant arithmetic cost,
     and future heavy crypto (ZK-PoL) will be budgeted against it.
     """
-    global _G_COMB
-    comb = _G_COMB
-    if comb is None:
-        comb = _G_COMB = _make_g_comb()
-    profiler = _prof.ACTIVE
-    if not profiler.enabled:
-        return comb.pow(exponent % group.Q)
-    profiler.enter("crypto.comb")
-    try:
-        return comb.pow(exponent % group.Q)
-    finally:
-        profiler.exit()
+    return _comb_pow(group.G, exponent)
+
+
+def h_pow(exponent: int) -> int:
+    """``pow(group.H, exponent, group.P)``: :func:`g_pow` for ``H``.
+
+    Every hash-to-group element is ``H ** e`` for a public ``e``
+    (:func:`repro.crypto.group.hash_to_exponent`), so raising one to a
+    secret ``x`` is ``h_pow(e * x % Q)`` -- the VRF's per-round
+    exponentiations all land on this one table.
+    """
+    return _comb_pow(group.H, exponent)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto import group
-from repro.crypto.fastexp import g_pow
+from repro.crypto.fastexp import g_pow, h_pow
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import KeyPair, PublicKey
 
@@ -69,35 +69,37 @@ class VRFKeyPair:
 
         ``base`` may carry a precomputed ``hash_to_group(message)`` --
         sortition evaluates every participant on the same per-round
-        message, so the caller hashes once and shares the element.
+        message, so the caller hashes once and shares the element.  Only
+        the Fiat-Shamir transcript needs it: every exponentiation goes
+        through the ``H`` comb on ``hash_to_exponent(message)``.
         """
         x = self.keypair.x
+        e = group.hash_to_exponent(message)
         if base is None:
-            base = group.hash_to_group(message)
-        gamma = pow(base, x, group.P)
+            base = h_pow(e)
+        gamma = h_pow(e * x)  # == pow(base, x, group.P)
         # Chaum-Pedersen: prove log_G(y) == log_base(gamma) without revealing x.
         k = int.from_bytes(tagged_hash("repro/vrf-nonce", x.to_bytes(32, "big"), message), "big") % group.Q
         if k == 0:
             k = 1
         a1 = g_pow(k)  # fixed-base comb; == pow(group.G, k, group.P)
-        a2 = pow(base, k, group.P)
+        a2 = h_pow(e * k)  # == pow(base, k, group.P)
         c = _dleq_challenge(self.public.y, base, gamma, a1, a2, message)
         s = (k + c * x) % group.Q
         return VRFProof(gamma=gamma, c=c, s=s)
 
-    def output_for(self, message: bytes, *, base: int | None = None) -> bytes:
+    def output_for(self, message: bytes) -> bytes:
         """The VRF output alone, without the DLEQ transcript.
 
         Sortition's *private* self-check only needs ``beta = H(gamma)``
         to learn its seat count; the proof is revealed (and therefore
-        needed) only for selected credentials.  One modexp instead of
-        three -- and because the nonce is derived deterministically, a
-        later :meth:`evaluate` on the same message yields exactly the
-        proof whose output this is.
+        needed) only for selected credentials.  One ``H``-comb
+        exponentiation and no group element for the transcript, where
+        :meth:`evaluate` needs four -- and because the nonce is derived
+        deterministically, a later :meth:`evaluate` on the same message
+        yields exactly the proof whose output this is.
         """
-        if base is None:
-            base = group.hash_to_group(message)
-        gamma = pow(base, self.keypair.x, group.P)
+        gamma = h_pow(group.hash_to_exponent(message) * self.keypair.x)
         return tagged_hash("repro/vrf-output", gamma.to_bytes(128, "big"))
 
 
@@ -110,10 +112,12 @@ def verify_vrf(public: PublicKey, message: bytes, proof: VRFProof) -> bytes:
         raise VRFError("gamma is not a group element")
     if not (0 <= proof.c < group.Q and 0 <= proof.s < group.Q):
         raise VRFError("proof scalars out of range")
-    base = group.hash_to_group(message)
+    e = group.hash_to_exponent(message)
+    base = h_pow(e)
     neg_c = group.Q - (proof.c % group.Q)
-    a1 = (pow(group.G, proof.s, group.P) * pow(public.y, neg_c, group.P)) % group.P
-    a2 = (pow(base, proof.s, group.P) * pow(proof.gamma, neg_c, group.P)) % group.P
+    a1 = (g_pow(proof.s) * pow(public.y, neg_c, group.P)) % group.P
+    # base ** s == H ** (e * s): the fixed-base half rides the H comb
+    a2 = (h_pow(e * proof.s) * pow(proof.gamma, neg_c, group.P)) % group.P
     c = _dleq_challenge(public.y, base, proof.gamma, a1, a2, message)
     if c != proof.c:
         raise VRFError("DLEQ transcript mismatch")

@@ -1,7 +1,10 @@
 """Tests for both consensus engines: PoS validators and PPoS sortition."""
 
+import hashlib
+
 import pytest
 
+from repro.chain import make_chain
 from repro.crypto.hashing import sha256
 from repro.crypto.vrf import VRFKeyPair
 from repro.chain.algorand.consensus import (
@@ -133,6 +136,40 @@ class TestSortitionRounds:
     def test_register_rejects_zero_stake(self, sortition):
         with pytest.raises(ValueError):
             sortition.register("BROKE", VRFKeyPair.from_seed(b"broke"), stake=0)
+
+
+#: SHA-256 over rounds 1-64 of a seeded algorand-testnet chain's sortition,
+#: computed with builtin ``pow`` before the VRF moved onto the H comb.
+PINNED_ROUNDS_DIGEST = "7b645385db457e186ce210790607e263590263a58f4c98bab28ee45725f73036"
+
+
+class TestPinnedRounds:
+    def test_rounds_match_pinned_digest_and_credentials_verify(self):
+        chain = make_chain("algorand-testnet", seed=1)
+        sortition = chain.sortition
+        seed = chain.blocks[0].seed
+        digest = hashlib.sha256()
+        for r in range(1, 65):
+            seed = sha256(seed, r.to_bytes(8, "big"))
+            outcome = sortition.run_round(r, seed)
+            leader = outcome.leader
+            digest.update(
+                repr(
+                    (
+                        r,
+                        leader.address if leader else None,
+                        leader.seats if leader else 0,
+                        [(c.address, c.seats) for c in outcome.committee],
+                        outcome.approvals,
+                        outcome.certified,
+                    )
+                ).encode()
+            )
+            if leader is not None:
+                assert sortition.verify_credential(leader, seed, r, role="leader")
+            for credential in outcome.committee:
+                assert sortition.verify_credential(credential, seed, r, role="committee")
+        assert digest.hexdigest() == PINNED_ROUNDS_DIGEST
 
 
 def test_honest_majority_bound():

@@ -1,14 +1,17 @@
-"""Fixed-base comb exponentiation: Python comb, native comb, g_pow.
+"""Fixed-base comb exponentiation: Python comb, native comb, g_pow, h_pow.
 
-Every path must compute exactly ``pow(G, e, P)`` -- the comb is the
-hottest operation in the scaled kernel and any divergence would corrupt
-every signature and key in a run.
+Every path must compute exactly ``pow(G, e, P)`` (or ``pow(H, e, P)``)
+-- the combs are the hottest operations in the scaled kernel and any
+divergence would corrupt every signature, key and VRF credential in a
+run.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import group
-from repro.crypto.fastexp import FixedBaseComb, g_pow
+from repro.crypto.fastexp import FixedBaseComb, g_pow, h_pow
 from repro.crypto.native import load_native_comb
 
 # deterministic spread: boundaries plus a multiplicative orbit in Z_Q
@@ -77,3 +80,59 @@ class TestGPow:
     def test_reduces_modulo_subgroup_order(self):
         # G has order Q, so reducing the exponent mod Q is invisible
         assert g_pow(group.Q + 5) == pow(group.G, 5, group.P)
+
+
+# boundaries for the H comb; the properties below add a random spread
+H_EXPONENTS = [0, 1, group.Q - 1, group.Q // 2]
+_exponents = st.integers(min_value=0, max_value=group.Q - 1)
+
+
+class TestHComb:
+    """The second shared comb, on ``H``: same contract as ``G``'s."""
+
+    @pytest.fixture(scope="class")
+    def python_comb(self):
+        return FixedBaseComb(group.H, group.P)
+
+    @pytest.fixture(scope="class")
+    def native_comb(self):
+        comb = load_native_comb(group.H, group.P)
+        if comb is None:
+            pytest.skip("native comb unavailable on this host")
+        return comb
+
+    @pytest.mark.parametrize("exponent", H_EXPONENTS)
+    def test_python_comb_matches_builtin_pow(self, python_comb, exponent):
+        assert python_comb.pow(exponent) == pow(group.H, exponent, group.P)
+
+    @pytest.mark.parametrize("exponent", H_EXPONENTS)
+    def test_native_comb_matches_builtin_pow(self, native_comb, exponent):
+        assert native_comb.pow(exponent) == pow(group.H, exponent, group.P)
+
+    @pytest.mark.parametrize("exponent", H_EXPONENTS)
+    def test_h_pow_drop_in_for_pow(self, exponent):
+        assert h_pow(exponent) == pow(group.H, exponent, group.P)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_exponents)
+    def test_property_python_comb_and_h_pow(self, python_comb, exponent):
+        expected = pow(group.H, exponent, group.P)
+        assert python_comb.pow(exponent) == expected
+        assert h_pow(exponent) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(_exponents)
+    def test_property_native_comb(self, native_comb, exponent):
+        assert native_comb.pow(exponent) == pow(group.H, exponent, group.P)
+
+    def test_h_pow_reduces_modulo_subgroup_order(self):
+        assert h_pow(group.Q + 5) == pow(group.H, 5, group.P)
+
+
+class TestHashToExponent:
+    @settings(max_examples=25, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_hash_to_group_is_h_to_the_exponent(self, message):
+        exponent = group.hash_to_exponent(message)
+        assert 0 < exponent < group.Q
+        assert group.hash_to_group(message) == pow(group.H, exponent, group.P)

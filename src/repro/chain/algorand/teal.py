@@ -22,6 +22,7 @@ Supported syntax mirrors real TEAL closely enough to read naturally:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 
 class TealSyntaxError(Exception):
@@ -43,6 +44,9 @@ class TealProgram:
     instrs: list[TealInstr]
     labels: dict[str, int] = field(default_factory=dict)
     source: str = ""
+    #: the AVM's decoded dispatch form, built on first execution; the
+    #: instruction list never changes after assembly
+    _decoded: Any = field(default=None, init=False, repr=False, compare=False)
 
     def byte_size(self) -> int:
         """Approximate compiled size (per-instruction encoding estimate)."""

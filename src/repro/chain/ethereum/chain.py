@@ -31,14 +31,22 @@ from repro.chain.ethereum.evm import (
     EVM,
     EvmCode,
     EvmContract,
+    VMError,
     VMRevert,
     serialize_code,
 )
-from repro.chain.ethereum.gas import DEFAULT_SCHEDULE, calldata_gas, code_deposit_gas, intrinsic_gas
+from repro.chain.ethereum.gas import DEFAULT_SCHEDULE, code_deposit_gas, intrinsic_gas
 from repro.chain.params import GWEI, NetworkProfile, PROFILES
 
 MIN_BASE_FEE = 7  # wei; the protocol floor
 BASE_FEE_MAX_CHANGE = 0.125  # +-12.5% per block (thesis section 1.4.1.3)
+
+
+def _exceptional_halt(error: VMError) -> VMRevert:
+    """A machine error (bad jump, stack underflow, unencodable value) as a
+    failed execution: it carries no ``gas_used``, so the transaction
+    pays its whole gas limit, as an exceptional halt does on Ethereum."""
+    return VMRevert(str(error))
 
 
 class EthereumChain(BaseChain):
@@ -185,6 +193,8 @@ class EthereumChain(BaseChain):
             )
         except VMRevert as revert:
             return self._revert(tx, receipt, revert, gas_price, block)
+        except VMError as error:
+            return self._revert(tx, receipt, _exceptional_halt(error), gas_price, block)
         gas_used = result.gas_used + code_deposit_gas(code.byte_size())
         fee = gas_used * gas_price
         self._debit(tx.sender, tx.value + fee)
@@ -227,6 +237,8 @@ class EthereumChain(BaseChain):
             )
         except VMRevert as revert:
             return self._revert(tx, receipt, revert, gas_price, block)
+        except VMError as error:
+            return self._revert(tx, receipt, _exceptional_halt(error), gas_price, block)
         fee = result.gas_used * gas_price
         self._debit(tx.sender, tx.value + fee)
         self._settle_fee(block, result.gas_used, gas_price)

@@ -14,13 +14,19 @@ to the real EVM where it matters for the evaluation:
   ``CALL`` with value, priced ``G_callvalue``).
 
 Stack values are ints (mod 2**256), byte strings, or address strings.
+
+Code is decoded once into ``(handler, immediate, flat_cost)`` triples
+(cached on the :class:`EvmCode`): the dispatch loop charges the flat
+cost and calls the handler, which charges any dynamic cost itself.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable
 
 from repro.crypto.hashing import sha256
 from repro.chain.ethereum.gas import DEFAULT_SCHEDULE, GasSchedule
@@ -29,11 +35,15 @@ WORD = 2**256
 
 
 class VMError(Exception):
-    """Irrecoverable execution failure (bad jump, stack underflow)."""
+    """Irrecoverable execution failure (bad jump, stack underflow,
+    a value no 256-bit word can encode)."""
 
 
 class VMRevert(Exception):
     """Deliberate revert; carries the reason string."""
+
+    #: gas consumed up to the revert; set by the VM when it raises one
+    gas_used: int
 
     def __init__(self, reason: str = ""):
         super().__init__(reason or "execution reverted")
@@ -76,6 +86,7 @@ class EvmCode:
     #: and one compiled program is shared by every contract instance.
     _byte_size: int | None = field(default=None, init=False, repr=False, compare=False)
     _serialized: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _decoded: tuple[GasSchedule, Decoded] | None = field(default=None, init=False, repr=False, compare=False)
 
     def byte_size(self) -> int:
         """Total code size in (simulated) bytes."""
@@ -112,7 +123,9 @@ def _encode(value: Any) -> bytes:
     if isinstance(value, bytes):
         return value
     if isinstance(value, int):
-        return value.to_bytes(32, "big", signed=False)
+        if 0 <= value < WORD:
+            return value.to_bytes(32, "big")
+        raise VMError(f"unencodable stack value {value!r}")
     if isinstance(value, str):
         return value.encode()
     raise VMError(f"unencodable stack value {value!r}")
@@ -138,6 +151,58 @@ def _truthy(value: Any) -> bool:
     if isinstance(value, (bytes, str)):
         return len(value) > 0
     raise VMError(f"untestable stack value {type(value).__name__}")
+
+
+class _Frame:
+    """The mutable state of one EVM call."""
+
+    __slots__ = (
+        "contract", "args", "caller", "value", "block_number", "timestamp", "self_balance",
+        "schedule", "gas_limit", "gas_used", "stack", "writes", "logs", "transfers", "warm",
+        "refund_counter", "spent_on_transfers", "return_value",
+    )
+
+    def __init__(
+        self,
+        contract: EvmContract,
+        args: list[Any],
+        caller: str,
+        value: int,
+        block_number: int,
+        timestamp: float,
+        self_balance: int,
+        schedule: GasSchedule,
+        gas_limit: int,
+        gas_used: int,
+    ) -> None:
+        self.contract = contract
+        self.args = args
+        self.caller = caller
+        self.value = value
+        self.block_number = block_number
+        self.timestamp = timestamp
+        self.self_balance = self_balance
+        self.schedule = schedule
+        self.gas_limit = gas_limit
+        self.gas_used = gas_used
+        self.stack: list[Any] = []
+        self.writes: dict[bytes, Any] = {}
+        self.logs: list[tuple[str, tuple[Any, ...]]] = []
+        self.transfers: list[tuple[str, int]] = []
+        self.warm: set[bytes] = set()
+        self.refund_counter = 0
+        self.spent_on_transfers = 0
+        self.return_value: Any = None
+
+
+class _Halt(Exception):
+    """Raised by ``RETURN``/``STOP`` to leave the dispatch loop."""
+
+
+#: a handler executes one instruction (its flat cost already charged)
+#: and returns the next pc
+Handler = Callable[[_Frame, Any, int], int]
+Decoded = list[tuple[Handler, Any, int]]
 
 
 class EVM:
@@ -183,25 +248,29 @@ class EVM:
     def __init__(self, schedule: GasSchedule = DEFAULT_SCHEDULE):
         self.schedule = schedule
         #: opcode -> flat cost, resolved against the schedule once
-        self._flat = {op: getattr(schedule, attr) for op, attr in self._FLAT_COSTS.items()}
-        #: id(code) -> (code, [(op, arg, flat_cost), ...]); the code ref
-        #: keeps the id stable for the life of the cache entry
-        self._decoded: dict[int, tuple[EvmCode, list[tuple[str, Any, int]]]] = {}
+        self._flat: dict[str, int] = {op: getattr(schedule, attr) for op, attr in self._FLAT_COSTS.items()}
 
-    def _decode(self, code: EvmCode) -> list[tuple[str, Any, int]]:
-        """Flatten instructions to (op, arg, flat_cost) dispatch tuples.
+    def _decoded(self, code: EvmCode) -> Decoded:
+        """The code's ``(handler, immediate, flat_cost)`` form, cached on it.
 
         Compiled programs are immutable and shared by every contract
-        instance, so the per-step dict lookup + getattr for flat gas
-        costs can be paid once per program instead of once per
-        instruction executed.
+        instance, so opcode dispatch, flat gas costs, jump-target
+        validation and constant immediates are resolved once per
+        program (and gas schedule) instead of once per instruction
+        executed.  The list ends with a free sentinel that raises the
+        program-counter error for a run falling off the end.
         """
-        entry = self._decoded.get(id(code))
-        if entry is not None and entry[0] is code:
-            return entry[1]
+        cached = code._decoded
+        if cached is not None and cached[0] is self.schedule:
+            return cached[1]
+        instrs = code.instrs
         flat = self._flat
-        decoded = [(instr.op, instr.arg, flat.get(instr.op, 0)) for instr in code.instrs]
-        self._decoded[id(code)] = (code, decoded)
+        decoded: Decoded = []
+        for instr in instrs:
+            handler, arg = _decode(instr, instrs)
+            decoded.append((handler, arg, flat.get(instr.op, 0)))
+        decoded.append((_pc_out_of_range, len(instrs), 0))
+        code._decoded = (self.schedule, decoded)
         return decoded
 
     def execute(
@@ -224,236 +293,358 @@ class EVM:
         adapter commits them on success.  On :class:`VMRevert` the
         exception carries ``gas_used`` so fees can still be charged.
         """
-        instrs = self._decode(contract.code)
-        limit = len(instrs)
-        stack: list[Any] = []
-        writes: dict[bytes, Any] = {}
-        logs: list[tuple[str, tuple[Any, ...]]] = []
-        transfers: list[tuple[str, int]] = []
-        warm: set[bytes] = set()
-        schedule = self.schedule
-        gas_used = intrinsic
-        refund_counter = 0
-        spent_on_transfers = 0
+        code = self._decoded(contract.code)
+        if intrinsic > gas_limit:
+            raise _out_of_gas(gas_limit)
+        if not 0 <= entry < len(contract.code.instrs):
+            raise VMError(f"program counter {entry} out of range")
+        frame = _Frame(
+            contract, args, caller, value, block_number, timestamp, self_balance, self.schedule, gas_limit, intrinsic
+        )
         pc = entry
-
-        def charge(amount: int) -> None:
-            nonlocal gas_used
-            gas_used += amount
-            if gas_used > gas_limit:
-                error = OutOfGas()
-                error.gas_used = gas_limit  # type: ignore[attr-defined]
-                raise error
-
-        if gas_used > gas_limit:
-            error = OutOfGas()
-            error.gas_used = gas_limit  # type: ignore[attr-defined]
-            raise error
-
-        # The dispatch loop inlines the flat-cost charge and uses bare
-        # ``stack.pop()`` (IndexError -> VMError below): both run once
-        # per instruction executed and dominate interpreter overhead.
+        # The loop charges each instruction's flat cost before running
+        # it; handlers charge dynamic costs themselves and pop with bare
+        # ``list.pop()`` (IndexError -> stack underflow below).
         try:
             while True:
-                if not 0 <= pc < limit:
-                    raise VMError(f"program counter {pc} out of range")
-                op, arg, cost = instrs[pc]
-
+                handler, arg, cost = code[pc]
                 if cost:
-                    gas_used += cost
+                    gas_used = frame.gas_used + cost
+                    frame.gas_used = gas_used
                     if gas_used > gas_limit:
-                        error = OutOfGas()
-                        error.gas_used = gas_limit  # type: ignore[attr-defined]
-                        raise error
-
-                if op == "PUSH":
-                    stack.append(arg)
-                elif op == "POP":
-                    stack.pop()
-                elif op == "DUP":
-                    depth = arg or 1
-                    if len(stack) < depth:
-                        raise VMError("stack underflow on DUP")
-                    stack.append(stack[-depth])
-                elif op == "SWAP":
-                    depth = arg or 1
-                    if len(stack) < depth + 1:
-                        raise VMError("stack underflow on SWAP")
-                    stack[-1], stack[-1 - depth] = stack[-1 - depth], stack[-1]
-                elif op == "ADD":
-                    stack.append((_as_int(stack.pop()) + _as_int(stack.pop())) % WORD)
-                elif op == "SUB":
-                    a, b = _as_int(stack.pop()), _as_int(stack.pop())
-                    stack.append((a - b) % WORD)
-                elif op == "MUL":
-                    stack.append((_as_int(stack.pop()) * _as_int(stack.pop())) % WORD)
-                elif op == "DIV":
-                    a, b = _as_int(stack.pop()), _as_int(stack.pop())
-                    stack.append(0 if b == 0 else a // b)
-                elif op == "MOD":
-                    a, b = _as_int(stack.pop()), _as_int(stack.pop())
-                    stack.append(0 if b == 0 else a % b)
-                elif op == "LT":
-                    a, b = _as_int(stack.pop()), _as_int(stack.pop())
-                    stack.append(1 if a < b else 0)
-                elif op == "GT":
-                    a, b = _as_int(stack.pop()), _as_int(stack.pop())
-                    stack.append(1 if a > b else 0)
-                elif op == "EQ":
-                    a, b = stack.pop(), stack.pop()
-                    if type(a) is int and type(b) is int:
-                        stack.append(1 if a % WORD == b % WORD else 0)
-                    else:
-                        stack.append(1 if _encode(a) == _encode(b) else 0)
-                elif op == "ISZERO":
-                    stack.append(0 if _truthy(stack.pop()) else 1)
-                elif op == "AND":
-                    a, b = _truthy(stack.pop()), _truthy(stack.pop())
-                    stack.append(1 if (a and b) else 0)
-                elif op == "OR":
-                    a, b = _truthy(stack.pop()), _truthy(stack.pop())
-                    stack.append(1 if (a or b) else 0)
-                elif op == "XOR":
-                    stack.append(_as_int(stack.pop()) ^ _as_int(stack.pop()))
-                elif op == "NOT":
-                    stack.append(0 if _truthy(stack.pop()) else 1)
-                elif op == "CONCAT":
-                    b, a = stack.pop(), stack.pop()
-                    stack.append(_encode(a) + _encode(b))
-                elif op == "SHA3":
-                    count = arg or 1
-                    payload = b"".join(_encode(stack.pop()) for _ in range(count))
-                    words = (len(payload) + 31) // 32
-                    charge(schedule.keccak256 + schedule.keccak256word * words)
-                    stack.append(sha256(payload))
-                elif op == "MAPKEY":
-                    key = stack.pop()
-                    payload = int(arg).to_bytes(32, "big") + _encode(key)
-                    words = (len(payload) + 31) // 32
-                    charge(schedule.keccak256 + schedule.keccak256word * words)
-                    stack.append(sha256(payload))
-                elif op == "CALLDATALOAD":
-                    index = arg if arg is not None else _as_int(stack.pop())
-                    stack.append(args[index] if 0 <= index < len(args) else 0)
-                elif op == "CALLDATASIZE":
-                    stack.append(len(args))
-                elif op == "CALLER":
-                    stack.append(caller)
-                elif op == "CALLVALUE":
-                    stack.append(value)
-                elif op == "TIMESTAMP":
-                    stack.append(int(timestamp))
-                elif op == "NUMBER":
-                    stack.append(block_number)
-                elif op == "ADDRESS":
-                    stack.append(contract.address)
-                elif op == "SELFBALANCE":
-                    stack.append(self_balance + value - spent_on_transfers)
-                elif op == "SLOAD":
-                    key = _encode(stack.pop())
-                    if key in warm:
-                        charge(schedule.warm_access)
-                    else:
-                        charge(schedule.cold_sload)
-                        warm.add(key)
-                    if key in writes:
-                        stack.append(writes[key])
-                    else:
-                        stack.append(contract.storage.get(key, 0))
-                elif op == "SSTORE":
-                    new_value = stack.pop()
-                    key = _encode(stack.pop())
-                    if key not in warm:
-                        charge(schedule.cold_sload)
-                        warm.add(key)
-                    current = writes.get(key, contract.storage.get(key, 0))
-                    # ints encode to the zero word iff the (normalized)
-                    # value is zero; byte-likes are zero iff empty.
-                    current_zero = current % WORD == 0 if isinstance(current, int) else not current
-                    new_zero = new_value % WORD == 0 if isinstance(new_value, int) else not new_value
-                    if current_zero and not new_zero:
-                        charge(schedule.sset)
-                    else:
-                        charge(schedule.sreset)
-                        if not current_zero and new_zero:
-                            # R_sclear: clearing storage earns a refund,
-                            # capped at settlement (EIP-3529 style).
-                            refund_counter += schedule.sclear_refund
-                    writes[key] = new_value
-                elif op == "JUMPDEST":
-                    pass
-                elif op == "JUMP":
-                    pc = int(arg)
-                    if not (0 <= pc < limit and instrs[pc][0] == "JUMPDEST"):
-                        raise VMError(f"jump to non-JUMPDEST index {pc}")
-                    continue
-                elif op == "JUMPI":
-                    condition = _truthy(stack.pop())
-                    if condition:
-                        pc = int(arg)
-                        if not (0 <= pc < limit and instrs[pc][0] == "JUMPDEST"):
-                            raise VMError(f"jump to non-JUMPDEST index {pc}")
-                        continue
-                elif op == "REQUIRE":
-                    condition = _truthy(stack.pop())
-                    if not condition:
-                        raise VMRevert(str(arg or "requirement failed"))
-                elif op == "TRANSFER":
-                    amount = _as_int(stack.pop())
-                    to = stack.pop()
-                    if not isinstance(to, str):
-                        raise VMError("TRANSFER target must be an address string")
-                    charge(schedule.callvalue)
-                    available = self_balance + value - spent_on_transfers
-                    if amount > available:
-                        raise VMRevert("insufficient contract balance for transfer")
-                    spent_on_transfers += amount
-                    transfers.append((to, amount))
-                elif op == "LOG":
-                    event, count = arg
-                    # Operands were pushed in source order; report them so.
-                    payload = tuple(reversed([stack.pop() for _ in range(count)]))
-                    data_len = sum(len(_encode(item)) for item in payload)
-                    charge(schedule.log + schedule.logtopic + schedule.logdata * data_len)
-                    logs.append((event, payload))
-                elif op == "RETURN":
-                    count = arg or 0
-                    if count == 0:
-                        result = None
-                    elif count == 1:
-                        result = stack.pop()
-                    else:
-                        result = tuple(reversed([stack.pop() for _ in range(count)]))
-                    refund = min(refund_counter, gas_used // 5)
-                    return ExecutionResult(
-                        gas_used=gas_used - refund,
-                        return_value=result,
-                        logs=logs,
-                        transfers=transfers,
-                        storage_writes=writes,
-                        refund=refund,
-                    )
-                elif op == "REVERT":
-                    raise VMRevert(str(arg or "execution reverted"))
-                elif op == "STOP":
-                    refund = min(refund_counter, gas_used // 5)
-                    return ExecutionResult(
-                        gas_used=gas_used - refund,
-                        return_value=None,
-                        logs=logs,
-                        transfers=transfers,
-                        storage_writes=writes,
-                        refund=refund,
-                    )
-                else:
-                    raise VMError(f"unknown opcode {op}")
-                pc += 1
+                        raise _out_of_gas(gas_limit)
+                pc = handler(frame, arg, pc)
+        except _Halt:
+            pass
         except IndexError as exc:
             raise VMError("stack underflow") from exc
         except VMRevert as revert:
             if not hasattr(revert, "gas_used"):
-                revert.gas_used = gas_used  # type: ignore[attr-defined]
+                revert.gas_used = frame.gas_used
             raise
+        refund = min(frame.refund_counter, frame.gas_used // 5)
+        return ExecutionResult(
+            gas_used=frame.gas_used - refund,
+            return_value=frame.return_value,
+            logs=frame.logs,
+            transfers=frame.transfers,
+            storage_writes=frame.writes,
+            refund=refund,
+        )
+
+
+# -- decoding --------------------------------------------------------------------
+
+
+def _decode(instr: Instr, instrs: list[Instr]) -> tuple[Handler, Any]:
+    """One instruction's handler and pre-resolved immediate."""
+    op, arg = instr.op, instr.arg
+    fixed = _FIXED.get(op)
+    if fixed is not None:
+        return fixed
+    if op == "PUSH":
+        return _push, arg
+    if op == "LOG":
+        return _log, arg
+    if op in _COUNTED:
+        return _COUNTED[op], arg or 1
+    if op == "MAPKEY":
+        return _mapkey, int(arg).to_bytes(32, "big")
+    if op == "CALLDATALOAD":
+        if arg is None:
+            return _calldataload_stack, None
+        return _calldataload, arg
+    if op in ("JUMP", "JUMPI"):
+        target = int(arg)
+        valid = 0 <= target < len(instrs) and instrs[target].op == "JUMPDEST"
+        if op == "JUMP":
+            return (_jump if valid else _jump_invalid), target
+        return (_jumpi if valid else _jumpi_invalid), target
+    if op == "REQUIRE":
+        return _require, str(arg or "requirement failed")
+    if op == "REVERT":
+        return _revert, str(arg or "execution reverted")
+    if op == "RETURN":
+        return _return, arg or 0
+    return _fail, f"unknown opcode {op}"
+
+
+def _out_of_gas(gas_limit: int) -> OutOfGas:
+    error = OutOfGas()
+    error.gas_used = gas_limit
+    return error
+
+
+def _charge(frame: _Frame, amount: int) -> None:
+    gas_used = frame.gas_used + amount
+    frame.gas_used = gas_used
+    if gas_used > frame.gas_limit:
+        raise _out_of_gas(frame.gas_limit)
+
+
+# -- handlers --------------------------------------------------------------------
+
+
+def _fail(frame: _Frame, message: str, pc: int) -> int:
+    raise VMError(message)
+
+
+def _pc_out_of_range(frame: _Frame, target: int, pc: int) -> int:
+    raise VMError(f"program counter {target} out of range")
+
+
+def _push(frame: _Frame, value: Any, pc: int) -> int:
+    frame.stack.append(value)
+    return pc + 1
+
+
+def _pop(frame: _Frame, arg: None, pc: int) -> int:
+    frame.stack.pop()
+    return pc + 1
+
+
+def _dup(frame: _Frame, depth: int, pc: int) -> int:
+    stack = frame.stack
+    if len(stack) < depth:
+        raise VMError("stack underflow on DUP")
+    stack.append(stack[-depth])
+    return pc + 1
+
+
+def _swap(frame: _Frame, depth: int, pc: int) -> int:
+    stack = frame.stack
+    if len(stack) < depth + 1:
+        raise VMError("stack underflow on SWAP")
+    stack[-1], stack[-1 - depth] = stack[-1 - depth], stack[-1]
+    return pc + 1
+
+
+def _arith(frame: _Frame, fn: Callable[[int, int], int], pc: int) -> int:
+    """Word arithmetic and comparisons: pops ``a`` then ``b``, pushes
+    ``fn(a, b)`` mod 2**256."""
+    stack = frame.stack
+    a = _as_int(stack.pop())
+    stack.append(fn(a, _as_int(stack.pop())) % WORD)
+    return pc + 1
+
+
+def _div(a: int, b: int) -> int:
+    return 0 if b == 0 else a // b
+
+
+def _mod(a: int, b: int) -> int:
+    return 0 if b == 0 else a % b
+
+
+def _eq(frame: _Frame, arg: None, pc: int) -> int:
+    stack = frame.stack
+    a = stack.pop()
+    b = stack.pop()
+    if type(a) is int and type(b) is int:
+        stack.append(1 if a % WORD == b % WORD else 0)
+    else:
+        stack.append(1 if _encode(a) == _encode(b) else 0)
+    return pc + 1
+
+
+def _iszero(frame: _Frame, arg: None, pc: int) -> int:
+    stack = frame.stack
+    stack.append(0 if _truthy(stack.pop()) else 1)
+    return pc + 1
+
+
+def _logic(frame: _Frame, fn: Callable[[bool, bool], bool], pc: int) -> int:
+    """``AND``/``OR`` on the zero-ness of the two operands."""
+    stack = frame.stack
+    a = _truthy(stack.pop())
+    stack.append(1 if fn(a, _truthy(stack.pop())) else 0)
+    return pc + 1
+
+
+def _concat(frame: _Frame, arg: None, pc: int) -> int:
+    stack = frame.stack
+    b = stack.pop()
+    a = stack.pop()
+    stack.append(_encode(a) + _encode(b))
+    return pc + 1
+
+
+def _sha3(frame: _Frame, count: int, pc: int) -> int:
+    stack = frame.stack
+    payload = b"".join(_encode(stack.pop()) for _ in range(count))
+    schedule = frame.schedule
+    _charge(frame, schedule.keccak256 + schedule.keccak256word * ((len(payload) + 31) // 32))
+    stack.append(sha256(payload))
+    return pc + 1
+
+
+def _mapkey(frame: _Frame, slot_word: bytes, pc: int) -> int:
+    stack = frame.stack
+    payload = slot_word + _encode(stack.pop())
+    schedule = frame.schedule
+    _charge(frame, schedule.keccak256 + schedule.keccak256word * ((len(payload) + 31) // 32))
+    stack.append(sha256(payload))
+    return pc + 1
+
+
+def _env(frame: _Frame, getter: Callable[[_Frame], Any], pc: int) -> int:
+    """Call-environment reads (``CALLER``, ``TIMESTAMP``, ...)."""
+    frame.stack.append(getter(frame))
+    return pc + 1
+
+
+def _calldataload(frame: _Frame, index: int, pc: int) -> int:
+    args = frame.args
+    frame.stack.append(args[index] if 0 <= index < len(args) else 0)
+    return pc + 1
+
+
+def _calldataload_stack(frame: _Frame, arg: None, pc: int) -> int:
+    return _calldataload(frame, _as_int(frame.stack.pop()), pc)
+
+
+def _sload(frame: _Frame, arg: None, pc: int) -> int:
+    stack = frame.stack
+    key = _encode(stack.pop())
+    if key in frame.warm:
+        _charge(frame, frame.schedule.warm_access)
+    else:
+        _charge(frame, frame.schedule.cold_sload)
+        frame.warm.add(key)
+    writes = frame.writes
+    stack.append(writes[key] if key in writes else frame.contract.storage.get(key, 0))
+    return pc + 1
+
+
+def _sstore(frame: _Frame, arg: None, pc: int) -> int:
+    stack = frame.stack
+    new_value = stack.pop()
+    key = _encode(stack.pop())
+    schedule = frame.schedule
+    if key not in frame.warm:
+        _charge(frame, schedule.cold_sload)
+        frame.warm.add(key)
+    current = frame.writes.get(key, frame.contract.storage.get(key, 0))
+    # ints encode to the zero word iff the (normalized) value is zero;
+    # byte-likes are zero iff empty.
+    current_zero = current % WORD == 0 if isinstance(current, int) else not current
+    new_zero = new_value % WORD == 0 if isinstance(new_value, int) else not new_value
+    if current_zero and not new_zero:
+        _charge(frame, schedule.sset)
+    else:
+        _charge(frame, schedule.sreset)
+        if not current_zero and new_zero:
+            # R_sclear: clearing storage earns a refund, capped at
+            # settlement (EIP-3529 style).
+            frame.refund_counter += schedule.sclear_refund
+    frame.writes[key] = new_value
+    return pc + 1
+
+
+def _jumpdest(frame: _Frame, arg: None, pc: int) -> int:
+    return pc + 1
+
+
+def _jump(frame: _Frame, target: int, pc: int) -> int:
+    return target
+
+
+def _jump_invalid(frame: _Frame, target: int, pc: int) -> int:
+    raise VMError(f"jump to non-JUMPDEST index {target}")
+
+
+def _jumpi(frame: _Frame, target: int, pc: int) -> int:
+    return target if _truthy(frame.stack.pop()) else pc + 1
+
+
+def _jumpi_invalid(frame: _Frame, target: int, pc: int) -> int:
+    if _truthy(frame.stack.pop()):
+        raise VMError(f"jump to non-JUMPDEST index {target}")
+    return pc + 1
+
+
+def _require(frame: _Frame, reason: str, pc: int) -> int:
+    if not _truthy(frame.stack.pop()):
+        raise VMRevert(reason)
+    return pc + 1
+
+
+def _transfer(frame: _Frame, arg: None, pc: int) -> int:
+    stack = frame.stack
+    amount = _as_int(stack.pop())
+    to = stack.pop()
+    if not isinstance(to, str):
+        raise VMError("TRANSFER target must be an address string")
+    _charge(frame, frame.schedule.callvalue)
+    if amount > frame.self_balance + frame.value - frame.spent_on_transfers:
+        raise VMRevert("insufficient contract balance for transfer")
+    frame.spent_on_transfers += amount
+    frame.transfers.append((to, amount))
+    return pc + 1
+
+
+def _log(frame: _Frame, arg: tuple[str, int], pc: int) -> int:
+    event, count = arg
+    stack = frame.stack
+    # Operands were pushed in source order; report them so.
+    payload = tuple(reversed([stack.pop() for _ in range(count)]))
+    data_len = sum(len(_encode(item)) for item in payload)
+    schedule = frame.schedule
+    _charge(frame, schedule.log + schedule.logtopic + schedule.logdata * data_len)
+    frame.logs.append((event, payload))
+    return pc + 1
+
+
+def _return(frame: _Frame, count: int, pc: int) -> int:
+    stack = frame.stack
+    if count == 1:
+        frame.return_value = stack.pop()
+    elif count > 1:
+        frame.return_value = tuple(reversed([stack.pop() for _ in range(count)]))
+    raise _Halt
+
+
+def _revert(frame: _Frame, reason: str, pc: int) -> int:
+    raise VMRevert(reason)
+
+
+def _stop(frame: _Frame, arg: None, pc: int) -> int:
+    raise _Halt
+
+
+#: opcodes whose immediate is a count, 1 when omitted
+_COUNTED: dict[str, Handler] = {"DUP": _dup, "SWAP": _swap, "SHA3": _sha3}
+
+#: opcodes whose handler and immediate the opcode alone determines
+_FIXED: dict[str, tuple[Handler, Any]] = {
+    "POP": (_pop, None),
+    "ADD": (_arith, operator.add),
+    "SUB": (_arith, operator.sub),
+    "MUL": (_arith, operator.mul),
+    "DIV": (_arith, _div),
+    "MOD": (_arith, _mod),
+    "LT": (_arith, operator.lt),
+    "GT": (_arith, operator.gt),
+    "XOR": (_arith, operator.xor),
+    "EQ": (_eq, None),
+    "ISZERO": (_iszero, None),
+    "NOT": (_iszero, None),
+    "AND": (_logic, operator.and_),
+    "OR": (_logic, operator.or_),
+    "CONCAT": (_concat, None),
+    "CALLER": (_env, attrgetter("caller")),
+    "CALLVALUE": (_env, attrgetter("value")),
+    "CALLDATASIZE": (_env, lambda frame: len(frame.args)),
+    "TIMESTAMP": (_env, lambda frame: int(frame.timestamp)),
+    "NUMBER": (_env, attrgetter("block_number")),
+    "ADDRESS": (_env, lambda frame: frame.contract.address),
+    "SELFBALANCE": (_env, lambda frame: frame.self_balance + frame.value - frame.spent_on_transfers),
+    "SLOAD": (_sload, None),
+    "SSTORE": (_sstore, None),
+    "JUMPDEST": (_jumpdest, None),
+    "TRANSFER": (_transfer, None),
+    "STOP": (_stop, None),
+}
 
 
 def serialize_code(code: EvmCode) -> bytes:

@@ -64,24 +64,44 @@ def scalar_names(ir: IRContract) -> list[str]:
     return [*ir.globals_init.keys(), "_phase", "_deadline", "_creator"]
 
 
-def state_digest(
-    scalars: Iterable[tuple[str, bytes]],
-    maps: Iterable[tuple[tuple[int, int], bytes | None]],
-    balance: int,
-    now: int,
-) -> bytes:
-    """One canonical hash over the full observable contract state.
+class StateLayout:
+    """One contract's observable state cells, with every key built once.
 
-    ``scalars`` and ``maps`` must be iterated in a deterministic order
-    (the model checker passes sorted items); absent Map entries encode
-    as a fixed absence marker so "deleted" and "never written" hash
-    identically.
+    ``names`` are the scalar globals in digest order and ``entries`` the
+    ``(slot, key)`` Map cells an analysis tracks.  The EVM storage keys,
+    AVM global-state keys and box names of each cell -- and the prefix
+    each contributes to the state digest -- are computed here, so a
+    caller stepping thousands of VM calls never re-hashes a key.
     """
-    parts: list[bytes] = []
-    for name, value in scalars:
-        parts.append(b"s:" + name.encode() + b"=" + value + b";")
-    for (slot, key), value in maps:
-        marker = b"\x00<absent>" if value is None else value
-        parts.append(b"m:%d:%d=" % (slot, key) + marker + b";")
-    parts.append(b"b:%d;t:%d" % (balance, now))
-    return sha256(b"".join(parts))
+
+    def __init__(self, names: Iterable[str], entries: Iterable[tuple[int, int]]) -> None:
+        self.names = tuple(names)
+        self.entries = tuple(entries)
+        #: ``g:<name>``: the EVM storage key and the AVM global key alike
+        self.global_keys = tuple(b"g:" + name.encode() for name in self.names)
+        self.evm_keys = tuple(evm_map_key(slot, key) for slot, key in self.entries)
+        self.box_keys = tuple(avm_box_key(slot, key) for slot, key in self.entries)
+        self.evm_key_of = dict(zip(self.entries, self.evm_keys))
+        self.box_key_of = dict(zip(self.entries, self.box_keys))
+        self._scalar_prefix = {name: b"s:" + name.encode() + b"=" for name in self.names}
+        self._map_prefix = {entry: b"m:%d:%d=" % entry for entry in self.entries}
+
+    def digest(
+        self,
+        scalars: Iterable[tuple[str, Any]],
+        maps: Iterable[tuple[tuple[int, int], Any]],
+        balance: int,
+        now: int,
+    ) -> bytes:
+        """One canonical hash over the full observable contract state.
+
+        ``scalars`` and ``maps`` hold raw stored values (:func:`canon`
+        flattens them) and must be iterated in a deterministic order;
+        every Map entry given is a present one.
+        """
+        scalar_prefix = self._scalar_prefix
+        map_prefix = self._map_prefix
+        fields = [scalar_prefix[name] + canon(value) for name, value in scalars]
+        fields += [map_prefix[entry] + canon(value) for entry, value in maps]
+        fields.append(b"b:%d;t:%d" % (balance, now))
+        return sha256(b";".join(fields))

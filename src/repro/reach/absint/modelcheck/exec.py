@@ -13,42 +13,45 @@ ships.  Each model wraps one backend behind a tiny interface:
   the same digest on both backends (the cross-backend state-space
   equality check rides on this).
 
-States are immutable snapshots (:class:`MCState`); the VMs' write sets
-are overlaid functionally, never mutated in place, so the explorer can
-fan a state out over every enabled action.  The TEAL artifact is
-assembled exactly once per model -- assembly dominates AVM call cost by
-~3x, and a checking run makes thousands of calls.
+States are immutable snapshots (:class:`MCState`); each call gets fresh
+VM stores built from the snapshot, so the explorer can fan a state out
+over every enabled action.  A checking run makes about ten thousand
+calls per backend, so nothing per-call is rebuilt that can be built
+once: the TEAL artifact is assembled once per model (both VMs then
+cache their decoded program on the artifact), and every storage key,
+box name and digest prefix comes precomputed from the model's
+:class:`~repro.reach.absint.encode.StateLayout`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any, Mapping, NamedTuple
 
 from repro.chain.algorand.avm import AVM, Application, AvmError, AvmPanic, CallContext
 from repro.chain.algorand.teal import assemble
 from repro.chain.ethereum.evm import EVM, EvmContract, VMError, VMRevert
-from repro.reach.absint.encode import canon, is_absent, state_digest, uint_of
-from repro.reach.absint.encode import avm_box_key, evm_map_key, scalar_names
+from repro.reach.absint.encode import StateLayout, is_absent, scalar_names, uint_of
 from repro.reach.absint.modelcheck.universe import (
     CREATOR,
     GENESIS_NOW,
     ActionTemplate,
     Universe,
 )
+from repro.reach.compiler import CompiledContract
 from repro.reach.ir import IRContract
 
 _APP_ADDRESS = "0x" + "aa" * 20
 _GAS_LIMIT = 1_000_000_000
 
 
-@dataclass(frozen=True)
-class MCState:
+class MCState(NamedTuple):
     """One immutable protocol state, in backend-native representation.
 
     ``scalars`` holds every runtime global sorted by name; ``maps``
     holds only *present* entries, sorted by (slot, key).  ``balance``
     and ``now`` live outside the VM stores: the VMs treat both as
-    per-call inputs, so the checker owns them.
+    per-call inputs, so the checker owns them.  (A named tuple rather
+    than a frozen dataclass: a checking run builds tens of thousands.)
     """
 
     scalars: tuple[tuple[str, object], ...]
@@ -75,11 +78,10 @@ class MCState:
         return None
 
     def with_clock(self, now: int) -> "MCState":
-        return MCState(scalars=self.scalars, maps=self.maps, balance=self.balance, now=now)
+        return MCState(self.scalars, self.maps, self.balance, now)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """Observable outcome of applying one action to one state."""
 
     status: str  # "ok" | "rejected" | "machine-error"
@@ -100,8 +102,10 @@ class BackendModel:
     def __init__(self, ir: IRContract, universe: Universe):
         self.ir = ir
         self.universe = universe
-        self._names = sorted(scalar_names(ir))
-        self._slots = sorted(ir.map_slots.values())
+        self.layout = StateLayout(
+            sorted(scalar_names(ir)),
+            [(slot, key) for slot in sorted(ir.map_slots.values()) for key in universe.keys],
+        )
 
     # -- subclass surface ----------------------------------------------------
 
@@ -122,27 +126,32 @@ class BackendModel:
         return self._execute(state, template)
 
     def digest(self, state: MCState) -> bytes:
-        scalars = [(name, canon(value)) for name, value in state.scalars]
-        maps: list[tuple[tuple[int, int], bytes | None]] = [
-            (entry_key, canon(value)) for entry_key, value in state.maps
-        ]
-        return state_digest(scalars, maps, state.balance, state.now)
+        return self.layout.digest(state.scalars, state.maps, state.balance, state.now)
+
+    def _globals_of(self, state: MCState) -> dict[bytes, object]:
+        """The state's scalars keyed as both VMs store them."""
+        return {key: value for key, (_name, value) in zip(self.layout.global_keys, state.scalars)}
 
     def _snapshot(
         self,
-        scalar_of,
-        map_of,
+        globals_: Mapping[bytes, object],
+        cells: Mapping[bytes, object],
+        cell_keys: tuple[bytes, ...],
         balance: int,
         now: int,
     ) -> MCState:
-        """Assemble an MCState by probing reader callbacks."""
-        scalars = tuple((name, scalar_of(name)) for name in self._names)
+        """Read an MCState back out of a VM's post-call stores.
+
+        ``cell_keys`` are the backend's keys for ``layout.entries``, in
+        order; absent, zero and empty cells are not part of the state.
+        """
+        layout = self.layout
+        scalars = tuple([(name, globals_.get(key, 0)) for name, key in zip(layout.names, layout.global_keys)])
         maps = []
-        for slot in self._slots:
-            for key in self.universe.keys:
-                value = map_of(slot, key)
-                if value is not None and not is_absent(value):
-                    maps.append(((slot, key), value))
+        for entry, key in zip(layout.entries, cell_keys):
+            value = cells.get(key)
+            if value is not None and not is_absent(value):
+                maps.append((entry, value))
         return MCState(scalars=scalars, maps=tuple(maps), balance=balance, now=now)
 
 
@@ -151,7 +160,7 @@ class EvmModel(BackendModel):
 
     backend = "evm"
 
-    def __init__(self, compiled, universe: Universe):
+    def __init__(self, compiled: CompiledContract, universe: Universe):
         super().__init__(compiled.ir, universe)
         self.code = compiled.evm_code
         self.vm = EVM()
@@ -170,22 +179,16 @@ class EvmModel(BackendModel):
             self_balance=0,
             intrinsic=0,
         )
-        overlay = dict(contract.storage)
-        overlay.update(result.storage_writes)
-        state = self._snapshot(
-            lambda name: overlay.get(b"g:" + name.encode(), 0),
-            lambda slot, key: overlay.get(evm_map_key(slot, key), 0),
-            balance=0,
-            now=GENESIS_NOW,
-        )
+        storage = result.storage_writes
+        state = self._snapshot(storage, storage, self.layout.evm_keys, balance=0, now=GENESIS_NOW)
         return StepResult(status="ok", state=state)
 
     def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
-        contract = EvmContract(address=_APP_ADDRESS, code=self.code, creator=CREATOR)
-        for name, value in state.scalars:
-            contract.storage[b"g:" + name.encode()] = value
-        for (slot, key), value in state.maps:
-            contract.storage[evm_map_key(slot, key)] = value
+        storage = self._globals_of(state)
+        evm_key_of = self.layout.evm_key_of
+        for entry, value in state.maps:
+            storage[evm_key_of[entry]] = value
+        contract = EvmContract(address=_APP_ADDRESS, code=self.code, storage=storage, creator=CREATOR)
         try:
             result = self.vm.execute(
                 contract,
@@ -203,13 +206,13 @@ class EvmModel(BackendModel):
             return StepResult(status="rejected", state=state, error=str(revert))
         except VMError as error:
             return StepResult(status="machine-error", state=state, error=str(error))
-        overlay = dict(contract.storage)
-        overlay.update(result.storage_writes)
+        storage.update(result.storage_writes)
         transfers = tuple(result.transfers)
         paid = sum(amount for _to, amount in transfers)
         successor = self._snapshot(
-            lambda name: overlay.get(b"g:" + name.encode(), 0),
-            lambda slot, key: overlay.get(evm_map_key(slot, key), 0),
+            storage,
+            storage,
+            self.layout.evm_keys,
             balance=state.balance + template.value - paid,
             now=state.now,
         )
@@ -221,9 +224,9 @@ class AvmModel(BackendModel):
 
     backend = "avm"
 
-    def __init__(self, compiled, universe: Universe):
+    def __init__(self, compiled: CompiledContract, universe: Universe):
         super().__init__(compiled.ir, universe)
-        # Assemble once; reuse across every call of the run.
+        # Assemble once; the AVM caches the decoded program on it.
         self.program = assemble(compiled.teal_source)
         self.vm = AVM()
 
@@ -241,24 +244,23 @@ class AvmModel(BackendModel):
             budget_pool=16,
         )
         result = self.vm.execute(app, ctx)
-        overlay = dict(app.global_state)
-        overlay.update(result.global_writes)
-        boxes = dict(app.boxes)
-        boxes.update(result.box_writes)
         state = self._snapshot(
-            lambda name: overlay.get(b"g:" + name.encode(), 0),
-            lambda slot, key: boxes.get(avm_box_key(slot, key)),
-            balance=0,
-            now=GENESIS_NOW,
+            result.global_writes, result.box_writes, self.layout.box_keys, balance=0, now=GENESIS_NOW
         )
         return StepResult(status="ok", state=state)
 
     def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
-        app = Application(app_id=1, approval=self.program, creator=CREATOR, address=_APP_ADDRESS)
-        for name, value in state.scalars:
-            app.global_state[b"g:" + name.encode()] = value
-        for (slot, key), value in state.maps:
-            app.boxes[avm_box_key(slot, key)] = value
+        global_state = self._globals_of(state)
+        box_key_of = self.layout.box_key_of
+        boxes: dict[bytes, Any] = {box_key_of[entry]: value for entry, value in state.maps}
+        app = Application(
+            app_id=1,
+            approval=self.program,
+            creator=CREATOR,
+            address=_APP_ADDRESS,
+            global_state=global_state,
+            boxes=boxes,
+        )
         ctx = CallContext(
             sender=template.caller,
             application_id=1,
@@ -276,25 +278,24 @@ class AvmModel(BackendModel):
             return StepResult(status="rejected", state=state, error=str(panic))
         except AvmError as error:
             return StepResult(status="machine-error", state=state, error=str(error))
-        overlay = dict(app.global_state)
-        overlay.update(result.global_writes)
+        global_state.update(result.global_writes)
         for dead in result.global_deletes:
-            overlay.pop(dead, None)
-        boxes = dict(app.boxes)
+            global_state.pop(dead, None)
         boxes.update(result.box_writes)
         for dead in result.box_deletes:
             boxes.pop(dead, None)
         transfers = tuple(result.inner_payments)
         paid = sum(amount for _to, amount in transfers)
         successor = self._snapshot(
-            lambda name: overlay.get(b"g:" + name.encode(), 0),
-            lambda slot, key: boxes.get(avm_box_key(slot, key)),
+            global_state,
+            boxes,
+            self.layout.box_keys,
             balance=state.balance + template.value - paid,
             now=state.now,
         )
         return StepResult(status="ok", state=successor, transfers=transfers)
 
 
-def make_models(compiled, universe: Universe) -> tuple[EvmModel, AvmModel]:
+def make_models(compiled: CompiledContract, universe: Universe) -> tuple[EvmModel, AvmModel]:
     """Both backend models for one compiled contract."""
     return EvmModel(compiled, universe), AvmModel(compiled, universe)

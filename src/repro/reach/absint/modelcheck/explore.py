@@ -39,9 +39,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.crypto.hashing import sha256
-from repro.reach.absint.modelcheck.exec import BackendModel, MCState
+from repro.reach.absint.modelcheck.exec import BackendModel, MCState, StepResult
 from repro.reach.absint.modelcheck.props import check_state, check_transition, halted
-from repro.reach.absint.modelcheck.universe import ActionTemplate, MCConfig, Universe
+from repro.reach.absint.modelcheck.universe import MCConfig, Universe
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,17 @@ class MCRun:
         return not self.violations
 
 
-def _enabled(state: MCState, template: ActionTemplate, phase_count: int) -> bool:
+def _enabled(state: MCState, universe: Universe, phase_count: int) -> list[int]:
+    """Indices of the templates enabled in ``state``, in universe order."""
     phase = state.phase()
     if phase == phase_count + 1:
-        return False  # halted: terminal
-    if template.kind == "clock":
-        return phase >= 1 and state.now <= state.deadline()
-    return template.phase == phase
+        return []  # halted: terminal
+    clock = phase >= 1 and state.now <= state.deadline()
+    return [
+        index
+        for index, template in enumerate(universe.templates)
+        if (clock if template.kind == "clock" else template.phase == phase)
+    ]
 
 
 def _ample_candidate(enabled: list[int], universe: Universe) -> int | None:
@@ -98,6 +102,11 @@ def explore(model: BackendModel, universe: Universe, config: MCConfig, phase_cou
     init_digest = model.digest(deployed.state)
 
     states: dict[bytes, MCState] = {init_digest: deployed.state}
+    # The same map by value: most accepted steps land on a state already
+    # explored, and looking an (immutable) state up is far cheaper than
+    # re-encoding and hashing it.  Equal states encode equally, since the
+    # VM stores hold only ints, bytes and strs.
+    known: dict[MCState, bytes] = {deployed.state: init_digest}
     depth: dict[bytes, int] = {init_digest: 0}
     parent: dict[bytes, tuple[bytes, int] | None] = {init_digest: None}
     edges: dict[bytes, list[tuple[int, bytes]]] = {}
@@ -130,12 +139,12 @@ def explore(model: BackendModel, universe: Universe, config: MCConfig, phase_cou
             truncated = True
             continue
 
-        enabled = [
-            index
-            for index, template in enumerate(universe.templates)
-            if _enabled(state, template, phase_count)
-        ]
+        enabled = _enabled(state, universe, phase_count)
         expand = enabled
+        # The POR probe's outcome (and digest), reused when its action
+        # is expanded below: stepping is a pure function of (state,
+        # action), so running it twice would only repeat the work.
+        probed: tuple[int, StepResult, bytes | None] | None = None
         if config.por and len(enabled) > 1:
             candidate = _ample_candidate(enabled, universe)
             if candidate is not None:
@@ -144,20 +153,27 @@ def explore(model: BackendModel, universe: Universe, config: MCConfig, phase_cou
                 # the ignoring problem, so fall back to full expansion.
                 probe = model.step(state, universe.templates[candidate])
                 transitions += 1
+                probe_digest = None
                 if probe.status == "ok":
-                    probe_digest = model.digest(probe.state)
+                    probe_digest = known.get(probe.state) or model.digest(probe.state)
                     if probe_digest != digest and probe_digest not in states:
                         expand = [candidate]
+                probed = (candidate, probe, probe_digest)
 
         for index in expand:
             template = universe.templates[index]
-            result = model.step(state, template)
+            if probed is not None and probed[0] == index:
+                _index, result, successor_digest = probed
+            else:
+                result = model.step(state, template)
+                successor_digest = None
             transitions += 1
             for theorem, message in check_transition(universe, phase_count, state, template, result):
                 record(theorem, message, path_to(digest) + (index,))
             if result.status != "ok":
                 continue
-            successor_digest = model.digest(result.state)
+            if successor_digest is None:
+                successor_digest = known.get(result.state) or model.digest(result.state)
             if successor_digest == digest:
                 continue  # accepted but changed nothing observable
             edges.setdefault(digest, []).append((index, successor_digest))
@@ -167,6 +183,7 @@ def explore(model: BackendModel, universe: Universe, config: MCConfig, phase_cou
                 truncated = True
                 continue
             states[successor_digest] = result.state
+            known[result.state] = successor_digest
             depth[successor_digest] = depth[digest] + 1
             parent[successor_digest] = (digest, index)
             queue.append(successor_digest)
@@ -236,10 +253,8 @@ def _certify_liveness(
                 return steps + known
             if steps >= config.k_live:
                 continue
-            for template in universe.templates:
-                if not _enabled(state, template, phase_count):
-                    continue
-                result = model.step(state, template)
+            for index in _enabled(state, universe, phase_count):
+                result = model.step(state, universe.templates[index])
                 if result.status != "ok":
                     continue
                 successor_digest = model.digest(result.state)

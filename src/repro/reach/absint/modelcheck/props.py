@@ -98,8 +98,9 @@ def check_transition(
     # MC-SAFETY-ANCHOR (+ the batch write-once half of MC-SAFETY-BATCH):
     # entries never vanish except through a consumer, never change value.
     consumer = universe.consumer_slots.get(template.fn, frozenset())
+    post_maps = dict(post.maps)
     for (slot, key), value in pre.maps:
-        after = post.map_value(slot, key)
+        after = post_maps.get((slot, key))
         if after is None:
             if slot not in consumer:
                 violations.append(

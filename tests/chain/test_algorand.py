@@ -132,6 +132,22 @@ class TestAVM:
         result, _ = run_teal(body, budget_pool=3)
         assert result.approved
 
+    @pytest.mark.parametrize("pool, budget", [(0, 700), (1, 700), (3, 2_100), (16, 11_200), (40, 11_200)])
+    def test_budget_runs_out_at_exactly_700_ops_per_pooled_call(self, pool, budget):
+        def countdown(extra_ops):
+            # int N; loop: int 1; -; dup; bnz loop; int 1; return
+            # runs 4N + 3 ops; ``int 0`` pads (left under the counter)
+            # tune the total to the budget plus ``extra_ops``.
+            pad = (budget - 3) % 4
+            iterations = (budget - 3 - pad) // 4
+            body = f"int {iterations}\nloop:\nint 1\n-\ndup\nbnz loop\nint 1\nreturn"
+            return "int 0\n" * (pad + extra_ops) + body
+
+        result, _ = run_teal(countdown(0), budget_pool=pool)
+        assert result.ops_used == budget
+        with pytest.raises(AvmPanic, match="opcode budget exhausted"):
+            run_teal(countdown(1), budget_pool=pool)
+
     def test_callsub_retsub(self):
         source = """
         callsub helper

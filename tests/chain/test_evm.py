@@ -175,6 +175,40 @@ class TestGasAccounting:
         assert intrinsic_gas(data, is_create=False) == 21_000 + 36
         assert intrinsic_gas(data, is_create=True) == 21_000 + 36 + 32_000
 
+    #: SLOAD a cold empty slot, branch on it, store into it, then fail a
+    #: REQUIRE.  Cumulative gas after each instruction: 3, 2103, 2106,
+    #: 2116, (REVERT skipped), 2117, 2120, 2123, 22123, 22126, 22136.
+    LIMIT_PROGRAM = [
+        Instr("PUSH", b"k"),
+        Instr("SLOAD"),
+        Instr("ISZERO"),
+        Instr("JUMPI", 5),
+        Instr("REVERT", "slot was set"),
+        Instr("JUMPDEST"),
+        Instr("PUSH", b"k"),
+        Instr("PUSH", 7),
+        Instr("SSTORE"),
+        Instr("PUSH", 0),
+        Instr("REQUIRE", "must hold"),
+    ]
+
+    @pytest.mark.parametrize(
+        "gas_limit, outcome",
+        [
+            (2_102, "out of gas"),  # inside SLOAD's cold-access charge
+            (2_103, "out of gas"),  # SLOAD paid; ISZERO's flat cost is not
+            (22_122, "out of gas"),  # SSTORE's zero-to-nonzero charge
+            (22_135, "out of gas"),  # REQUIRE's flat cost precedes its check
+            (22_136, "must hold"),  # every charge paid: the REQUIRE fails
+            (10**6, "must hold"),
+        ],
+    )
+    def test_out_of_gas_points_are_exact(self, gas_limit, outcome):
+        with pytest.raises(VMRevert) as excinfo:
+            run(self.LIMIT_PROGRAM, gas_limit=gas_limit)
+        assert str(excinfo.value) == outcome
+        assert excinfo.value.gas_used == (gas_limit if outcome == "out of gas" else 22_136)
+
     def test_sha3_charged_per_word(self):
         one_word = run([Instr("PUSH", b"x" * 32), Instr("SHA3", 1), Instr("STOP")]).gas_used
         two_words = run([Instr("PUSH", b"x" * 64), Instr("SHA3", 1), Instr("STOP")]).gas_used

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.chain import TxStatus, make_chain
 from repro.chain.base import drive
 from repro.chain.ethereum import EthereumChain
 from repro.core.contract import build_pol_program, pol_record
 from repro.reach.compiler import compile_program
-from repro.reach.runtime import ReachCallError, ReachClient, ReachRuntimeError
+from repro.reach.runtime import EVM_CALL_GAS_LIMIT, ReachCallError, ReachClient, ReachRuntimeError
 
 ETH = 10**18
 OLC = "8FPHC9C2+22"
@@ -128,3 +129,42 @@ class TestMassInterleaving:
         assert wall < serialized  # strictly below the serialized sum
         # The pipelining win is structural, not marginal.
         assert wall < serialized / 4
+
+
+class TestUnencodableArguments:
+    """An integer no VM word can hold fails its own call, not the chain.
+
+    Storing the DID as a Map key encodes it as a 256-bit EVM word or a
+    uint64 ``itob``; -1, 2**256 (EVM) and 2**64 (AVM) have no encoding.
+    The interpreters report that as a machine error, which the chain
+    turns into a failed receipt -- on the EVM an exceptional halt that
+    pays the whole gas limit -- and block production carries on.
+    """
+
+    @pytest.mark.parametrize(
+        "network, bad",
+        [("goerli", -1), ("goerli", 2**256), ("algorand-testnet", -1), ("algorand-testnet", 2**64)],
+    )
+    def test_bad_call_fails_and_the_next_one_confirms(self, network, bad):
+        chain = make_chain(network, seed=1)
+        client = ReachClient(chain)
+        funding = chain.profile.simulation_funding
+        creator, attacher, honest = (chain.create_account(funding=funding) for _ in range(3))
+        deployed = client.deploy(compiled_contract(4), creator, [OLC, 1, record_for(creator, 1)])
+
+        bad_call = client.attach_and_call_async(
+            deployed, "attacherAPI.insert_data", [record_for(attacher, 2), bad], sender=attacher
+        )
+        with pytest.raises(ReachCallError) as excinfo:
+            bad_call.wait()
+        failed = excinfo.value.receipt
+        assert failed.status is TxStatus.REVERTED
+        assert str(bad) in failed.error
+        if chain.profile.family == "evm":
+            assert failed.gas_used == EVM_CALL_GAS_LIMIT
+
+        good_call = client.attach_and_call_async(
+            deployed, "attacherAPI.insert_data", [record_for(honest, 3), 3], sender=honest
+        )
+        assert good_call.wait().value == 2  # 4 seats: creator + one attacher seated
+        assert all(receipt.status is TxStatus.SUCCESS for receipt in good_call.receipts)

@@ -32,7 +32,16 @@ from repro.reach.absint.modelcheck import (
     protocol_findings,
     weaken_replay_screen,
 )
-from repro.reach.absint.modelcheck.universe import batch_slots_of, find_consumers, find_screens
+from repro.reach.absint.modelcheck.exec import BackendModel, MCState, StepResult
+from repro.reach.absint.modelcheck.explore import explore
+from repro.reach.absint.modelcheck.universe import (
+    ActionTemplate,
+    Footprint,
+    Universe,
+    batch_slots_of,
+    find_consumers,
+    find_screens,
+)
 from repro.reach.compiler import compile_program
 from repro.reach.parser import parse_contract
 
@@ -106,6 +115,19 @@ class TestDeterminism:
     def test_cache_returns_the_same_report(self, crowdfunding):
         assert check_protocol(crowdfunding) is check_protocol(crowdfunding)
 
+    def test_space_digests_are_pinned(self, pol, crowdfunding):
+        # The canonical state encoding feeds every dedup decision; a
+        # drift in it (or in what the VMs write) moves these digests
+        # even when the state counts happen to survive.
+        pinned = {
+            "36a629278333d1c085b864c28930a06965f9134d91cb049ced872494404a9a48": (pol, 1341, 8998),
+            "6bd09b93f9305355fb0be59f5de8eca17e17321c4a6c6157acf485e397b1870e": (crowdfunding, 59, 191),
+        }
+        for digest, (compiled, states, transitions) in pinned.items():
+            report = check_protocol(compiled)
+            assert report.evm.space_digest.hex() == digest
+            assert (report.evm.states, report.evm.transitions) == (states, transitions)
+
     def test_cross_backend_spaces_match(self, pol, crowdfunding):
         for compiled in (pol, crowdfunding):
             report = check_protocol(compiled)
@@ -120,6 +142,57 @@ class TestPartialOrderReduction:
         without = check_protocol(crowdfunding, MCConfig(por=False))
         assert with_por.proved == without.proved
         assert set(with_por.evm.digests) <= set(without.evm.digests)
+
+
+class _Counters(BackendModel):
+    """Two independent invisible counters: every state has an ample action.
+
+    (No compiled contract offers one -- every entry point reads
+    ``_phase`` and every phase has an action that may write it -- so the
+    probe path is exercised on a stand-in backend.)
+    """
+
+    backend = "stub"
+
+    def __init__(self) -> None:
+        self.calls: dict[tuple[MCState, str], int] = {}
+
+    def deploy(self) -> StepResult:
+        return StepResult("ok", self._state(0, 0))
+
+    def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
+        key = (state, template.fn)
+        self.calls[key] = self.calls.get(key, 0) + 1
+        a, b = state.scalar("a"), state.scalar("b")
+        return StepResult("ok", self._state(a + (template.fn == "a"), b + (template.fn == "b")))
+
+    def digest(self, state: MCState) -> bytes:
+        return repr(state).encode()
+
+    @staticmethod
+    def _state(a: object, b: object) -> MCState:
+        return MCState(scalars=(("_phase", 1), ("a", a), ("b", b)), maps=(), balance=0, now=0)
+
+
+def _counter_universe() -> Universe:
+    def footprint(name: str) -> Footprint:
+        names = frozenset({name})
+        return Footprint(names, names, frozenset(), frozenset(), False, False, False)
+
+    templates = tuple(
+        ActionTemplate(name=fn, fn=fn, caller="x", args=(), value=0, phase=1, kind="api") for fn in ("a", "b")
+    )
+    return Universe(templates=templates, footprints={"a": footprint("a"), "b": footprint("b")})
+
+
+class TestPartialOrderReductionProbe:
+    def test_probe_result_is_reused_not_re_executed(self):
+        model = _Counters()
+        run = explore(model, _counter_universe(), MCConfig(depth=3, k_live=0), phase_count=1)
+        # Each expanded state probes ``a``, finds a new state and expands
+        # ``a`` alone: two transitions counted, one execution.
+        assert (run.states, run.transitions) == (4, 6)
+        assert sorted(model.calls.values()) == [1, 1, 1]
 
 
 class TestMutation:

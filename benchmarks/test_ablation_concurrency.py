@@ -13,7 +13,7 @@ from __future__ import annotations
 from conftest import write_output
 
 from repro.bench.metrics import summarize
-from repro.bench.simulation import run_simulation, run_simulation_concurrent
+from repro.bench.simulation import run_simulation
 
 USERS = 16
 NETWORK = "goerli"
@@ -21,7 +21,7 @@ NETWORK = "goerli"
 
 def run_both():
     sequential = run_simulation(NETWORK, USERS, seed=4)
-    concurrent = run_simulation_concurrent(NETWORK, USERS, seed=4)
+    concurrent = run_simulation(NETWORK, USERS, seed=4, concurrent=True)
     return sequential, concurrent
 
 

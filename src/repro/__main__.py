@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from repro.bench.metrics import render_bar_chart, render_table, summarize
-from repro.bench.simulation import run_simulation, run_simulation_concurrent
+from repro.bench.simulation import run_simulation
 from repro.chain.params import PROFILES
 
 
@@ -102,16 +102,12 @@ def _cmd_simulate(args) -> int:
         print(report.summary())
         print()
         result = report.result
-    elif monitored:
-        # The watchtower needs the block listeners and handle callbacks
-        # only the concurrent runner wires, so --monitor implies it.
-        result = run_simulation_concurrent(
-            args.network, args.users, seed=args.seed, recorder=recorder,
-            watchtower=watchtower,
-        )
     else:
-        runner = run_simulation_concurrent if args.concurrent else run_simulation
-        result = runner(args.network, args.users, seed=args.seed, recorder=recorder)
+        # A monitored run (--monitor or --slo) is always concurrent.
+        result = run_simulation(
+            args.network, args.users, seed=args.seed, recorder=recorder,
+            concurrent=args.concurrent or monitored, watchtower=watchtower,
+        )
     print(render_bar_chart(f"{args.network}: {args.users} users", result.per_user_series()))
     print()
     rows = [
@@ -313,7 +309,6 @@ def _cmd_analyze(args) -> int:
                 effective,
                 seed=args.seed,
                 sample_every=sample_every,
-                population=effective > 2_000,
                 profiler=profiler,
                 batch_size=None if batch == 1 else batch,
             )

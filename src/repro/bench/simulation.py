@@ -9,6 +9,8 @@ thesis's charts plot.
 Proof generation and CID creation are deliberately skipped, as in the
 thesis: "their presence would not have relevance to the results"
 (section 4.3); records carry fabricated proof fields.
+:func:`run_traced_journeys` is the other campaign: the whole proof
+lifecycle through the system facade, traced, for journey analysis.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from repro.chain.base import drive
 from repro.core.contract import build_pol_program, pol_record
 from repro.obs.recorder import NullRecorder
 from repro.reach.compiler import CompiledContract, compile_program
-from repro.reach.runtime import DeployedContract, ReachClient
-from repro.bench.workload import USERS_PER_CONTRACT, generate_workload
+from repro.reach.runtime import DeployedContract, OpHandle, ReachClient
+from repro.bench.workload import USERS_PER_CONTRACT, ProverSpec, generate_workload
 
 __all__ = [
     "SimulationResult",
     "UserTiming",
     "make_chain",  # re-exported; the dispatch now lives in repro.chain
+    "group_position",
     "run_simulation",
-    "run_simulation_concurrent",
     "run_traced_journeys",
 ]
 
@@ -87,24 +89,37 @@ class SimulationResult:
         return "\n".join(lines) + "\n"
 
 
-def run_simulation_concurrent(
+def run_simulation(
     network: str,
     user_count: int,
     seed: int = 0,
     reward: int = 0,
     compiled: CompiledContract | None = None,
     recorder: NullRecorder | None = None,
+    concurrent: bool = False,
     faults=None,
     watchtower=None,
 ) -> SimulationResult:
-    """The thesis's Thread-based variant: attachers act concurrently.
+    """Run the chapter-5 workload on one network.
 
-    Creators deploy sequentially (each location needs its contract id
-    first), then *all* attachers of all locations start their attach
-    operation at once: every operation is an in-flight future on the
-    shared event queue, each user's API call submitted from its own
-    handshake's confirmation callback.  Per-user latency is the span of
-    the user's handle -- first submission to final confirmation.
+    Every wallet is created and funded first (the section 4.4 support
+    scripts), so account creation does not pollute the latency
+    measurements.  Then each prover runs one operation: deploy =
+    contract creation + creator data insert, attach = the
+    two-transaction attach operation.  Two orderings:
+
+    - ``concurrent=False`` (the thesis's ``startSimulation.py``): one
+      operation at a time in workload order, each waiting for its own
+      confirmation.  Latency is the sum of the operation's receipt
+      latencies (``OpResult.latency``);
+    - ``concurrent=True`` (the thesis's Thread-based variant): creators
+      deploy one at a time (each location needs its contract id first),
+      then *all* attachers of all locations start at once: every attach
+      is an in-flight future on the shared event queue, each user's API
+      call submitted from its own handshake's confirmation callback.
+      An attacher's latency is the span of their handle
+      (``OpHandle.span``: first submission to final confirmation).
+      Timings list every deploy first, then every attach.
 
     ``faults`` (a :class:`repro.faults.plan.FaultPlan`) switches the run
     into chaos mode: a chain fault injector is installed and every
@@ -115,8 +130,8 @@ def run_simulation_concurrent(
     ``watchtower`` (a :class:`repro.obs.monitor.Watchtower`) attaches
     the online monitor: invariants are checked at every block boundary,
     each user's operation is tracked for proof liveness (resolved when
-    its handle settles without error), and SLO alerts evaluate against
-    the run's recorder.  Monitoring never changes the event sequence.
+    it settles without error), and SLO alerts evaluate against the
+    run's recorder.  Monitoring never changes the event sequence.
 
     The harness is chain-agnostic: the per-family ceremonies live in
     the Reach runtime, below this layer.
@@ -125,6 +140,7 @@ def run_simulation_concurrent(
     if watchtower is not None and watchtower.enabled:
         watchtower.attach_chain(chain)
         watchtower.attach_queue(chain.queue)
+    monitor = chain.watchtower
     injector = None
     policy = None
     if faults is not None:
@@ -154,84 +170,85 @@ def run_simulation_concurrent(
         for spec in workload
     }
 
-    monitor = watchtower if watchtower is not None and watchtower.enabled else chain.watchtower
     result = SimulationResult(network=network, user_count=user_count)
-    contracts: dict[str, DeployedContract] = {}
-    for spec in (s for s in workload if s.is_creator):
-        pending = client.deploy_async(
-            compiled, accounts[spec.name], [spec.olc, spec.did, records[spec.name]]
-        )
-        if monitor.enabled:
-            monitor.track_proof((spec.olc, spec.did), pending.trace_id)
-        deployed = pending.wait().value
-        if monitor.enabled:
-            monitor.resolve_proof((spec.olc, spec.did))
-        contracts[spec.olc] = deployed
+    contracts: dict[str, DeployedContract] = {}  # the simulated hypercube
+
+    def timing(spec: ProverSpec, kind: str, operation, latency: float, trace_id: str) -> None:
         result.timings.append(
             UserTiming(
-                name=spec.name, did=spec.did, olc=spec.olc, operation="deploy",
-                latency=deployed.deploy_result.latency, fees=deployed.deploy_result.fees,
-                gas_used=deployed.deploy_result.gas_used,
-                transactions=len(deployed.deploy_result.receipts),
-                trace_id=pending.trace_id,
+                name=spec.name, did=spec.did, olc=spec.olc, operation=kind,
+                latency=latency, fees=operation.fees, gas_used=operation.gas_used,
+                transactions=len(operation.receipts), trace_id=trace_id,
             )
         )
 
-    attachers = [spec for spec in workload if not spec.is_creator]
-    handles = {
-        spec.name: client.attach_and_call_async(
+    def track(spec: ProverSpec, handle: OpHandle) -> None:
+        # Proof liveness: the operation must anchor within the
+        # watchtower's block budget; its settle callback resolves it.
+        if not monitor.enabled:
+            return
+        key = (spec.olc, spec.did)
+        monitor.track_proof(key, handle.trace_id)
+
+        def resolved(settled) -> None:
+            if settled.error is None:
+                monitor.resolve_proof(key)
+
+        handle.add_done_callback(resolved)
+
+    in_flight: list[tuple[ProverSpec, OpHandle]] = []
+    # A stable sort: every creator first, then the attachers, each in
+    # workload order.
+    order = sorted(workload, key=lambda spec: not spec.is_creator) if concurrent else workload
+    for spec in order:
+        if spec.is_creator:
+            pending = client.deploy_async(
+                compiled, accounts[spec.name], [spec.olc, spec.did, records[spec.name]]
+            )
+            monitor.track_proof((spec.olc, spec.did), pending.trace_id)
+            deployed = pending.wait().value
+            monitor.resolve_proof((spec.olc, spec.did))
+            contracts[spec.olc] = deployed
+            operation = deployed.deploy_result
+            timing(spec, "deploy", operation, operation.latency, pending.trace_id)
+            continue
+        handle = client.attach_and_call_async(
             contracts[spec.olc],
             "attacherAPI.insert_data",
             [records[spec.name], spec.did],
             sender=accounts[spec.name],
         )
-        for spec in attachers
-    }
-    if monitor.enabled:
-        # Proof liveness: every in-flight attach must anchor within the
-        # watchtower's block budget; its settle callback resolves it.
-        for spec in attachers:
-            handle = handles[spec.name]
-            monitor.track_proof((spec.olc, spec.did), handle.trace_id)
+        if concurrent:
+            in_flight.append((spec, handle))
+            continue
+        track(spec, handle)
+        operation = handle.wait().op_result
+        timing(spec, "attach", operation, operation.latency, handle.trace_id)
 
-            def resolved(settled, key=(spec.olc, spec.did)) -> None:
-                if settled.error is None:
-                    monitor.resolve_proof(key)
-
-            handle.add_done_callback(resolved)
-    if handles:
+    if in_flight:
+        for spec, handle in in_flight:
+            track(spec, handle)
         # O(1) completion predicate: each handle decrements a countdown
         # when it settles instead of the drive polling every handle per
         # event step (quadratic at 10k+ users).
-        remaining = [len(handles)]
+        remaining = [len(in_flight)]
 
         def settled(_handle) -> None:
             remaining[0] -= 1
 
-        for handle in handles.values():
+        for _spec, handle in in_flight:
             handle.add_done_callback(settled)
         drive(
             chain.queue,
             lambda: remaining[0] <= 0,
-            max_steps=max(2_000_000, 100 * len(handles)),
+            max_steps=max(2_000_000, 100 * len(in_flight)),
             chain=chain,
         )
+        for spec, handle in in_flight:
+            if handle.error is not None:
+                raise handle.error
+            timing(spec, "attach", handle.op_result, handle.span, handle.trace_id)
 
-    for spec in attachers:
-        handle = handles[spec.name]
-        if handle.error is not None:
-            raise handle.error
-        operation = handle.op_result
-        result.timings.append(
-            UserTiming(
-                name=spec.name, did=spec.did, olc=spec.olc, operation="attach",
-                latency=handle.span,
-                fees=operation.fees,
-                gas_used=operation.gas_used,
-                transactions=len(handle.receipts),
-                trace_id=handle.trace_id,
-            )
-        )
     if recorder is not None and recorder.enabled:
         result.metrics = recorder.snapshot()
     if injector is not None:
@@ -245,8 +262,6 @@ def run_traced_journeys(
     seed: int = 0,
     reward: int = 5_000,
     sample_every: int = 1,
-    batch_settlement: bool | None = None,
-    population: bool = False,
     profiler=None,
     batch_size: int | None = None,
     watchtower=None,
@@ -269,11 +284,6 @@ def run_traced_journeys(
       users still run the full protocol, so counters, balances and
       validation cover the whole population while the span store stays
       bounded;
-    - ``batch_settlement`` overrides the chain's per-block receipt
-      batching (None keeps the chain default; the parity test passes
-      False to cross-check the seed path);
-    - ``population=True`` stores prover state in the array-backed
-      population store (:mod:`repro.core.population`);
     - ``batch_size=N`` (N >= 2) switches the campaign to the Merkle
       proof-batching pipeline: provers are grouped N to a location, the
       group's creator deploys, and the N-1 members' accepted proofs are
@@ -287,7 +297,7 @@ def run_traced_journeys(
       chain, the DHT and the event queue and tracks every submission
       under the proof-liveness invariant; this is the scalable path for
       monitored large-population runs (the thesis workload behind
-      :func:`run_simulation_concurrent` tops out at 8 locations);
+      :func:`run_simulation` tops out at 8 locations);
     - ``profiler`` (a :class:`repro.obs.prof.Profiler`) attributes the
       run's wall-clock and sim-time to kernel stages: it is attached to
       the event queue and the recorder, made ambient for the crypto and
@@ -299,6 +309,7 @@ def run_traced_journeys(
     spans/counters back the Chrome trace and ``BENCH_pol.json`` entry.
     """
     from repro.obs.analysis import reconstruct_journeys
+    from repro.obs.monitor import NULL_WATCHTOWER
     from repro.obs.prof import NULL_PROFILER, activate_profiler
     from repro.obs.recorder import Recorder
 
@@ -311,91 +322,122 @@ def run_traced_journeys(
     else:
         recorder = Recorder()
     chain = make_chain(network, seed=seed, recorder=recorder)
-    if batch_settlement is not None:
-        chain.batch_settlement = batch_settlement
     if profiler.enabled:
         chain.queue.attach_profiler(profiler)
         recorder.attach_profiler(profiler)
     profiler.start()
     try:
         with activate_profiler(profiler):
-            _run_traced_workload(
-                chain, recorder, user_count, reward, sample_every, population,
-                batch_size=batch_size, watchtower=watchtower,
+            _run_facade_campaign(
+                chain, recorder, user_count, reward, sample_every,
+                batch_size if batch_size is not None and batch_size >= 2 else None,
+                watchtower if watchtower is not None else NULL_WATCHTOWER,
             )
     finally:
         profiler.stop()
     return reconstruct_journeys(recorder), recorder
 
 
-def _traced_request(system, recorder, name, witness, index, sample_every):
-    """One prover's proof request, muted when sampled out."""
+#: Groups per column of locations.  Group ``g`` sits 0.01 degrees
+#: (~1.1 km) north of group ``g - 1``; after 4,000 groups (40 degrees,
+#: still short of the pole) the next column starts 0.1 degrees east.
+GROUPS_PER_COLUMN = 4_000
+
+
+def group_position(group: int) -> tuple[float, float]:
+    """``(latitude, longitude)`` of a facade-campaign location group.
+
+    Every group gets its own 8-character OLC cell and one contract;
+    its witness sits 0.0002 degrees east of it (~22 m at the first
+    column, closer further north), inside Bluetooth range.
+    """
+    column, row = divmod(group, GROUPS_PER_COLUMN)
+    return 44.4949 + 0.01 * row, 11.3426 + 0.1 * column
+
+
+def _run_facade_campaign(
+    chain, recorder, user_count, reward, sample_every, batch_size, watchtower,
+) -> None:
+    """The traced campaign body (profiled window of ``run_traced_journeys``).
+
+    Provers are grouped ``batch_size or USERS_PER_CONTRACT`` to a
+    location.  Unbatched, every prover stores its proof by its own
+    transaction.  Batched, only each group's first prover (the creator,
+    who deploys the location's contract) does; the other members'
+    proofs are verifier-checked off-chain, buffered, and anchored by one
+    ``insert_batch`` transaction per group.  The on-chain records are
+    funded and verified on chain, then the members light-verify
+    against the anchored roots.
+    """
+    from repro.core.batch import BatchAggregator
+    from repro.core.system import ProofOfLocationSystem
     from repro.obs.context import MUTED_CONTEXT
 
-    if sample_every > 1 and index % sample_every:
-        # Muted journey: the request span roots under MUTED_CONTEXT,
-        # and the mute rides the journey linkage through submit,
-        # every tx/op span and the verify span.
-        with recorder.activate(MUTED_CONTEXT):
-            return system.request_location_proof(name, witness, f"report by {name}".encode())
-    return system.request_location_proof(name, witness, f"report by {name}".encode())
-
-
-def _run_traced_workload(
-    chain, recorder, user_count, reward, sample_every, population, batch_size=None,
-    watchtower=None,
-) -> None:
-    """The traced campaign body (profiled window of ``run_traced_journeys``)."""
-    from repro.core.system import ProofOfLocationSystem
-    from repro.obs.monitor import NULL_WATCHTOWER
-
-    if watchtower is None:
-        watchtower = NULL_WATCHTOWER
-    if batch_size is not None and batch_size >= 2:
-        _run_batched_workload(
-            chain, recorder, user_count, reward, sample_every, population, batch_size,
-            watchtower=watchtower,
-        )
-        return
+    group = batch_size or USERS_PER_CONTRACT
+    users = user_count
+    if batch_size:
+        # Whole groups only: a remainder group could never fill its
+        # contract's seats, stranding it in the attach phase.
+        users = max(group, user_count - user_count % group)
+        if users != user_count:
+            recorder.counter("batch_users_trimmed_total", user_count - users)
     system = ProofOfLocationSystem(
-        chain=chain, reward=reward, max_users=USERS_PER_CONTRACT, watchtower=watchtower
+        chain=chain, reward=reward, max_users=group, watchtower=watchtower
     )
-    if population:
-        system.use_population_store()
     funding = chain.profile.simulation_funding
-    base_lat, base_lng = 44.4949, 11.3426
-    group_count = (user_count + USERS_PER_CONTRACT - 1) // USERS_PER_CONTRACT
-    for group in range(group_count):
-        # ~1.1 km apart: distinct OLC cells, one contract per group; the
-        # group's witness sits ~22 m away, inside Bluetooth range.
-        system.register_witness(f"witness-{group}", base_lat + 0.01 * group, base_lng + 0.0002)
+    for index in range((users + group - 1) // group):
+        latitude, longitude = group_position(index)
+        system.register_witness(f"witness-{index}", latitude, longitude + 0.0002)
     # The verifier pays contract funding plus gas for one verify per
     # user; scale its faucet with the population (a fixed stipend runs
     # dry around a few thousand users).
-    system.register_verifier("verifier", funding=funding * max(1, user_count))
-    names = [f"user-{index:03d}" for index in range(user_count)]
+    system.register_verifier("verifier", funding=funding * max(1, users))
+    names = [f"user-{index:03d}" for index in range(users)]
     for index, name in enumerate(names):
-        group = index // USERS_PER_CONTRACT
-        system.register_prover(name, base_lat + 0.01 * group, base_lng, funding=funding)
+        latitude, longitude = group_position(index // group)
+        system.register_prover(name, latitude, longitude, funding=funding)
 
-    submissions = []
-    for index, name in enumerate(names):
-        group = index // USERS_PER_CONTRACT
-        request, proof, _cid = _traced_request(
-            system, recorder, name, f"witness-{group}", index, sample_every
-        )
-        submissions.append((name, request, proof))
+    def request(index: int) -> tuple:
+        name = names[index]
+        # A sampled-out journey's request span roots under MUTED_CONTEXT,
+        # and the mute rides the journey linkage through submit, every
+        # tx/op span and the verify span.
+        muted = sample_every > 1 and index % sample_every
+        with recorder.activate(MUTED_CONTEXT if muted else None):
+            proof_request, proof, _cid = system.request_location_proof(
+                name, f"witness-{index // group}", f"report by {name}".encode()
+            )
+        return name, proof_request, proof
+
+    # Creators first when batched: each group's contract must be live
+    # before its members' batch can anchor against it.
+    submissions = [request(index) for index in range(0, users, group if batch_size else 1)]
     outcomes = system.submit_many(submissions)
 
-    per_location: dict[str, int] = {}
-    for outcome in outcomes:
-        per_location[outcome.olc] = per_location.get(outcome.olc, 0) + 1
+    batches = []
+    if batch_size:
+        # Members route through the aggregator: checked off-chain,
+        # buffered, anchored one transaction per group (the size trigger
+        # fires exactly when a group's last member is accepted).
+        aggregator = BatchAggregator(system, "verifier", batch_size=group - 1)
+        for index in range(users):
+            if index % group == 0:
+                continue
+            name, proof_request, proof = request(index)
+            outcome, _batch = system.submit_batched(name, proof_request, proof, aggregator)
+            if outcome.name != "OK":
+                raise RuntimeError(f"batched submission rejected for {name}: {outcome.name}")
+        aggregator.poll()  # age trigger (a no-op here: every buffer flushed by size)
+        aggregator.flush_all()  # shutdown trigger, same
+        batches = aggregator.drain()
+
     # Funding and verification are pipelined waves like the submission
     # phase: serially, each call blocks for its own confirmation and the
-    # verify loop alone is user_count consensus round trips.
-    system.fund_contracts(
-        "verifier", {olc: reward * per_location[olc] for olc in sorted(per_location)}
-    )
+    # verify loop alone is one consensus round trip per record.
+    rewards: dict[str, int] = {}
+    for outcome in outcomes:
+        rewards[outcome.olc] = rewards.get(outcome.olc, 0) + reward
+    system.fund_contracts("verifier", rewards)
     system.verify_many(
         "verifier",
         [
@@ -403,159 +445,7 @@ def _run_traced_workload(
             for (name, _request, _proof), outcome in zip(submissions, outcomes)
         ],
     )
-
-
-def _run_batched_workload(
-    chain, recorder, user_count, reward, sample_every, population, batch_size,
-    watchtower=None,
-) -> None:
-    """The Merkle proof-batching campaign (``batch_size`` users per group).
-
-    Per group of ``batch_size``: the first prover (the creator) deploys
-    the location's contract; the remaining ``batch_size - 1`` members'
-    proofs are verifier-checked off-chain, buffered, and anchored by one
-    ``insert_batch`` transaction; the creator's record is verified
-    on-chain, the members light-verify against the anchored root.
-    """
-    from repro.core.batch import BatchAggregator
-    from repro.core.system import ProofOfLocationSystem
-    from repro.obs.monitor import NULL_WATCHTOWER
-
-    if watchtower is None:
-        watchtower = NULL_WATCHTOWER
-
-    # Whole groups only: a remainder group could never fill its
-    # contract's seats, stranding it in the attach phase.
-    users = max(batch_size, user_count - user_count % batch_size)
-    if users != user_count:
-        recorder.counter("batch_users_trimmed_total", user_count - users)
-    system = ProofOfLocationSystem(
-        chain=chain, reward=reward, max_users=batch_size, watchtower=watchtower
-    )
-    if population:
-        system.use_population_store()
-    funding = chain.profile.simulation_funding
-    base_lat, base_lng = 44.4949, 11.3426
-    group_count = users // batch_size
-    for group in range(group_count):
-        system.register_witness(f"witness-{group}", base_lat + 0.01 * group, base_lng + 0.0002)
-    system.register_verifier("verifier", funding=funding * max(1, users))
-    names = [f"user-{index:03d}" for index in range(users)]
-    for index, name in enumerate(names):
-        group = index // batch_size
-        system.register_prover(name, base_lat + 0.01 * group, base_lng, funding=funding)
-
-    # Creators first: each group's contract must be live before its
-    # members' batch can anchor against it.
-    creators = []
-    for group in range(group_count):
-        index = group * batch_size
-        name = names[index]
-        request, proof, _cid = _traced_request(
-            system, recorder, name, f"witness-{group}", index, sample_every
-        )
-        creators.append((name, request, proof))
-    outcomes = system.submit_many(creators)
-
-    # Members route through the aggregator: checked off-chain, buffered,
-    # anchored one transaction per group (the size trigger fires exactly
-    # when a group's last member is accepted).
-    aggregator = BatchAggregator(system, "verifier", batch_size=batch_size - 1)
-    for index, name in enumerate(names):
-        if index % batch_size == 0:
-            continue
-        group = index // batch_size
-        request, proof, _cid = _traced_request(
-            system, recorder, name, f"witness-{group}", index, sample_every
-        )
-        outcome, _batch = system.submit_batched(name, request, proof, aggregator)
-        if outcome.name != "OK":
-            raise RuntimeError(f"batched submission rejected for {name}: {outcome.name}")
-    aggregator.poll()  # age trigger (a no-op here: every buffer flushed by size)
-    aggregator.flush_all()  # shutdown trigger, same
-    batches = aggregator.drain()
-
-    system.fund_contracts(
-        "verifier", {outcome.olc: reward for outcome in outcomes}
-    )
-    system.verify_many(
-        "verifier",
-        [
-            (outcome.olc, system.provers[name].did_uint)
-            for (name, _request, _proof), outcome in zip(creators, outcomes)
-        ],
-    )
-    failures = [f for f in system.light_verify_many("verifier", batches) if f.name != "OK"]
-    if failures:
-        raise RuntimeError(f"{len(failures)} batched records failed light verification")
-
-
-def run_simulation(
-    network: str,
-    user_count: int,
-    seed: int = 0,
-    reward: int = 0,
-    compiled: CompiledContract | None = None,
-    recorder: NullRecorder | None = None,
-) -> SimulationResult:
-    """Run the chapter-5 workload on one network.
-
-    Returns per-user timings; deploy = contract creation + creator data
-    insert, attach = the two-transaction attach operation.
-    """
-    chain = make_chain(network, seed=seed, recorder=recorder)
-    client = ReachClient(chain)
-    if compiled is None:
-        compiled = compile_program(
-            build_pol_program(max_users=USERS_PER_CONTRACT, reward=reward or 1_000)
-        )
-    workload = generate_workload(user_count)
-
-    # Support scripts (section 4.4): create and fund every wallet first,
-    # so account creation does not pollute the latency measurements.
-    funding = chain.profile.simulation_funding
-    accounts = {
-        spec.name: chain.create_account(seed=f"sim/{network}/{spec.name}".encode(), funding=funding)
-        for spec in workload
-    }
-
-    result = SimulationResult(network=network, user_count=user_count)
-    contracts: dict[str, DeployedContract] = {}  # the simulated hypercube
-    for spec in workload:
-        account = accounts[spec.name]
-        record = pol_record(
-            hashed_proof=f"hash-{spec.did}",
-            signed_proof=f"sig-{spec.did}",
-            wallet=account.address,
-            nonce=spec.did * 7,
-            cid=f"cid-{spec.did}",
-        )
-        deployed = contracts.get(spec.olc)
-        if deployed is None:
-            handle = client.deploy_async(compiled, account, [spec.olc, spec.did, record])
-            deployed = handle.wait().value
-            contracts[spec.olc] = deployed
-            operation = deployed.deploy_result
-            kind = "deploy"
-        else:
-            handle = deployed.attach_and_call_async(
-                "attacherAPI.insert_data", record, spec.did, sender=account
-            )
-            operation = handle.wait().op_result
-            kind = "attach"
-        result.timings.append(
-            UserTiming(
-                name=spec.name,
-                did=spec.did,
-                olc=spec.olc,
-                operation=kind,
-                latency=operation.latency,
-                fees=operation.fees,
-                gas_used=operation.gas_used,
-                transactions=len(operation.receipts),
-                trace_id=handle.trace_id,
-            )
-        )
-    if recorder is not None and recorder.enabled:
-        result.metrics = recorder.snapshot()
-    return result
+    if batches:
+        failures = [f for f in system.light_verify_many("verifier", batches) if f.name != "OK"]
+        if failures:
+            raise RuntimeError(f"{len(failures)} batched records failed light verification")

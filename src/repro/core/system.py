@@ -194,22 +194,6 @@ class ProofOfLocationSystem:
             self.watchtower.attach_dht(self.dht)
             self.watchtower.attach_queue(self.chain.queue)
 
-    def use_population_store(self) -> None:
-        """Swap ``provers`` for the array-backed population store.
-
-        Must be called before any prover registers.  Views returned by
-        ``provers[name]`` remain real :class:`Prover` instances (the
-        whole actor API keeps working); only the storage layout changes,
-        so 100k provers cost flat arrays instead of 100k dataclass
-        ``__dict__`` objects.  Opt-in because plain objects keep
-        identity semantics small tests rely on.
-        """
-        if self.provers:
-            raise PolSystemError("enable the population store before registering provers")
-        from repro.core.population import PopulationProverMap
-
-        self.provers = PopulationProverMap()
-
     # -- onboarding (figure 2.3's "initial phase") ---------------------------------
 
     def _onboard(self, name: str, latitude: float, longitude: float, funding: int) -> tuple[Account, str, int]:
@@ -234,9 +218,7 @@ class ProofOfLocationSystem:
             latitude=latitude, longitude=longitude,
         )
         self.provers[name] = prover
-        # Read back through the mapping: the population store hands out a
-        # column-backed view, the default dict returns the same object.
-        return self.provers[name]
+        return prover
 
     def register_witness(self, name: str, latitude: float, longitude: float, funding: int = 0) -> Witness:
         """Onboard a witness; its public key goes to the CA list."""
@@ -813,7 +795,7 @@ class ProofOfLocationSystem:
             longitude=prover.longitude,
         )
         self.provers[prover_name] = rotated
-        return self.provers[prover_name]
+        return rotated
 
     def display_reports(self, olc: str) -> list[bytes]:
         """Figure 3.2: hypercube -> CIDs -> IPFS fetches."""

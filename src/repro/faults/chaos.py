@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.simulation import SimulationResult, run_simulation_concurrent
+from repro.bench.simulation import SimulationResult, run_simulation
 from repro.bench.workload import THESIS_LOCATIONS
 from repro.core.bluetooth import BluetoothChannel
 from repro.dht.hypercube import HypercubeDHT
@@ -113,9 +113,9 @@ def run_chaos(
 
         watchtower = Watchtower(recorder)
 
-    result = run_simulation_concurrent(
-        network, user_count, seed=seed, recorder=recorder, faults=plan,
-        watchtower=watchtower,
+    result = run_simulation(
+        network, user_count, seed=seed, recorder=recorder, concurrent=True,
+        faults=plan, watchtower=watchtower,
     )
     report = ChaosReport(
         network=network,

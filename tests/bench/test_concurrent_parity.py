@@ -17,7 +17,7 @@ ceremonies, the same gas.  Two regimes:
 
 import pytest
 
-from repro.bench.simulation import run_simulation, run_simulation_concurrent
+from repro.bench.simulation import run_simulation
 
 USERS = 8
 SEED = 11
@@ -31,7 +31,7 @@ class TestDevnetExactParity:
     @pytest.mark.parametrize("network", ["eth-devnet", "algo-devnet"])
     def test_per_user_gas_and_ceremonies_identical(self, network):
         serial = by_user(run_simulation(network, USERS, seed=SEED))
-        concurrent = by_user(run_simulation_concurrent(network, USERS, seed=SEED))
+        concurrent = by_user(run_simulation(network, USERS, seed=SEED, concurrent=True))
         assert serial.keys() == concurrent.keys()
         for name in serial:
             assert serial[name].operation == concurrent[name].operation
@@ -40,7 +40,7 @@ class TestDevnetExactParity:
 
     def test_flat_fee_chain_fees_identical_per_user(self):
         serial = by_user(run_simulation("algo-devnet", USERS, seed=SEED))
-        concurrent = by_user(run_simulation_concurrent("algo-devnet", USERS, seed=SEED))
+        concurrent = by_user(run_simulation("algo-devnet", USERS, seed=SEED, concurrent=True))
         for name in serial:
             assert serial[name].fees == concurrent[name].fees
 
@@ -49,7 +49,7 @@ class TestTestnetParity:
     @pytest.mark.parametrize("network", ["goerli", "polygon-mumbai", "algorand-testnet"])
     def test_deploys_identical_and_attach_work_conserved(self, network):
         serial = run_simulation(network, USERS, seed=SEED)
-        concurrent = run_simulation_concurrent(network, USERS, seed=SEED)
+        concurrent = run_simulation(network, USERS, seed=SEED, concurrent=True)
 
         # Deploys stay serialized in both harnesses: per-user identical
         # work.  (Fees are time-dependent on EVM: the concurrent harness
@@ -70,14 +70,14 @@ class TestTestnetParity:
 
     def test_flat_fee_testnet_fees_identical_per_user(self):
         serial = by_user(run_simulation("algorand-testnet", USERS, seed=SEED))
-        concurrent = by_user(run_simulation_concurrent("algorand-testnet", USERS, seed=SEED))
+        concurrent = by_user(run_simulation("algorand-testnet", USERS, seed=SEED, concurrent=True))
         for name in serial:
             assert serial[name].fees == concurrent[name].fees
 
     def test_concurrent_attachers_finish_sooner_than_serialized(self):
         """The pipeline's point: overlapping users beat the serial sum."""
         serial = run_simulation("goerli", USERS, seed=SEED)
-        concurrent = run_simulation_concurrent("goerli", USERS, seed=SEED)
+        concurrent = run_simulation("goerli", USERS, seed=SEED, concurrent=True)
         serial_sum = sum(t.latency for t in serial.attaches())
         concurrent_wall = max(t.latency for t in concurrent.attaches())
         assert concurrent_wall < serial_sum
@@ -85,7 +85,7 @@ class TestTestnetParity:
     def test_shape_criteria_hold_on_the_concurrent_path(self):
         """Chapter-5 shape: attach cheaper/faster than deploy, per net."""
         for network in ("goerli", "algorand-testnet"):
-            result = run_simulation_concurrent(network, USERS, seed=SEED)
+            result = run_simulation(network, USERS, seed=SEED, concurrent=True)
             deploy_mean = sum(t.latency for t in result.deploys()) / len(result.deploys())
             attach_mean = sum(t.latency for t in result.attaches()) / len(result.attaches())
             assert attach_mean < deploy_mean

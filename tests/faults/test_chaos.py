@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.simulation import run_simulation, run_simulation_concurrent
+from repro.bench.simulation import run_simulation
 from repro.faults import ChaosError, FaultPlan, RetryPolicy, run_chaos
 from repro.faults.chaos import _check
 
@@ -98,12 +98,13 @@ class TestFaultsDisabledParity:
         """Arming the recovery machinery without injecting anything must
         not move a single timing: watchdogs are cancelled on
         confirmation and never fire."""
-        plain = run_simulation_concurrent(NETWORK, USERS, seed=1)
-        armed = run_simulation_concurrent(
+        plain = run_simulation(NETWORK, USERS, seed=1, concurrent=True)
+        armed = run_simulation(
             NETWORK,
             USERS,
             seed=1,
             faults=FaultPlan.empty(policy=RetryPolicy(timeout=10_000.0)),
+            concurrent=True,
         )
         assert armed.to_csv() == plain.to_csv()
         assert armed.faults == {"seed": 0, "injected": {}}

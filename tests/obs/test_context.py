@@ -148,10 +148,10 @@ class TestHandleCallbacks:
 
     def test_op_spans_parent_ceremony_tx_spans(self):
         """Every tx span of a deploy ceremony joins the op span's trace."""
-        from repro.bench.simulation import run_simulation_concurrent
+        from repro.bench.simulation import run_simulation
 
         recorder = Recorder()
-        run_simulation_concurrent("eth-devnet", 4, seed=2, recorder=recorder)
+        run_simulation("eth-devnet", 4, seed=2, recorder=recorder, concurrent=True)
         ops = [s for s in recorder.spans if s.cat == "op"]
         txs = [s for s in recorder.spans if s.cat == "tx"]
         assert ops and txs

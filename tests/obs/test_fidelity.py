@@ -8,7 +8,7 @@ alert mapping is the ``fault_kind`` field on the default SLO rules.
 
 import pytest
 
-from repro.bench.simulation import run_simulation_concurrent, run_traced_journeys
+from repro.bench.simulation import run_simulation, run_traced_journeys
 from repro.faults import FaultPlan, RetryPolicy, run_chaos
 from repro.faults.plan import FaultWindow
 from repro.obs.monitor import Watchtower
@@ -30,9 +30,10 @@ def monitored_run(network, users, *, plan=None, seed=1):
     """A monitored concurrent run; returns the finished watchtower."""
     recorder = Recorder()
     watchtower = Watchtower(recorder)
-    run_simulation_concurrent(
+    run_simulation(
         network, users, seed=seed, recorder=recorder, faults=plan,
         watchtower=watchtower,
+        concurrent=True,
     )
     watchtower.finish()
     return watchtower

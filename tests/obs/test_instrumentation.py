@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.simulation import run_simulation, run_simulation_concurrent
+from repro.bench.simulation import run_simulation
 from repro.chain.base import ChainError, drive
 from repro.chain.ethereum import EthereumChain
 from repro.obs import Recorder, to_chrome_trace, to_prometheus
@@ -17,7 +17,7 @@ class TestConcurrentSimulationTelemetry:
     @pytest.fixture(scope="class")
     def run(self):
         recorder = Recorder()
-        result = run_simulation_concurrent("goerli", 16, seed=3, recorder=recorder)
+        result = run_simulation("goerli", 16, seed=3, recorder=recorder, concurrent=True)
         return recorder, result
 
     def test_every_user_has_an_operation_span(self, run):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.context import TraceContext
+from repro.obs.recorder import Recorder
 from repro.simnet import CongestionProcess, EventQueue, LatencyModel, SimClock
 
 
@@ -206,6 +208,71 @@ class TestPendingLabels:
         doomed = queue.schedule(2.0, lambda: None, label="drop")
         doomed.cancel()
         assert queue.pending_labels() == ["keep"]
+
+
+class TestSlotSettlement:
+    """``schedule_slot`` fires exactly like the loop of ``schedule`` calls.
+
+    The chain settles each block's receipts through one slot; this pins
+    that a slot's pairs fire at the same times, in the same global
+    order and under the same trace contexts as scheduling them one by
+    one would, interleaved with unrelated events.
+    """
+
+    @staticmethod
+    def run(use_slot, faulted, traced):
+        queue = EventQueue(recorder=Recorder() if traced else None)
+        recorder = queue.recorder
+        if faulted:
+            # Delays only the early part of the settlement wave, so the
+            # hook reorders slot entries relative to each other.
+            queue.fault_delay = lambda label, at: 0.75 if label == "confirm" and at < 3.0 else 0.0
+        fired = []
+
+        def note(tag):
+            return lambda: fired.append((queue.clock.now, tag, recorder.current_context()))
+
+        def settle(wave, delays):
+            pairs = [(delay, note(f"{wave}-{index}")) for index, delay in enumerate(delays)]
+            if use_slot:
+                queue.schedule_slot(pairs, label="confirm")
+            else:
+                for delay, callback in pairs:
+                    queue.schedule(delay, callback, label="confirm")
+
+        def second_wave():
+            with recorder.activate(TraceContext("t-second", 2)):
+                settle("second", [0.0, 1.0, 0.25, 1.0])
+
+        queue.schedule(1.0, note("early"))
+        queue.schedule(2.5, note("tie-before"))  # same time, scheduled first
+        with recorder.activate(TraceContext("t-first", 1)):
+            settle("first", [2.5, 1.0, 4.0, 2.5, 0.5, 0.0])
+        queue.schedule(2.5, note("tie-after"))  # same time, scheduled last
+        queue.schedule(1.5, second_wave)
+        queue.schedule(3.0, note("late"))
+        pending = (len(queue), queue.pending_labels())
+        queue.run_until_idle()
+        return pending, fired, len(queue)
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "fault-delay"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_slot_matches_individual_schedules(self, faulted, traced):
+        slot = self.run(True, faulted, traced)
+        loop = self.run(False, faulted, traced)
+        assert slot == loop
+        _pending, fired, live = slot
+        assert live == 0
+        assert len(fired) == 14
+        if traced:
+            contexts = {tag.split("-")[0]: context for _time, tag, context in fired}
+            assert contexts["first"] == TraceContext("t-first", 1)
+            assert contexts["second"] == TraceContext("t-second", 2)
+
+    def test_empty_slot_schedules_nothing(self):
+        queue = EventQueue()
+        assert queue.schedule_slot([], label="confirm") is None
+        assert len(queue) == 0
 
 
 class TestLatencyModel:

@@ -79,11 +79,6 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def _hi(costs: CostReport, entry: str) -> int | None:
-    """The entry point's worst-case EVM gas, or None when unbounded."""
-    return costs.entries[entry].evm_gas.hi
-
-
 def _avm_call_fee(costs: CostReport, entry: str, min_fee: int) -> int:
     """Worst-case flat fee of one app call to ``entry``.
 
@@ -104,10 +99,8 @@ def check_simulation_against_bounds(
     report = BoundsReport(network=result.network, contract=compiled.name)
 
     if profile.family == "evm":
-        deploy_hi = _hi(costs, "constructor")
-        publish_hi = _hi(costs, "publish0")
-        attach_hi = _hi(costs, "attacherAPI.insert_data")
-        deploy_bound = None if None in (deploy_hi, publish_hi) else deploy_hi + publish_hi
+        attach_hi = costs.entries["attacherAPI.insert_data"].evm_gas.hi
+        deploy_bound = costs.deploy_ceiling
         attach_bound = None if attach_hi is None else EVM_HANDSHAKE_GAS + attach_hi
         for timing in result.timings:
             bound = deploy_bound if timing.operation == "deploy" else attach_bound

@@ -15,9 +15,24 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.chain.ethereum.evm import serialize_code
 from repro.crypto.hashing import sha256
 from repro.reach.absint.domains import U64_MAX
+from repro.reach.compiler import CompiledContract
 from repro.reach.ir import IRContract
+
+
+def artifact_key(compiled: CompiledContract) -> bytes:
+    """Content hash of a compiled contract's EVM code, TEAL and method table.
+
+    The cache key of every analysis that executes the artifacts: equal
+    keys mean equal executions, so a result computed once is reused.
+    """
+    return sha256(
+        serialize_code(compiled.evm_code)
+        + compiled.teal_source.encode()
+        + repr(sorted(compiled.evm_code.methods.items())).encode()
+    )
 
 
 def canon(value: Any) -> bytes:
@@ -79,6 +94,7 @@ class StateLayout:
         self.entries = tuple(entries)
         #: ``g:<name>``: the EVM storage key and the AVM global key alike
         self.global_keys = tuple(b"g:" + name.encode() for name in self.names)
+        self.global_key_of = dict(zip(self.names, self.global_keys))
         self.evm_keys = tuple(evm_map_key(slot, key) for slot, key in self.entries)
         self.box_keys = tuple(avm_box_key(slot, key) for slot, key in self.entries)
         self.evm_key_of = dict(zip(self.entries, self.evm_keys))

@@ -101,10 +101,10 @@ def lint_compiled(compiled, source: str = "", mc_depth: int | None = None) -> Li
     ``mc_depth`` overrides the model checker's BFS depth bound (the
     CLI's ``--mc-depth``); ``None`` uses the :class:`MCConfig` default.
     """
+    from repro.chain.algorand.avm import MAX_BUDGET_POOL
     from repro.reach.absint.balance import analyze_balance
     from repro.reach.absint.cost import analyze_costs
     from repro.reach.absint.equiv import check_equivalence
-    from repro.reach.analysis import AVM_MAX_POOL
     from repro.reach.runtime import ALGO_BUDGET_TXNS
 
     source = source or compiled.name
@@ -152,7 +152,7 @@ def lint_compiled(compiled, source: str = "", mc_depth: int | None = None) -> Li
                     theorem="COST-BUDGET",
                     message=(
                         f"{entry.name}: worst case needs {entry.avm_pool} pooled budget "
-                        f"transactions; the AVM caps pooling at {AVM_MAX_POOL}"
+                        f"transactions; the AVM caps pooling at {MAX_BUDGET_POOL}"
                     ),
                     source=source,
                 )

@@ -9,10 +9,10 @@ phase deadlines, and silently-absent participants, up to a configured
 depth.  The moving parts:
 
 - :mod:`universe` derives the adversarial action set, the replay
-  screens, the consumer/batch map classification, and the static
-  footprints partial-order reduction needs;
-- :mod:`exec` wraps both production VMs behind one immutable-state
-  stepping interface with canonical state digests;
+  screens and the consumer/batch map classification;
+- :mod:`repro.reach.absint.exec` (shared with the equivalence check)
+  wraps both production VMs behind one immutable-state stepping
+  interface with canonical state digests;
 - :mod:`props` holds the transition-local safety monitors
   (``MC-SAFETY-*``);
 - :mod:`explore` runs the deduplicated BFS sweep and certifies bounded
@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chain.ethereum.evm import serialize_code
-from repro.crypto.hashing import sha256
+from repro.reach.absint.encode import artifact_key
+from repro.reach.absint.exec import make_models
 from repro.reach.absint.lint import Finding
 from repro.reach.absint.modelcheck.cex import CexStep, CounterExample, minimize
-from repro.reach.absint.modelcheck.exec import make_models
 from repro.reach.absint.modelcheck.explore import MCRun, explore
 from repro.reach.absint.modelcheck.mutate import weaken_replay_screen
 from repro.reach.absint.modelcheck.props import (
@@ -114,10 +113,10 @@ class ProtocolReport:
         return "\n".join(lines)
 
 
-#: sweep results keyed by (EVM artifact, TEAL artifact, config) hash --
-#: the same pattern as equiv._CACHE, so the deploy gate's repeated
-#: ``lint_report()`` calls across tests pay for one exploration.
-_CACHE: dict[bytes, ProtocolReport] = {}
+#: sweep results keyed by (artifact hash, config) -- the same artifact
+#: key as equiv._CACHE, so the deploy gate's repeated ``lint_report()``
+#: calls across tests pay for one exploration.
+_CACHE: dict[tuple[bytes, MCConfig], ProtocolReport] = {}
 
 
 def check_protocol(compiled: CompiledContract, config: MCConfig | None = None) -> ProtocolReport:
@@ -128,19 +127,14 @@ def check_protocol(compiled: CompiledContract, config: MCConfig | None = None) -
     traces (BFS over sorted action templates, canonical digests).
     """
     config = config or MCConfig()
-    cache_key = sha256(
-        serialize_code(compiled.evm_code)
-        + compiled.teal_source.encode()
-        + repr(sorted(compiled.evm_code.methods.items())).encode()
-        + config.cache_key()
-    )
+    cache_key = (artifact_key(compiled), config)
     cached = _CACHE.get(cache_key)
     if cached is not None:
         return cached
 
     universe = derive_universe(compiled, config)
     phase_count = compiled.ir.phase_count
-    evm_model, avm_model = make_models(compiled, universe)
+    evm_model, avm_model = make_models(compiled, universe.keys)
     evm_run = explore(evm_model, universe, config, phase_count)
     avm_run = explore(avm_model, universe, config, phase_count)
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.reach.absint.modelcheck.exec import BackendModel
+from repro.reach.absint.exec import CREATOR, ActionTemplate, BackendModel
 from repro.reach.absint.modelcheck.explore import Trace
 from repro.reach.absint.modelcheck.props import check_transition
-from repro.reach.absint.modelcheck.universe import CREATOR, ActionTemplate, Universe
+from repro.reach.absint.modelcheck.universe import Universe
 
 
 @dataclass(frozen=True)

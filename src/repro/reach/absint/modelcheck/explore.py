@@ -7,23 +7,18 @@ transition (including rejected attempts -- replay safety is a theorem
 about rejections), and keeping BFS parent pointers so any violation
 yields a shortest-by-construction counterexample trace.
 
-Tractability comes from four reductions, in decreasing order of the
-work they actually do on the shipped contracts:
+Tractability comes from three reductions:
 
 1. **state-digest deduplication** -- interleavings that commute into
    the same protocol state collapse to one node;
 2. **caller symmetry** -- the universe models one adversarial address,
    since no contract state is keyed by caller (see universe.py);
 3. **no-progress pruning** -- accepted calls that leave the digest
-   unchanged (and every rejected call) produce no new node;
-4. **partial-order reduction** -- a classical ample-set step: when an
-   enabled action is invisible to the monitors and statically
-   independent of every other enabled action, it is expanded *alone*.
-   The shipped contracts give ample sets little to do (almost every
-   entry point touches the balance, a Map, or the phase flag), which
-   is expected and fine -- the hook earns its keep on state-heavy
-   contracts with disjoint per-participant globals, and a unit test
-   pins the digest-set equality of reduced vs. full exploration.
+   unchanged (and every rejected call) produce no new node.
+
+There is no partial-order reduction: every entry point reads ``_phase``
+in its prologue and every phase has an action that may write it, so no
+enabled action is ever independent of all the others.
 
 Bounded liveness (``MC-LIVE-VERIFY``) is certified after the sweep:
 every explored state must reach a drained halt (``_phase`` == halted,
@@ -39,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.crypto.hashing import sha256
-from repro.reach.absint.modelcheck.exec import BackendModel, MCState, StepResult
+from repro.reach.absint.exec import BackendModel, MCState
 from repro.reach.absint.modelcheck.props import check_state, check_transition, halted
 from repro.reach.absint.modelcheck.universe import MCConfig, Universe
 
@@ -84,21 +79,11 @@ def _enabled(state: MCState, universe: Universe, phase_count: int) -> list[int]:
     ]
 
 
-def _ample_candidate(enabled: list[int], universe: Universe) -> int | None:
-    """An enabled action expandable alone: invisible + fully independent."""
-    for index in enabled:
-        footprint = universe.footprints[universe.templates[index].fn]
-        if not footprint.invisible:
-            continue
-        others = (universe.footprints[universe.templates[j].fn] for j in enabled if j != index)
-        if all(footprint.independent(other) for other in others):
-            return index
-    return None
-
-
 def explore(model: BackendModel, universe: Universe, config: MCConfig, phase_count: int) -> MCRun:
     """Run the bounded sweep on one backend; deterministic end to end."""
     deployed = model.deploy()
+    if deployed.status != "ok":
+        raise ValueError(f"{model.backend} constructor {deployed.status}: {deployed.error}")
     init_digest = model.digest(deployed.state)
 
     states: dict[bytes, MCState] = {init_digest: deployed.state}
@@ -139,41 +124,15 @@ def explore(model: BackendModel, universe: Universe, config: MCConfig, phase_cou
             truncated = True
             continue
 
-        enabled = _enabled(state, universe, phase_count)
-        expand = enabled
-        # The POR probe's outcome (and digest), reused when its action
-        # is expanded below: stepping is a pure function of (state,
-        # action), so running it twice would only repeat the work.
-        probed: tuple[int, StepResult, bytes | None] | None = None
-        if config.por and len(enabled) > 1:
-            candidate = _ample_candidate(enabled, universe)
-            if candidate is not None:
-                # C3 approximation: the reduced step must open new
-                # territory; closing back into a visited state risks
-                # the ignoring problem, so fall back to full expansion.
-                probe = model.step(state, universe.templates[candidate])
-                transitions += 1
-                probe_digest = None
-                if probe.status == "ok":
-                    probe_digest = known.get(probe.state) or model.digest(probe.state)
-                    if probe_digest != digest and probe_digest not in states:
-                        expand = [candidate]
-                probed = (candidate, probe, probe_digest)
-
-        for index in expand:
+        for index in _enabled(state, universe, phase_count):
             template = universe.templates[index]
-            if probed is not None and probed[0] == index:
-                _index, result, successor_digest = probed
-            else:
-                result = model.step(state, template)
-                successor_digest = None
+            result = model.step(state, template)
             transitions += 1
             for theorem, message in check_transition(universe, phase_count, state, template, result):
                 record(theorem, message, path_to(digest) + (index,))
             if result.status != "ok":
                 continue
-            if successor_digest is None:
-                successor_digest = known.get(result.state) or model.digest(result.state)
+            successor_digest = known.get(result.state) or model.digest(result.state)
             if successor_digest == digest:
                 continue  # accepted but changed nothing observable
             edges.setdefault(digest, []).append((index, successor_digest))

@@ -31,8 +31,8 @@ MC-LIVE-VERIFY      bounded liveness (checked by the explorer, not here):
 from __future__ import annotations
 
 from repro.reach.absint.encode import canon
-from repro.reach.absint.modelcheck.exec import MCState, StepResult
-from repro.reach.absint.modelcheck.universe import ActionTemplate, Universe
+from repro.reach.absint.exec import ActionTemplate, MCState, StepResult
+from repro.reach.absint.modelcheck.universe import Universe
 
 SAFETY_THEOREMS = (
     "MC-SAFETY-FUNDS",

@@ -10,10 +10,10 @@ rather than trivially wide.
 
 import pytest
 
+from repro.chain.algorand.avm import DEFAULT_OPCODE_BUDGET
 from repro.chain.ethereum import EthereumChain
 from repro.core.contract import build_pol_program, pol_record
 from repro.reach.absint.cost import analyze_costs
-from repro.reach.analysis import AVM_CALL_BUDGET
 from repro.reach.compiler import compile_program
 from repro.reach.parser import parse_contract_file
 from repro.reach.runtime import ReachClient
@@ -95,7 +95,7 @@ class TestIntervalShape:
 
     def test_pool_matches_teal_ops(self, costs):
         for entry in costs.entries.values():
-            expected = max(1, -(-entry.teal_ops.hi // AVM_CALL_BUDGET))
+            expected = max(1, -(-entry.teal_ops.hi // DEFAULT_OPCODE_BUDGET))
             assert entry.avm_pool.hi == expected
             assert entry.within_avm_budget
 

@@ -7,7 +7,9 @@ self-test: dropping a TEAL store or neutralizing an EVM SSTORE must be
 *caught*, otherwise the checker proves nothing.
 """
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,9 @@ from repro.reach.absint.equiv import (
 from repro.reach.absint.lint import lint_compiled
 from repro.reach.compiler import BackendDivergence, compile_program
 from repro.reach.parser import parse_contract_file
+
+REPO = Path(__file__).resolve().parents[2]
+GOLDEN = REPO / "tests" / "reach" / "golden" / "eq_diverge.json"
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +98,49 @@ class TestDivergenceErrors:
         error = BackendDivergence(["constructor [create]: global 'x' differs"])
         assert error.divergences
         assert "differs" in str(error)
+
+
+class TestGoldenDivergences:
+    """The exact EQ-DIVERGE messages of the seeded mutations, pinned: a
+    change in how either artifact is run or observed shows up as a
+    changed message, not only as a changed verdict."""
+
+    @pytest.fixture(scope="class")
+    def contracts(self):
+        return {
+            name: compile_program(parse_contract_file(str(REPO / "contracts" / f"{name}.rsh")))
+            for name in ("proof_of_location", "crowdfunding")
+        }
+
+    def test_mutation_messages_match_golden(self, contracts):
+        golden = json.loads(GOLDEN.read_text())
+        pol, crowdfunding = contracts["proof_of_location"], contracts["crowdfunding"]
+        cases = {
+            "proof_of_location drop_teal_store(0)": replace(
+                pol, teal_source=drop_teal_store(pol.teal_source, 0), _lint=None
+            ),
+            "proof_of_location neutralize_evm_sstore(2)": replace(
+                pol, evm_code=neutralize_evm_sstore(pol.evm_code, 2), _lint=None
+            ),
+        }
+        index = 0
+        while True:  # every crowdfunding store: the caught ones are pinned, the rest stay clean
+            try:
+                mutated_teal = drop_teal_store(crowdfunding.teal_source, index)
+            except ValueError:
+                break
+            cases[f"crowdfunding drop_teal_store({index})"] = replace(
+                crowdfunding, teal_source=mutated_teal, _lint=None
+            )
+            index += 1
+        assert set(golden) - set(cases) == {"crowdfunding unassemblable TEAL"}
+        for case, mutated in cases.items():
+            assert check_equivalence(mutated) == golden.get(case, []), case
+
+    def test_unassemblable_teal_is_a_machine_error_divergence(self, contracts):
+        crowdfunding = contracts["crowdfunding"]
+        broken = replace(crowdfunding, teal_source=crowdfunding.teal_source + "no_such_opcode\n", _lint=None)
+        divergences = check_equivalence(broken)
+        assert divergences
+        assert all("but AVM machine-error: " in d and "unknown opcode 'no_such_opcode'" in d for d in divergences)
+        assert divergences == json.loads(GOLDEN.read_text())["crowdfunding unassemblable TEAL"]

@@ -7,7 +7,6 @@ Pins the properties the lint gate and CI rely on:
 - the sweep is deterministic (same state count, same space digest,
   same theorem list across runs) and backend-agnostic (EVM and AVM
   explore byte-identical canonical state spaces);
-- partial-order reduction never changes verdicts;
 - a seeded replay-screen mutation -- invisible to the per-vector
   differential because BOTH artifacts are weakened identically -- is
   refuted with a minimized ``MC-CEX``;
@@ -27,17 +26,11 @@ from repro.reach.absint.lint import Finding
 from repro.reach.absint.modelcheck import (
     _CACHE,
     ALL_THEOREMS,
-    MCConfig,
     check_protocol,
     protocol_findings,
     weaken_replay_screen,
 )
-from repro.reach.absint.modelcheck.exec import BackendModel, MCState, StepResult
-from repro.reach.absint.modelcheck.explore import explore
 from repro.reach.absint.modelcheck.universe import (
-    ActionTemplate,
-    Footprint,
-    Universe,
     batch_slots_of,
     find_consumers,
     find_screens,
@@ -134,65 +127,6 @@ class TestDeterminism:
             assert report.space_match
             assert report.evm.states == report.avm.states
             assert report.evm.space_digest == report.avm.space_digest
-
-
-class TestPartialOrderReduction:
-    def test_por_never_changes_verdicts(self, crowdfunding):
-        with_por = check_protocol(crowdfunding, MCConfig(por=True))
-        without = check_protocol(crowdfunding, MCConfig(por=False))
-        assert with_por.proved == without.proved
-        assert set(with_por.evm.digests) <= set(without.evm.digests)
-
-
-class _Counters(BackendModel):
-    """Two independent invisible counters: every state has an ample action.
-
-    (No compiled contract offers one -- every entry point reads
-    ``_phase`` and every phase has an action that may write it -- so the
-    probe path is exercised on a stand-in backend.)
-    """
-
-    backend = "stub"
-
-    def __init__(self) -> None:
-        self.calls: dict[tuple[MCState, str], int] = {}
-
-    def deploy(self) -> StepResult:
-        return StepResult("ok", self._state(0, 0))
-
-    def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
-        key = (state, template.fn)
-        self.calls[key] = self.calls.get(key, 0) + 1
-        a, b = state.scalar("a"), state.scalar("b")
-        return StepResult("ok", self._state(a + (template.fn == "a"), b + (template.fn == "b")))
-
-    def digest(self, state: MCState) -> bytes:
-        return repr(state).encode()
-
-    @staticmethod
-    def _state(a: object, b: object) -> MCState:
-        return MCState(scalars=(("_phase", 1), ("a", a), ("b", b)), maps=(), balance=0, now=0)
-
-
-def _counter_universe() -> Universe:
-    def footprint(name: str) -> Footprint:
-        names = frozenset({name})
-        return Footprint(names, names, frozenset(), frozenset(), False, False, False)
-
-    templates = tuple(
-        ActionTemplate(name=fn, fn=fn, caller="x", args=(), value=0, phase=1, kind="api") for fn in ("a", "b")
-    )
-    return Universe(templates=templates, footprints={"a": footprint("a"), "b": footprint("b")})
-
-
-class TestPartialOrderReductionProbe:
-    def test_probe_result_is_reused_not_re_executed(self):
-        model = _Counters()
-        run = explore(model, _counter_universe(), MCConfig(depth=3, k_live=0), phase_count=1)
-        # Each expanded state probes ``a``, finds a new state and expands
-        # ``a`` alone: two transitions counted, one execution.
-        assert (run.states, run.transitions) == (4, 6)
-        assert sorted(model.calls.values()) == [1, 1, 1]
 
 
 class TestMutation:

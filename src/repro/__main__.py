@@ -425,7 +425,6 @@ def _cmd_bench(args) -> int:
         wall_pct=args.wall_pct,
         wall_floor_s=args.wall_floor,
         sim_pct=args.sim_pct,
-        fee_pct=args.fee_pct,
     )
     findings, compared = diff_runs(before, after, thresholds)
     print(render_findings(findings, compared, before.get("meta", {}), after.get("meta", {})))
@@ -763,11 +762,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench.add_argument(
         "--sim-pct", type=float, default=0.001,
-        help="tolerance on deterministic simulated metrics (default: 0.001)",
-    )
-    bench.add_argument(
-        "--fee-pct", type=float, default=0.001,
-        help="tolerance on fee totals (default: 0.001)",
+        help="tolerance on deterministic simulated metrics, fee totals included "
+        "(default: 0.001)",
     )
 
     compare = subparsers.add_parser("compare", help="the chapter-5 comparison tables")

@@ -30,7 +30,6 @@ from repro.chain.base import (
     Transaction,
     TxStatus,
 )
-from repro.chain.algorand.asa import AsaError, AsaLedger
 from repro.chain.algorand.avm import AVM, Application, AvmError, AvmPanic, CallContext
 from repro.chain.algorand.consensus import Sortition
 from repro.chain.algorand.teal import TealProgram, assemble
@@ -65,7 +64,6 @@ class AlgorandChain(BaseChain):
         self.lazy_empty_rounds = profile.name.endswith("devnet")
         self.apps: dict[int, Application] = {}
         self.program_registry: dict[str, TealProgram] = {}
-        self.asa = AsaLedger()
         self._next_app_id = 1
         # A committee of ~30 expected seats keeps the certification
         # failure probability negligible (real Algorand committees are
@@ -90,16 +88,8 @@ class AlgorandChain(BaseChain):
         return base64.b32encode(digest + digest[:4]).decode().rstrip("=")[:58]
 
     def _admission_check(self, tx: Transaction) -> None:
-        if tx.kind not in ("transfer", "create", "call", "asset"):
+        if tx.kind not in ("transfer", "create", "call"):
             raise InvalidTransaction(f"unknown transaction kind {tx.kind}")
-        if tx.kind == "asset" and tx.data.get("op") not in (
-            "create",
-            "optin",
-            "transfer",
-            "freeze",
-            "clawback",
-        ):
-            raise InvalidTransaction(f"unknown asset operation {tx.data.get('op')!r}")
         if tx.flat_fee < self.profile.min_fee:
             raise InvalidTransaction(f"fee below the network minimum {self.profile.min_fee}")
         if tx.kind == "call":
@@ -137,44 +127,7 @@ class AlgorandChain(BaseChain):
             return self._execute_payment(tx, receipt)
         if tx.kind == "create":
             return self._execute_create(tx, block, receipt)
-        if tx.kind == "asset":
-            return self._execute_asset(tx, receipt)
         return self._execute_call(tx, block, receipt)
-
-    def _execute_asset(self, tx: Transaction, receipt: Receipt) -> Receipt:
-        """Asset transactions (section 2.8's ASAs)."""
-        data = tx.data
-        op = data["op"]
-        try:
-            if op == "create":
-                asset = self.asa.create(
-                    creator=tx.sender,
-                    name=data["name"],
-                    unit_name=data["unit_name"],
-                    total=data["total"],
-                    decimals=data.get("decimals", 0),
-                    manager=data.get("manager", ""),
-                    freeze=data.get("freeze", ""),
-                    clawback=data.get("clawback", ""),
-                )
-                receipt.return_value = asset.asset_id
-            elif op == "optin":
-                self.asa.opt_in(data["asset_id"], tx.sender)
-            elif op == "transfer":
-                self.asa.transfer(data["asset_id"], tx.sender, data["receiver"], data["amount"])
-            elif op == "freeze":
-                self.asa.set_frozen(data["asset_id"], tx.sender, data["target"], bool(data["frozen"]))
-            elif op == "clawback":
-                self.asa.clawback_transfer(
-                    data["asset_id"], tx.sender, data["source"], data["receiver"], data["amount"]
-                )
-        except AsaError as failure:
-            return self._reject(receipt, str(failure))
-        self._debit(tx.sender, tx.flat_fee)
-        self.burned_total += tx.flat_fee
-        receipt.status = TxStatus.SUCCESS
-        receipt.fee_paid = tx.flat_fee
-        return receipt
 
     # -- application paths -------------------------------------------------------
 

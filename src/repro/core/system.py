@@ -283,62 +283,6 @@ class ProofOfLocationSystem:
         nearby = self.channel.discover(prover.device_id)
         return [name for name in nearby if name in self.witnesses]
 
-    def request_multi_witness_proof(
-        self, prover_name: str, witness_names: list[str], report_content: bytes, threshold: int = 2
-    ):
-        """Collect an M-of-N proof from several nearby witnesses.
-
-        The first witness coordinates (issues the nonce); the rest
-        endorse the same digest.  Raises if fewer than ``threshold``
-        endorsements could be collected.
-        """
-        from repro.core.actors import WitnessRefusal
-        from repro.core.multiwitness import MultiWitnessError, aggregate_proofs
-
-        if not witness_names:
-            raise PolSystemError("at least one witness is required")
-        prover = self.provers[prover_name]
-        coordinator = self.witnesses[witness_names[0]]
-        cid = self.ipfs.add(prover_name, report_content)
-        nonce = coordinator.issue_nonce()
-        request = prover.make_request(nonce, cid, timestamp=self.chain.queue.clock.now)
-        proofs = []
-        for name in witness_names:
-            witness = self.witnesses[name]
-            try:
-                if witness is coordinator:
-                    proofs.append(
-                        witness.handle_request(
-                            request,
-                            prover_device=prover.device_id,
-                            channel=self.channel,
-                            registry=self.registry,
-                            prover_keypair=prover.keypair,
-                            now=self.chain.queue.clock.now,
-                        )
-                    )
-                else:
-                    proofs.append(
-                        witness.endorse(
-                            request,
-                            prover_device=prover.device_id,
-                            channel=self.channel,
-                            registry=self.registry,
-                            prover_keypair=prover.keypair,
-                            now=self.chain.queue.clock.now,
-                        )
-                    )
-            except WitnessRefusal:
-                continue  # an unreachable/unconvinced witness just abstains
-        if len(proofs) < threshold:
-            raise PolSystemError(
-                f"only {len(proofs)} of the required {threshold} endorsements collected"
-            )
-        try:
-            return request, aggregate_proofs(request, proofs), cid
-        except MultiWitnessError as exc:
-            raise PolSystemError(str(exc)) from exc
-
     # -- figure 2.3: hypercube lookup + deploy-or-attach -------------------------------
 
     def submit(self, prover_name: str, request: ProofRequest, proof: LocationProof) -> SubmissionOutcome:

@@ -1,10 +1,9 @@
 """Merkle trees for block transaction roots and proof batching.
 
 Both chain simulators commit to their block's transaction list with a
-Merkle root, light verification paths are exercised by the explorer
-(``repro.chain.explorer``) when it re-checks inclusion, and the proof
-batching layer (``repro.core.batch``) anchors batches of location
-proofs as a single on-chain root.
+Merkle root (``Block.tx_root``), and the proof batching layer
+(``repro.core.batch``) anchors batches of location proofs as a single
+on-chain root that provers light-verify their inclusion paths against.
 
 The construction is *unbalanced* (promote-the-odd-node): an odd node at
 any level is carried up unchanged instead of being paired with a copy

@@ -26,10 +26,7 @@ Two properties the rest of the stack relies on:
   stage happened to be open (see :mod:`repro.obs.recorder`).
 - **Profiling never perturbs the simulation.**  The profiler only reads
   clocks; event ordering, seeded randomness and every simulated result
-  are unchanged by profiling.  (EVM fee totals jitter at the ppm level
-  run-to-run regardless of profiling -- entropy-backed replay nonces
-  ride in calldata -- so compare fees across runs, not profiled vs
-  unprofiled within one.)
+  are unchanged by profiling.
 
 Besides flat self-times the profiler retains per-*stack-path* totals,
 which export as collapsed stacks (``to_collapsed``, Brendan Gregg's

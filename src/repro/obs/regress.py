@@ -13,13 +13,7 @@ have entirely different noise characteristics:
 - **Simulated metrics** (end-to-end p50/p95/p99, stage sim-time, fee
   totals, journey counts) are *deterministic*: same seed, same code →
   bit-identical values on any host.  They gate at a near-zero tolerance
-  (default 0.1%); a drift here is a semantic change, not noise.  The
-  one nuance is EVM fee totals: replay-defence nonces use real entropy
-  (``secrets``) and ride in calldata, so calldata gas -- and with it
-  the fee total -- jitters at the parts-per-million level run to run.
-  ``fee_pct`` is a separate knob for exactly this; 0.1% clears the
-  observed ~2e-6 jitter by orders of magnitude while still catching any
-  real fee-model change.
+  (default 0.1%); a drift here is a semantic change, not noise.
 - **Wall-clock metrics** (kernel seconds, per-stage profile self time)
   are noisy -- CI runners, thermal state, CPU contention.  They gate at
   a generous relative threshold (default +100%: only a >2x slowdown
@@ -72,11 +66,6 @@ class Thresholds:
     wall_floor_s: float = 0.25
     #: relative tolerance on deterministic simulated metrics.
     sim_pct: float = 0.001
-    #: relative tolerance on fee totals.  EVM fees carry ppm-level
-    #: jitter (entropy-backed replay nonces ride in calldata, moving
-    #: calldata gas), so fees get their own knob above the sim
-    #: tolerance's spirit of exactness.
-    fee_pct: float = 0.001
 
 
 @dataclass(frozen=True)
@@ -289,7 +278,7 @@ def diff_runs(
         if "fees_base_units_total" in a and "fees_base_units_total" in b:
             diff.sim(
                 family, users, f"fees_base_units_total{suffix}",
-                a["fees_base_units_total"], b["fees_base_units_total"], thresholds.fee_pct,
+                a["fees_base_units_total"], b["fees_base_units_total"], thresholds.sim_pct,
             )
         if "journeys" in a and "journeys" in b:
             diff.sim(family, users, f"journeys{suffix}", a["journeys"], b["journeys"], 0.0)

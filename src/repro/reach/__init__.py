@@ -17,10 +17,9 @@ reproduces that pipeline end to end:
   dishonest modes -- figures 2.11 and 5.1).
 - :mod:`repro.reach.runtime` -- deploy/attach/API-call adapters for the
   chain simulators, reproducing the per-network transaction counts the
-  evaluation measured.
-- :mod:`repro.reach.rpc` -- the Reach RPC server facade
-  (``/stdlib/METHOD``, ``/ctc/apis/...``) the thesis's Python
-  test-suite drives.
+  evaluation measured.  :class:`ReachClient` is the one client surface:
+  the chapter-5 campaigns, the system facade and the repository
+  benchmark all deploy and call contracts through it.
 """
 
 from repro.reach.types import UInt, Bytes, Address, Fun

@@ -41,10 +41,9 @@ GOLDEN = Path(__file__).parent / "golden" / "summaries_16u_seed1.json"
 class TestSixteenUserGoldenSummaries:
     """``bench_summary`` of seeded 16-user facade campaigns, pinned.
 
-    The golden file holds every summary key of each campaign except the
-    EVM fee totals: witness nonces are drawn from ``secrets`` and land in
-    calldata, so goerli's ``fees_base_units_total`` differs between two
-    runs with the same seed.
+    The golden file holds every summary key of each campaign, EVM fee
+    totals included: witness nonces are keyed hashes of a per-witness
+    counter, so the calldata they ride in is the same in every run.
     """
 
     CAMPAIGNS = {
@@ -60,9 +59,7 @@ class TestSixteenUserGoldenSummaries:
         summary = bench_summary(
             *run_traced_journeys(network, 16, seed=SEED, batch_size=batch_size)
         )
-        unpinned = set(summary) - set(golden)
-        assert unpinned == (set() if network == "algorand-testnet" else {"fees_base_units_total"})
-        assert {key: summary[key] for key in golden} == golden
+        assert summary == golden
 
 
 @pytest.fixture(scope="module")

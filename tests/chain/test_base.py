@@ -4,6 +4,7 @@ import pytest
 
 from repro.chain import ChainError, InsufficientFunds, InvalidTransaction, TxState, TxStatus, drive
 from repro.chain.ethereum import EthereumChain
+from repro.crypto.merkle import MerkleTree, merkle_root
 
 ETH = 10**18
 
@@ -131,6 +132,36 @@ class TestBlocks:
         receipt = chain.transact(alice, tx)
         block = chain.blocks[receipt.block_number]
         assert any(t.txid == receipt.txid for t in block.transactions)
+
+    def test_tx_root_commits_to_included_txids(self, chain, alice, bob):
+        """The header's root alone commits to the block body: a light
+        client holding only headers can check any inclusion path."""
+        for index in range(5):
+            sender, receiver = (alice, bob) if index % 2 == 0 else (bob, alice)
+            tx = chain.make_transaction(sender, "transfer", to=receiver.address, value=index)
+            chain.transact(sender, tx)
+        assert_tx_roots(chain)
+
+    def test_tx_root_on_the_avm_family(self):
+        from repro.chain.algorand import AlgorandChain
+
+        chain = AlgorandChain(profile="algo-devnet", seed=17, participant_count=6)
+        alice = chain.create_account(seed=b"alice", funding=100_000_000)
+        for index in range(4):
+            tx = chain.make_transaction(alice, "transfer", to=alice.address, value=index)
+            chain.transact(alice, tx)
+        assert_tx_roots(chain)
+
+
+def assert_tx_roots(chain):
+    nonempty = [block for block in chain.blocks if block.transactions]
+    assert nonempty
+    for block in chain.blocks:
+        txids = [tx.txid.encode() for tx in block.transactions]
+        assert block.tx_root == merkle_root(txids)
+        tree = MerkleTree(txids)
+        for index, txid in enumerate(txids):
+            assert tree.proof(index).verify(txid, block.tx_root)
 
 
 class TestTxHandle:

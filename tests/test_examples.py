@@ -33,8 +33,6 @@ def test_all_examples_discovered():
         "environment_reports",
         "multichain_comparison",
         "attack_gauntlet",
-        "rpc_walkthrough",
-        "its_data_certification",
     } <= names
 
 

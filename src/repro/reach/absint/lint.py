@@ -6,7 +6,9 @@ Aggregates every static-analysis layer over one compiled contract:
 - unprovable transfers and leaky halts from the balance analysis
   (``ABSINT-BAL-*``);
 - AVM budget problems from the cost analysis (``COST-*``);
-- cross-backend divergences (``EQ-DIVERGE``, errors).
+- cross-backend divergences (``EQ-DIVERGE``, errors);
+- protocol theorems and lockstep divergences from the model checker
+  (``MC-*``).
 
 Exit-code contract (pinned by tests and CI):
 
@@ -15,7 +17,7 @@ code  meaning
 ====  =====================================================
 0     clean, or informational findings only
 1     at least one error- or warning-severity finding
-2     internal failure (parse error handled, analyzer crash)
+2     usage or internal failure (bad option, analyzer crash)
 ====  =====================================================
 """
 
@@ -65,7 +67,6 @@ class LintReport:
     source: str = ""
     findings: list[Finding] = field(default_factory=list)
     costs: object = None  # CostReport | None
-    protocol: object = None  # modelcheck.ProtocolReport | None
 
     @property
     def has_errors(self) -> bool:
@@ -228,6 +229,4 @@ def lint_compiled(compiled, source: str = "", mc_depth: int | None = None) -> Li
     protocol = check_protocol(compiled, MCConfig(depth=mc_depth) if mc_depth is not None else None)
     findings.extend(protocol_findings(protocol, source))
 
-    return LintReport(
-        contract=compiled.name, source=source, findings=findings, costs=costs, protocol=protocol
-    )
+    return LintReport(contract=compiled.name, source=source, findings=findings, costs=costs)

@@ -3,23 +3,25 @@
 Where the other absint layers prove *per-path* facts (balance safety,
 cost intervals, per-vector backend equivalence), this package proves
 *protocol-level* theorems under adversarial orderings: it executes the
-emitted EVM and TEAL artifacts over every interleaving of participant
-steps, replayed API calls, front-run batch anchors, clock advances past
-phase deadlines, and silently-absent participants, up to a configured
-depth.  The moving parts:
+emitted EVM and TEAL artifacts in lockstep over every interleaving of
+participant steps, replayed API calls, front-run batch anchors, clock
+advances past phase deadlines, and silently-absent participants, up to
+a configured depth.  The moving parts:
 
 - :mod:`universe` derives the adversarial action set, the replay
   screens and the consumer/batch map classification;
 - :mod:`repro.reach.absint.exec` (shared with the equivalence check)
-  wraps both production VMs behind one immutable-state stepping
-  interface with canonical state digests;
+  steps both production VMs together on immutable states and compares
+  their outcomes and canonical state digests;
 - :mod:`props` holds the transition-local safety monitors
   (``MC-SAFETY-*``);
-- :mod:`explore` runs the deduplicated BFS sweep and certifies bounded
-  liveness (``MC-LIVE-*``);
+- :mod:`explore` runs the one deduplicated lockstep BFS sweep and
+  certifies bounded liveness (``MC-LIVE-*``) over its graph;
 - :mod:`cex` minimizes violation traces into replayable
   counterexamples (surfaced as ``MC-CEX`` findings, exportable to the
-  :mod:`repro.faults.adversary` chaos harness);
+  :mod:`repro.faults.adversary` chaos harness) and divergence traces
+  into schedules ending at the first transition on which the backends
+  disagree (``MC-SPACE-DIVERGE``);
 - :mod:`mutate` seeds artifact-level protocol bugs for self-tests
   (the lint CLI's ``--mutate-reorder``).
 
@@ -33,13 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.reach.absint.encode import artifact_key
-from repro.reach.absint.exec import make_models
+from repro.reach.absint.exec import make_lockstep
 from repro.reach.absint.lint import Finding
 from repro.reach.absint.modelcheck.cex import CexStep, CounterExample, minimize
 from repro.reach.absint.modelcheck.explore import MCRun, explore
 from repro.reach.absint.modelcheck.mutate import weaken_replay_screen
 from repro.reach.absint.modelcheck.props import (
     ALL_THEOREMS,
+    DIVERGENCE,
     LIVENESS_THEOREM,
     SAFETY_THEOREMS,
 )
@@ -65,46 +68,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """The outcome of one model-checking run over both backends."""
+    """The outcome of one lockstep model-checking run over both backends."""
 
     contract: str
     config: MCConfig
-    evm: MCRun
-    avm: MCRun
+    run: MCRun
     counterexamples: tuple[CounterExample, ...]
 
     @property
-    def space_match(self) -> bool:
-        """Both backends explored the identical reachable state space."""
-        return self.evm.space_digest == self.avm.space_digest
+    def diverged(self) -> bool:
+        """The backends disagreed on some explored transition."""
+        return any(cex.theorem == DIVERGENCE for cex in self.counterexamples)
 
     @property
     def refuted(self) -> tuple[str, ...]:
         """Theorem ids with at least one counterexample, sorted."""
-        return tuple(sorted({cex.theorem for cex in self.counterexamples}))
+        return tuple(sorted({cex.theorem for cex in self.counterexamples} - {DIVERGENCE}))
 
     @property
     def proved(self) -> tuple[str, ...]:
-        """Theorem ids that survived the sweep on both backends."""
+        """Theorem ids that survived the sweep; none when the backends
+        disagree, since the sweep then skipped the diverging successors."""
+        if self.diverged:
+            return ()
         refuted = set(self.refuted)
         return tuple(theorem for theorem in ALL_THEOREMS if theorem not in refuted)
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples and self.space_match
+        return not self.counterexamples
 
     @property
     def bounded(self) -> bool:
         """A depth or state-count bound truncated the sweep."""
-        return self.evm.truncated or self.avm.truncated
+        return self.run.truncated
 
     def render(self) -> str:
         """One-paragraph human summary (the lint report embeds this)."""
         scope = "bounded" if self.bounded else "exhaustive"
         lines = [
             f"model check ({scope}, depth {self.config.depth}, K={self.config.k_live}): "
-            f"{self.evm.states} states / {self.evm.transitions} transitions per backend, "
-            f"spaces {'match' if self.space_match else 'DIVERGE'}"
+            f"{self.run.states} states / {self.run.transitions} transitions per backend, "
+            f"backends {'DIVERGE' if self.diverged else 'agree'}"
         ]
         for theorem in self.proved:
             lines.append(f"  proved {theorem}")
@@ -120,7 +125,7 @@ _CACHE: dict[tuple[bytes, MCConfig], ProtocolReport] = {}
 
 
 def check_protocol(compiled: CompiledContract, config: MCConfig | None = None) -> ProtocolReport:
-    """Model-check one compiled contract on both backends.
+    """Model-check one compiled contract on both backends in lockstep.
 
     Deterministic end to end: the same artifacts and config always
     yield the same state count, theorem list, and counterexample
@@ -134,30 +139,12 @@ def check_protocol(compiled: CompiledContract, config: MCConfig | None = None) -
 
     universe = derive_universe(compiled, config)
     phase_count = compiled.ir.phase_count
-    evm_model, avm_model = make_models(compiled, universe.keys)
-    evm_run = explore(evm_model, universe, config, phase_count)
-    avm_run = explore(avm_model, universe, config, phase_count)
-
-    # One minimized counterexample per refuted theorem.  Both backends
-    # normally refute identically (their state spaces match); when only
-    # one does, that backend's trace is the evidence -- and the space
-    # divergence is reported alongside it.
-    counterexamples: list[CounterExample] = []
-    seen: set[str] = set()
-    for model, run in ((evm_model, evm_run), (avm_model, avm_run)):
-        for trace in run.violations:
-            if trace.theorem in seen:
-                continue
-            seen.add(trace.theorem)
-            counterexamples.append(minimize(model, universe, phase_count, trace))
-
-    report = ProtocolReport(
-        contract=compiled.name,
-        config=config,
-        evm=evm_run,
-        avm=avm_run,
-        counterexamples=tuple(counterexamples),
-    )
+    lockstep = make_lockstep(compiled, universe.keys)
+    run = explore(lockstep, universe, config, phase_count)
+    # One minimized counterexample per refuted theorem (and at most one
+    # divergence), in theorem order.
+    counterexamples = tuple(minimize(lockstep, universe, phase_count, trace) for trace in run.violations)
+    report = ProtocolReport(contract=compiled.name, config=config, run=run, counterexamples=counterexamples)
     _CACHE[cache_key] = report
     return report
 
@@ -188,37 +175,29 @@ def protocol_findings(report: ProtocolReport, source: str = "") -> list[Finding]
 
     Proved theorems surface as deterministic ``[info]`` findings (the
     CI determinism check diffs these messages verbatim, state counts
-    included); every refuted theorem is one ``[error] MC-CEX`` carrying
-    the minimized journey in its message and the replayable schedule in
-    its ``data`` payload.
+    included); every refuted theorem is one ``[error] MC-CEX``, and a
+    divergence one ``[error] MC-SPACE-DIVERGE``, each carrying the
+    minimized journey in its message and the replayable schedule in its
+    ``data`` payload.
     """
     findings: list[Finding] = []
     scope = "bounded" if report.bounded else "exhaustive"
     sweep = (
-        f"{report.evm.states} states / {report.evm.transitions} transitions per backend, "
+        f"{report.run.states} states / {report.run.transitions} transitions per backend, "
         f"{scope} to depth {report.config.depth}"
     )
 
-    if not report.space_match:
+    # The divergence sorts last by theorem id but reads first.
+    for cex in sorted(report.counterexamples, key=lambda cex: cex.theorem != DIVERGENCE):
+        if cex.theorem == DIVERGENCE:
+            theorem, headline = DIVERGENCE, "the EVM and AVM artifacts disagree under adversarial scheduling"
+        else:
+            theorem, headline = "MC-CEX", f"{cex.theorem} refuted under adversarial scheduling"
         findings.append(
             Finding(
                 severity="error",
-                theorem="MC-SPACE-DIVERGE",
-                message=(
-                    f"reachable state spaces differ across backends: "
-                    f"EVM {report.evm.states} states ({report.evm.space_digest.hex()[:16]}) "
-                    f"vs AVM {report.avm.states} states ({report.avm.space_digest.hex()[:16]})"
-                ),
-                source=source,
-            )
-        )
-
-    for cex in report.counterexamples:
-        findings.append(
-            Finding(
-                severity="error",
-                theorem="MC-CEX",
-                message=f"{cex.theorem} refuted under adversarial scheduling\n{cex.journey()}",
+                theorem=theorem,
+                message=f"{headline}\n{cex.journey()}",
                 source=source,
                 data=_schedule_payload(cex),
             )
@@ -235,7 +214,7 @@ def protocol_findings(report: ProtocolReport, source: str = "") -> list[Finding]
             detail = (
                 f"every reachable state reaches a drained halt within "
                 f"{report.config.k_live} fair steps (worst certified distance "
-                f"{max(report.evm.live_max, report.avm.live_max)}); {sweep}"
+                f"{report.run.live_max}); {sweep}"
             )
         else:
             detail = f"holds on every explored interleaving, EVM and AVM; {sweep}"

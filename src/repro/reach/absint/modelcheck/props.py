@@ -25,6 +25,9 @@ MC-SAFETY-ANCHOR    an accepted record stays anchorable: Map entries are
 MC-LIVE-VERIFY      bounded liveness (checked by the explorer, not here):
                     every reachable state reaches a drained halt within K
                     fair honest steps
+MC-SPACE-DIVERGE    the EVM and AVM artifacts disagree on a transition
+                    (found by the lockstep step, not here; no theorem is
+                    proved while the backends disagree)
 ==================  =========================================================
 """
 
@@ -42,6 +45,7 @@ SAFETY_THEOREMS = (
 )
 LIVENESS_THEOREM = "MC-LIVE-VERIFY"
 ALL_THEOREMS = SAFETY_THEOREMS + (LIVENESS_THEOREM,)
+DIVERGENCE = "MC-SPACE-DIVERGE"
 
 
 def halted(state: MCState, phase_count: int) -> bool:
@@ -122,14 +126,3 @@ def check_transition(
             )
     return violations
 
-
-def check_state(phase_count: int, state: MCState) -> list[tuple[str, str]]:
-    """State-local safety facts (checked once per discovered state)."""
-    violations: list[tuple[str, str]] = []
-    if state.balance < 0:
-        violations.append(("MC-SAFETY-FUNDS", f"reachable state with negative balance {state.balance}"))
-    if halted(state, phase_count) and state.balance != 0:
-        violations.append(
-            ("MC-SAFETY-FUNDS", f"reachable halted state holding {state.balance} undistributed units")
-        )
-    return violations

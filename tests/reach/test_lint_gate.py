@@ -55,6 +55,17 @@ class TestExitCodes:
     def test_missing_path_exits_two(self, capsys):
         assert main(["lint", str(REPO / "no-such-place")]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, index",
+        [("--mutate-teal-drop", "999"), ("--mutate-evm-sstore", "999"), ("--mutate-reorder", "7")],
+    )
+    def test_out_of_range_mutation_index_exits_two(self, flag, index, capsys):
+        # Exit 1 would read as "the seeded mutation was caught".
+        assert main(["lint", POL, flag, index]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no " in captured.err and f"#{index}" in captured.err
+
     def test_parse_error_is_a_finding_not_a_crash(self, tmp_path, capsys):
         bad = tmp_path / "broken.rsh"
         bad.write_text('contract "broken" { this is not the syntax }\n')

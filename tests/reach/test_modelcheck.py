@@ -5,11 +5,14 @@ Pins the properties the lint gate and CI rely on:
 - both shipped contracts prove every ``MC-SAFETY-*``/``MC-LIVE-*``
   theorem on both backends;
 - the sweep is deterministic (same state count, same space digest,
-  same theorem list across runs) and backend-agnostic (EVM and AVM
-  explore byte-identical canonical state spaces);
+  same theorem list across runs) and backend-agnostic (the EVM and AVM
+  artifacts agree on every explored transition);
 - a seeded replay-screen mutation -- invisible to the per-vector
   differential because BOTH artifacts are weakened identically -- is
   refuted with a minimized ``MC-CEX``;
+- a seeded single-store mutation the per-vector differential misses is
+  reported as one ``MC-SPACE-DIVERGE`` whose replayable schedule
+  diverges exactly at its last step;
 - the committed golden bundle for the deliberately broken sample
   matches a fresh ``repro lint --json`` run byte for byte.
 """
@@ -17,21 +20,26 @@ Pins the properties the lint gate and CI rely on:
 import contextlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+from repro.reach.absint.equiv import check_equivalence, drop_teal_store
+from repro.reach.absint.exec import make_lockstep
 from repro.reach.absint.lint import Finding
 from repro.reach.absint.modelcheck import (
     _CACHE,
     ALL_THEOREMS,
+    MCConfig,
     check_protocol,
     protocol_findings,
     weaken_replay_screen,
 )
 from repro.reach.absint.modelcheck.universe import (
     batch_slots_of,
+    derive_universe,
     find_consumers,
     find_screens,
 )
@@ -86,7 +94,7 @@ class TestTheorems:
     def test_crowdfunding_sweep_is_exhaustive(self, crowdfunding):
         report = check_protocol(crowdfunding)
         assert not report.bounded  # the state space genuinely closes
-        assert report.evm.states > 0
+        assert report.run.states > 0
 
     def test_pol_sweep_is_bounded(self, pol):
         # insert_money grows the balance without bound; a bounded sweep
@@ -100,9 +108,9 @@ class TestDeterminism:
         first = check_protocol(crowdfunding)
         _CACHE.clear()
         second = check_protocol(crowdfunding)
-        assert first.evm.states == second.evm.states
-        assert first.evm.transitions == second.evm.transitions
-        assert first.evm.space_digest == second.evm.space_digest
+        assert first.run.states == second.run.states
+        assert first.run.transitions == second.run.transitions
+        assert first.run.space_digest == second.run.space_digest
         assert first.proved == second.proved
 
     def test_cache_returns_the_same_report(self, crowdfunding):
@@ -118,15 +126,13 @@ class TestDeterminism:
         }
         for digest, (compiled, states, transitions) in pinned.items():
             report = check_protocol(compiled)
-            assert report.evm.space_digest.hex() == digest
-            assert (report.evm.states, report.evm.transitions) == (states, transitions)
+            assert report.run.space_digest.hex() == digest
+            assert (report.run.states, report.run.transitions) == (states, transitions)
 
     def test_cross_backend_spaces_match(self, pol, crowdfunding):
         for compiled in (pol, crowdfunding):
             report = check_protocol(compiled)
-            assert report.space_match
-            assert report.evm.states == report.avm.states
-            assert report.evm.space_digest == report.avm.space_digest
+            assert not report.diverged
 
 
 class TestMutation:
@@ -142,8 +148,6 @@ class TestMutation:
     def test_mutated_artifacts_stay_equivalent(self, pol):
         # The point of the mutation: both backends weakened identically,
         # so the per-vector differential cannot catch it.
-        from repro.reach.absint.equiv import check_equivalence
-
         assert check_equivalence(weaken_replay_screen(pol, 0)) == []
 
     def test_ir_keeps_the_declared_screen(self, pol):
@@ -188,6 +192,65 @@ class TestFindings:
     def test_mc_depth_flag_changes_the_bound(self, capsys):
         assert main(["lint", str(CROWDFUNDING), "--mc-depth", "6"]) == 0
         assert "depth 6" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_mc_depth_below_one_is_a_usage_error(self, depth, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["lint", str(CROWDFUNDING), "--mc-depth", depth])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "--mc-depth: must be at least 1" in captured.err
+        assert "holds" not in captured.out
+
+
+class TestDivergence:
+    """The lockstep sweep names the first transition the backends disagree on."""
+
+    def test_store_drop_the_vectors_miss_is_a_replayable_divergence(self, pol):
+        mutated = replace(pol, teal_source=drop_teal_store(pol.teal_source, 16), _lint=None)
+        assert check_equivalence(mutated) == []
+        report = check_protocol(mutated)
+        assert [cex.theorem for cex in report.counterexamples] == ["MC-SPACE-DIVERGE"]
+        assert report.refuted == ()
+        assert report.proved == ()  # nothing is proved while the backends disagree
+        (cex,) = report.counterexamples
+        assert cex.steps[-1].expect == "diverges"
+
+        # The schedule, replayed on both models, agrees up to its last step.
+        lockstep = make_lockstep(mutated, derive_universe(mutated).keys)
+        pair = lockstep.deploy().pair
+        for step in cex.steps[:-1]:
+            result = lockstep.step(pair, step.action)
+            assert not result.divergence
+            pair = result.pair
+        assert lockstep.step(pair, cex.steps[-1].action).divergence
+
+        (finding,) = protocol_findings(report, "x.rsh")
+        assert (finding.severity, finding.theorem) == ("error", "MC-SPACE-DIVERGE")
+        assert "counterexample for MC-SPACE-DIVERGE" in finding.message
+        assert finding.data["steps"][-1]["expect"] == "diverges"
+        json.dumps(finding.data)
+
+    def test_constructor_divergence_reports_only_the_divergence(self, pol):
+        mutated = replace(pol, teal_source=drop_teal_store(pol.teal_source, 5), _lint=None)
+        report = check_protocol(mutated, MCConfig(depth=4))
+        assert [cex.theorem for cex in report.counterexamples] == ["MC-SPACE-DIVERGE"]
+        assert report.counterexamples[0].steps == ()  # the deploy itself diverges
+        assert "MC-LIVE-VERIFY" not in report.refuted
+
+    def test_unassemblable_teal_is_a_divergence_not_a_crash(self, crowdfunding):
+        broken = replace(crowdfunding, teal_source=crowdfunding.teal_source + "no_such_opcode\n", _lint=None)
+        (cex,) = check_protocol(broken).counterexamples
+        assert (cex.theorem, cex.steps) == ("MC-SPACE-DIVERGE", ())
+        assert "but AVM machine-error: " in cex.message
+
+    def test_cli_reports_the_divergence_journey(self, capsys):
+        assert main(["lint", str(POL), "--mutate-teal-drop", "16"]) == 1
+        out = capsys.readouterr().out
+        assert "EQ-DIVERGE" not in out
+        assert "MC-CEX" not in out
+        tail = out.split("MC-SPACE-DIVERGE", 1)[1]
+        assert tail.splitlines()[1].startswith("counterexample for MC-SPACE-DIVERGE")
 
 
 class TestGolden:

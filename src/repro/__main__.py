@@ -258,8 +258,8 @@ def _cmd_analyze(args) -> int:
     and sim-time self times (plus the profiler's own overhead as the
     ``obs.profiler`` stage) land in the point's ``profile`` block, the
     tail-latency bucket exemplars in ``latency_exemplars``, and
-    ``--profiles DIR`` additionally writes collapsed-stack and
-    speedscope flamegraphs per point.  The run is *appended* to the
+    ``--profiles DIR`` additionally writes the point's speedscope
+    profile, the one profile export.  The run is *appended* to the
     ``--bench`` history (git sha, seed, host in the run metadata) --
     compare runs with ``repro bench diff``.
     """
@@ -268,12 +268,9 @@ def _cmd_analyze(args) -> int:
 
     from repro.bench.simulation import run_traced_journeys
     from repro.obs import bench_summary, histogram_exemplars, render_report, validate_journeys
-    from repro.obs.prof import Profiler, write_collapsed, write_speedscope
+    from repro.obs.prof import Profiler, write_speedscope
     from repro.obs.regress import append_run, run_meta
 
-    if args.batch_size is not None and args.batch_size < 2:
-        print("--batch-size must be at least 2", file=sys.stderr)
-        return 2
     if args.sweep:
         user_counts = list(SWEEP_POINTS) + ([100_000] if args.allow_100k else [])
     else:
@@ -350,13 +347,9 @@ def _cmd_analyze(args) -> int:
             )
             if args.profiles:
                 suffix = f"-batch{batch}" if batch > 1 else ""
-                base = os.path.join(args.profiles, f"{network}-{effective}{suffix}")
-                write_collapsed(profiler, f"{base}.collapsed")
-                write_speedscope(
-                    profiler, f"{base}.speedscope.json",
-                    name=f"{network} {effective} users{suffix}",
-                )
-                print(f"  flamegraph: {base}.collapsed / {base}.speedscope.json")
+                path = os.path.join(args.profiles, f"{network}-{effective}{suffix}.speedscope.json")
+                write_speedscope(profiler, path, name=f"{network} {effective} users{suffix}")
+                print(f"  flamegraph: {path}")
             if problems:
                 failed = True
             if (users, batch) == run_specs[0]:
@@ -732,8 +725,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     analyze.add_argument(
         "--profiles", default=None, metavar="DIR",
-        help="also write per-point collapsed-stack and speedscope "
-        "flamegraph profiles into DIR",
+        help="also write one speedscope flamegraph profile per point into DIR",
     )
 
     bench = subparsers.add_parser(
@@ -813,8 +805,20 @@ def main(argv: list[str] | None = None) -> int:
     report.add_argument("--seed", type=int, default=1)
 
     args = parser.parse_args(argv)
-    if args.command == "lint" and args.mc_depth is not None and args.mc_depth < 1:
-        lint.error(f"argument --mc-depth: must be at least 1, got {args.mc_depth}")
+    # Counts, strides and depths below their floor are usage errors
+    # (exit 2).  A chapter-5 campaign needs a deployer and an attacher.
+    floors = {
+        "simulate": (simulate, [("users", "users", 2)]),
+        "compare": (compare, [("users", "users", 2)]),
+        "analyze": (analyze, [("--users", "users", 1), ("--sample-every", "sample_every", 1),
+                              ("--batch-size", "batch_size", 2)]),
+        "lint": (lint, [("--mc-depth", "mc_depth", 1)]),
+    }
+    command_parser, bounds = floors.get(args.command, (parser, []))
+    for flag, attr, floor in bounds:
+        value = getattr(args, attr)
+        if value is not None and value < floor:
+            command_parser.error(f"argument {flag}: must be at least {floor}, got {value}")
     handlers = {
         "demo": _cmd_demo,
         "simulate": _cmd_simulate,

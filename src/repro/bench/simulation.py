@@ -139,7 +139,6 @@ def run_simulation(
     chain = make_chain(network, seed=seed, recorder=recorder)
     if watchtower is not None and watchtower.enabled:
         watchtower.attach_chain(chain)
-        watchtower.attach_queue(chain.queue)
     monitor = chain.watchtower
     injector = None
     policy = None
@@ -294,15 +293,16 @@ def run_traced_journeys(
       contract's seats);
     - ``watchtower`` (a :class:`repro.obs.monitor.Watchtower`) rides the
       whole campaign through the system facade, which attaches it to the
-      chain, the DHT and the event queue and tracks every submission
+      chain (and so its event queue) and the DHT, and tracks every submission
       under the proof-liveness invariant; this is the scalable path for
       monitored large-population runs (the thesis workload behind
       :func:`run_simulation` tops out at 8 locations);
     - ``profiler`` (a :class:`repro.obs.prof.Profiler`) attributes the
-      run's wall-clock and sim-time to kernel stages: it is attached to
-      the event queue and the recorder, made ambient for the crypto and
-      DHT layers, and its profiled window covers account setup through
-      final verification.  Profiling never changes results.
+      run's wall-clock and sim-time to kernel stages: it is made the
+      ambient profiler every stage reads (the one seam), takes its sim
+      time from the event queue's clock, and its profiled window covers
+      account setup through final verification.  Profiling never
+      changes results.
 
     Returns ``(report, recorder)``: the reconstructed
     :class:`~repro.obs.analysis.JourneyReport` plus the recorder, whose
@@ -322,9 +322,7 @@ def run_traced_journeys(
     else:
         recorder = Recorder()
     chain = make_chain(network, seed=seed, recorder=recorder)
-    if profiler.enabled:
-        chain.queue.attach_profiler(profiler)
-        recorder.attach_profiler(profiler)
+    chain.queue.attach_profiler(profiler)
     profiler.start()
     try:
         with activate_profiler(profiler):

@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterator
 from repro.crypto.hashing import sha256, sha256_hex
 from repro.crypto.keys import KeyPair, PublicKey, Signature
 from repro.crypto.merkle import merkle_root
+from repro.obs import prof as _prof
 from repro.obs.monitor import NULL_WATCHTOWER, NullWatchtower
 from repro.obs.recorder import RATIO_BUCKETS, NullRecorder, Span, track_for
 from repro.simnet import CongestionProcess, EventQueue, LatencyModel
@@ -640,6 +641,10 @@ class BaseChain:
         tx.signature = account.keypair.sign(tx.signing_payload())
         return tx
 
+    # Admission (signature verify, fee checks, mempool insert) is a
+    # distinct profile stage; the signature check nests crypto.verify
+    # under it.
+    @_prof.staged("chain.submit")
     def submit(self, tx: Transaction) -> str:
         """Admit ``tx`` to the mempool; returns its txid.
 
@@ -647,19 +652,6 @@ class BaseChain:
         state, fee policy and worst-case affordability -- the same
         failures a node provider would surface synchronously.
         """
-        profiler = self.queue._profiler
-        if not profiler.enabled:
-            return self._submit_impl(tx)
-        # Admission (signature verify, fee checks, mempool insert) is a
-        # distinct profile stage; the signature check nests crypto.verify
-        # under it.
-        profiler.enter("chain.submit")
-        try:
-            return self._submit_impl(tx)
-        finally:
-            profiler.exit()
-
-    def _submit_impl(self, tx: Transaction) -> str:
         self.start()
         if self.faults.enabled:
             self.faults.on_submit(tx)
@@ -869,7 +861,7 @@ class BaseChain:
             )
             return
 
-        profiler = self.queue._profiler
+        profiler = _prof.ACTIVE
         profiling = profiler.enabled
 
         self._round += 1

@@ -44,6 +44,7 @@ from repro.chain.base import (
     drive,
 )
 from repro.chain.params import GWEI
+from repro.obs.prof import staged
 
 if TYPE_CHECKING:
     from repro.faults.policy import RetryPolicy
@@ -144,6 +145,9 @@ class ChainService:
 
     # -- submission ------------------------------------------------------------
 
+    # Client-session work (sign + retry/rebuild policy); the nested
+    # chain.submit and crypto.sign stages subtract themselves out.
+    @staged("chain.service")
     def submit(self, account: Account, tx: Transaction) -> TxHandle:
         """Sign + submit ``tx``; return its :class:`TxHandle` future.
 
@@ -154,18 +158,6 @@ class ChainService:
         rebuild that changes nothing cannot succeed either, so the
         rejection is re-raised at once.
         """
-        profiler = self.chain.queue._profiler
-        if not profiler.enabled:
-            return self._submit_with_retries(account, tx)
-        # Client-session work (sign + retry/rebuild policy); the nested
-        # chain.submit and crypto.sign stages subtract themselves out.
-        profiler.enter("chain.service")
-        try:
-            return self._submit_with_retries(account, tx)
-        finally:
-            profiler.exit()
-
-    def _submit_with_retries(self, account: Account, tx: Transaction) -> TxHandle:
         attempts = 0
         while True:
             try:

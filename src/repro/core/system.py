@@ -192,7 +192,6 @@ class ProofOfLocationSystem:
         if self.watchtower.enabled:
             self.watchtower.attach_chain(self.chain)
             self.watchtower.attach_dht(self.dht)
-            self.watchtower.attach_queue(self.chain.queue)
 
     # -- onboarding (figure 2.3's "initial phase") ---------------------------------
 
@@ -305,7 +304,7 @@ class ProofOfLocationSystem:
           the deploy's confirmation callback.
         """
         recorder = self.chain.recorder
-        watchtower = self.watchtower if self.watchtower.enabled else self.chain.watchtower
+        watchtower = self.chain.watchtower
         if not recorder.enabled:
             if watchtower.enabled:
                 return self._monitored_submission(prover_name, request, proof, watchtower, "")
@@ -473,7 +472,7 @@ class ProofOfLocationSystem:
             self._journey_records[(request.olc, prover.did_uint)] = (
                 root if root is not None else span.context
             )
-        watchtower = self.watchtower if self.watchtower.enabled else self.chain.watchtower
+        watchtower = self.chain.watchtower
         if watchtower.enabled:
             # Accepted now, anchored later: the batch settlement path
             # resolves the key (via Watchtower.check_batch) only once the

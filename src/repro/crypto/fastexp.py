@@ -29,7 +29,7 @@ verification, a VRF proof's ``gamma``) still go through builtin
 from __future__ import annotations
 
 from repro.crypto import group
-from repro.obs import prof as _prof
+from repro.obs.prof import staged
 
 __all__ = ["FixedBaseComb", "g_pow", "h_pow"]
 
@@ -123,18 +123,12 @@ def _make_comb(base: int) -> FixedBaseComb:
 _COMBS: dict[int, FixedBaseComb] = {}
 
 
+@staged("crypto.comb")
 def _comb_pow(base: int, exponent: int) -> int:
     comb = _COMBS.get(base)
     if comb is None:
         comb = _COMBS[base] = _make_comb(base)
-    profiler = _prof.ACTIVE
-    if not profiler.enabled:
-        return comb.pow(exponent % group.Q)
-    profiler.enter("crypto.comb")
-    try:
-        return comb.pow(exponent % group.Q)
-    finally:
-        profiler.exit()
+    return comb.pow(exponent % group.Q)
 
 
 def g_pow(exponent: int) -> int:

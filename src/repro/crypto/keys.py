@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.crypto import group
 from repro.crypto.fastexp import g_pow
 from repro.crypto.hashing import sha256, tagged_hash
-from repro.obs import prof as _prof
+from repro.obs.prof import staged
 
 
 class SignatureError(Exception):
@@ -111,22 +111,13 @@ class PublicKey:
         """Parse a public key produced by :meth:`to_bytes`."""
         return cls(y=int.from_bytes(data, "big"))
 
+    @staged("crypto.verify")
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Return True iff ``signature`` is valid for ``message``.
 
         This is the verifier-side check of thesis eq. 2.2: applying the
         witness public key to the signed proof must re-yield the hash.
         """
-        profiler = _prof.ACTIVE
-        if not profiler.enabled:
-            return self._verify_impl(message, signature)
-        profiler.enter("crypto.verify")
-        try:
-            return self._verify_impl(message, signature)
-        finally:
-            profiler.exit()
-
-    def _verify_impl(self, message: bytes, signature: Signature) -> bool:
         if not (0 < signature.e < group.Q and 0 < signature.s < group.Q):
             return False
         if (self.y, message, signature.e, signature.s) in _signed_here:
@@ -187,22 +178,13 @@ class KeyPair:
         _dlog_here[y] = x
         return cls(x=x, public=PublicKey._trusted(y))
 
+    @staged("crypto.sign")
     def sign(self, message: bytes) -> Signature:
         """Schnorr-sign ``message`` with a deterministic (RFC 6979-style) nonce.
 
         This is thesis eq. 2.1: the witness applies its private key to
         the hash of the prover's proof.
         """
-        profiler = _prof.ACTIVE
-        if not profiler.enabled:
-            return self._sign_impl(message)
-        profiler.enter("crypto.sign")
-        try:
-            return self._sign_impl(message)
-        finally:
-            profiler.exit()
-
-    def _sign_impl(self, message: bytes) -> Signature:
         k = _deterministic_nonce(self.x, message)
         r = g_pow(k)
         e = _challenge(r, self.public.y, message)

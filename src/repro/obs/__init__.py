@@ -53,9 +53,7 @@ from repro.obs.prof import (
     NullProfiler,
     Profiler,
     activate_profiler,
-    to_collapsed,
     to_speedscope,
-    write_collapsed,
     write_speedscope,
 )
 from repro.obs.regress import (
@@ -107,9 +105,7 @@ __all__ = [
     "NullProfiler",
     "Profiler",
     "activate_profiler",
-    "to_collapsed",
     "to_speedscope",
-    "write_collapsed",
     "write_speedscope",
     "Thresholds",
     "append_run",

@@ -63,13 +63,10 @@ class NullWatchtower:
     violations: tuple[InvariantViolation, ...] = ()
 
     def attach_chain(self, chain: Any) -> None:
-        """Subscribe to ``chain``'s block boundary."""
+        """Subscribe to ``chain``'s block boundary and its queue's exceptions."""
 
     def attach_dht(self, dht: Any) -> None:
         """Track ``dht`` replication health."""
-
-    def attach_queue(self, queue: Any) -> None:
-        """Dump a bundle when ``queue`` surfaces an uncaught exception."""
 
     def on_block(self, chain: Any, block: Any) -> None:
         """Block-boundary hook (installed via ``chain.block_listeners``)."""
@@ -184,15 +181,13 @@ class Watchtower(NullWatchtower):
             )
         chain.watchtower = self
         chain.block_listeners.append(self.on_block)
+        if self._on_queue_exception not in chain.queue.exception_watchers:
+            chain.queue.exception_watchers.append(self._on_queue_exception)  # chains may share a queue
         self._chains.append(_ChainState(chain))
 
     def attach_dht(self, dht: Any) -> None:
         if all(existing is not dht for existing in self._dhts):
             self._dhts.append(dht)
-
-    def attach_queue(self, queue: Any) -> None:
-        if self._on_queue_exception not in queue.exception_watchers:
-            queue.exception_watchers.append(self._on_queue_exception)
 
     @property
     def anchor(self) -> _ChainState:

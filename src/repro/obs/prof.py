@@ -3,10 +3,11 @@
 The benchmark trajectory (``BENCH_pol.json``) records *that* a 10k-user
 campaign took N kernel seconds; this module records *where* those
 seconds went.  Instrumented sections of the kernel -- event dispatch,
-mempool eligibility scheduling, VM execution, crypto signing and comb
-exponentiation, DHT operations, and the recorder's own bookkeeping --
-enter and exit named **stages** on a :class:`Profiler`, which attributes
-**self time** (elapsed minus time spent in nested stages) on two axes:
+mempool eligibility scheduling, VM execution, chain admission and the
+client session, crypto signing and comb exponentiation, DHT operations,
+and the recorder's own bookkeeping -- enter and exit named **stages**
+on a :class:`Profiler`, which attributes **self time** (elapsed minus
+time spent in nested stages) on two axes:
 
 - **wall-clock nanoseconds** (``time.perf_counter_ns``) -- the quantity
   perf work optimises and the regression gate (:mod:`repro.obs.regress`)
@@ -14,6 +15,13 @@ enter and exit named **stages** on a :class:`Profiler`, which attributes
 - **simulated seconds** (the bound :class:`~repro.simnet.clock.SimClock`)
   -- so stages that *advance* simulation time (event dispatch) separate
   from stages that merely *compute* (VM execution, crypto).
+
+There is one seam: every layer reads the ambient :data:`ACTIVE`
+profiler, which the run harness installs with :func:`activate_profiler`
+for the profiled window.  A whole function becomes a stage through the
+:func:`staged` decorator; the few sites that stage only part of a
+function (the dispatch loop, block production) or charge a flat cost
+(the recorder) read :data:`ACTIVE` directly.
 
 Two properties the rest of the stack relies on:
 
@@ -29,10 +37,9 @@ Two properties the rest of the stack relies on:
   are unchanged by profiling.
 
 Besides flat self-times the profiler retains per-*stack-path* totals,
-which export as collapsed stacks (``to_collapsed``, Brendan Gregg's
-flamegraph.pl / inferno format), a speedscope profile
-(``to_speedscope``, https://www.speedscope.app) and a synthetic Chrome
-trace icicle (``to_profile_chrome_trace``).
+which export as one format: a speedscope profile (``to_speedscope``,
+https://www.speedscope.app), whose flamegraph, left-heavy and sandwich
+views cover what collapsed stacks and icicles would show.
 
 ``REPRO_PROF_HANDICAP="stage:+2.0"`` (add seconds) or
 ``"stage:x3"`` (multiply) inflates one stage's reported wall time at
@@ -44,23 +51,23 @@ mistaken for a real measurement.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from time import perf_counter_ns
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 __all__ = [
     "NULL_PROFILER",
     "NullProfiler",
     "Profiler",
     "activate_profiler",
-    "get_profiler",
-    "to_collapsed",
-    "to_profile_chrome_trace",
+    "staged",
     "to_speedscope",
-    "write_collapsed",
     "write_speedscope",
 ]
+
+_F = TypeVar("_F", bound=Callable[..., Any])
 
 #: the handicap environment variable (CI gate self-check; see module doc).
 HANDICAP_ENV = "REPRO_PROF_HANDICAP"
@@ -69,8 +76,8 @@ HANDICAP_ENV = "REPRO_PROF_HANDICAP"
 class NullProfiler:
     """The always-on disabled profiler: every method is a no-op.
 
-    Mirrors :class:`repro.obs.recorder.NullRecorder`: components default
-    to the shared :data:`NULL_PROFILER` and hot paths guard on
+    Mirrors :class:`repro.obs.recorder.NullRecorder`: :data:`ACTIVE`
+    defaults to the shared :data:`NULL_PROFILER` and stages guard on
     :attr:`enabled`, so an unprofiled run pays one attribute read per
     would-be stage.
     """
@@ -102,16 +109,10 @@ class NullProfiler:
 #: the process-wide disabled profiler every component defaults to.
 NULL_PROFILER = NullProfiler()
 
-#: the ambient profiler cross-cutting layers read (crypto, DHT): they
-#: have no recorder/queue reference to hang a profiler on, so the run
-#: harness activates one here for the duration of a profiled run.  The
-#: kernel is single-threaded; this is a plain rebindable module global.
+#: the ambient profiler every stage reads: the run harness activates one
+#: here for the duration of a profiled run.  The kernel is
+#: single-threaded; this is a plain rebindable module global.
 ACTIVE: NullProfiler = NULL_PROFILER
-
-
-def get_profiler() -> NullProfiler:
-    """The ambient profiler (the null profiler outside a profiled run)."""
-    return ACTIVE
 
 
 class _ProfilerActivation:
@@ -139,6 +140,31 @@ def activate_profiler(profiler: NullProfiler) -> _ProfilerActivation:
     return _ProfilerActivation(profiler)
 
 
+def staged(stage: str) -> Callable[[_F], _F]:
+    """Run the decorated function as ``stage`` of the ambient profiler.
+
+    With profiling off the call goes straight through after one
+    attribute read; an exception still closes the stage, so the stack
+    stays balanced.
+    """
+
+    def decorate(func: _F) -> _F:
+        @functools.wraps(func)
+        def run(*args: Any, **kwargs: Any) -> Any:
+            profiler = ACTIVE
+            if not profiler.enabled:
+                return func(*args, **kwargs)
+            profiler.enter(stage)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                profiler.exit()
+
+        return run  # type: ignore[return-value]
+
+    return decorate
+
+
 class Profiler(NullProfiler):
     """Self-time stage accounting for one kernel run.
 
@@ -159,7 +185,7 @@ class Profiler(NullProfiler):
         self._wall_ns: dict[str, int] = {}
         self._sim_s: dict[str, float] = {}
         self._calls: dict[str, int] = {}
-        #: collapsed-stack totals: path tuple -> self wall ns
+        #: stack-path totals: path tuple -> self wall ns
         self._paths: dict[tuple[str, ...], int] = {}
         self._overhead_ns = 0
         self._overhead_calls = 0
@@ -326,30 +352,6 @@ def _apply_handicap(spec: str, stage: str, wall_s: float) -> float:
 # -- exports -------------------------------------------------------------------
 
 
-def to_collapsed(profiler: Profiler) -> str:
-    """Collapsed-stack lines: ``root;child <self microseconds>``.
-
-    The format flamegraph.pl / inferno / speedscope all ingest; one line
-    per unique stack path, weight in integer microseconds.
-    """
-    lines = []
-    for path, self_ns in sorted(profiler.path_totals().items()):
-        micros = self_ns // 1_000
-        if micros <= 0:
-            continue
-        lines.append(f"{';'.join(path)} {micros}")
-    overhead = profiler._overhead_ns // 1_000
-    if overhead > 0:
-        lines.append(f"obs.profiler {overhead}")
-    return "\n".join(lines) + "\n"
-
-
-def write_collapsed(profiler: Profiler, path: str) -> None:
-    """Write the collapsed-stack flamegraph input to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_collapsed(profiler))
-
-
 def to_speedscope(profiler: Profiler, name: str = "repro kernel profile") -> dict[str, Any]:
     """A speedscope ``sampled`` profile: one weighted sample per path.
 
@@ -402,46 +404,3 @@ def write_speedscope(profiler: Profiler, path: str, name: str = "repro kernel pr
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(to_speedscope(profiler, name=name), handle, separators=(",", ":"))
         handle.write("\n")
-
-
-def to_profile_chrome_trace(profiler: Profiler) -> dict[str, Any]:
-    """A synthetic Chrome-trace icicle of the aggregated profile.
-
-    Real spans live on the recorder's *simulated* timeline; this export
-    instead lays the aggregated stage tree out on a synthetic wall-clock
-    axis (each path's subtree occupies a contiguous interval sized by
-    its inclusive time), which Perfetto and speedscope both render as a
-    flame chart.  Timestamps are microseconds of *attributed* time, not
-    moments anything happened.
-    """
-    paths = profiler.path_totals()
-    # Inclusive time of every prefix: self time of the path plus all
-    # descendants'.
-    inclusive: dict[tuple[str, ...], int] = {}
-    for path, self_ns in paths.items():
-        for depth in range(1, len(path) + 1):
-            prefix = path[:depth]
-            inclusive[prefix] = inclusive.get(prefix, 0) + self_ns
-    events: list[dict[str, Any]] = [
-        {"ph": "M", "pid": 1, "tid": 1, "name": "process_name", "args": {"name": "repro kernel profile (aggregated)"}},
-    ]
-    cursors: dict[tuple[str, ...], int] = {(): 0}
-    for path in sorted(inclusive):
-        parent = path[:-1]
-        start = cursors.get(parent, 0)
-        duration = inclusive[path] // 1_000
-        events.append(
-            {
-                "ph": "X",
-                "pid": 1,
-                "tid": 1,
-                "name": path[-1],
-                "cat": "profile",
-                "ts": start,
-                "dur": duration,
-                "args": {"self_us": paths.get(path, 0) // 1_000},
-            }
-        )
-        cursors[parent] = start + duration
-        cursors[path] = start
-    return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -42,7 +42,7 @@ from time import perf_counter_ns
 from typing import Any, Iterator
 
 from repro.obs.context import MUTED_CONTEXT, TraceContext
-from repro.obs.prof import NULL_PROFILER
+from repro.obs import prof as _prof
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -345,9 +345,6 @@ class NullRecorder:
     def bind_clock(self, clock: Any) -> None:
         pass
 
-    def attach_profiler(self, profiler: Any) -> None:
-        pass
-
     def now(self) -> float:
         return 0.0
 
@@ -457,7 +454,6 @@ class Recorder(NullRecorder):
         self._context_stack: list[TraceContext] = []
         self._trace_count = 0
         self._span_count = 0
-        self._profiler = NULL_PROFILER
         self._drop_keys: dict[MetricKey, MetricKey] = {}
 
     # -- clock ----------------------------------------------------------------
@@ -466,18 +462,6 @@ class Recorder(NullRecorder):
         """Adopt ``clock`` as the time source unless one is already set."""
         if self.clock is None:
             self.clock = clock
-
-    def attach_profiler(self, profiler: Any) -> None:
-        """Charge this recorder's bookkeeping to the profiler.
-
-        With a profiler attached, the recorder's hottest entry points
-        (span creation, gauge sampling, histogram observation) time
-        themselves and attribute their cost to the ``obs.recorder``
-        stage via :meth:`Profiler.add_flat` -- so telemetry overhead
-        shows up as telemetry overhead, never inflating whichever
-        kernel stage happened to be open around the call.
-        """
-        self._profiler = profiler
 
     def now(self) -> float:
         """Current simulated time (0.0 until a clock is bound)."""
@@ -529,7 +513,7 @@ class Recorder(NullRecorder):
         self._gauge_set(_key(name, labels), name, value)
 
     def _gauge_set(self, key: MetricKey, name: str, value: float) -> None:
-        profiler = self._profiler
+        profiler = _prof.ACTIVE
         if profiler.enabled:
             t0 = perf_counter_ns()
             self._gauge_set_impl(key, name, value)
@@ -587,7 +571,7 @@ class Recorder(NullRecorder):
         self, key: MetricKey, name: str, value: float, buckets: tuple[float, ...] | None,
         exemplar_trace: str | None = None,
     ) -> None:
-        profiler = self._profiler
+        profiler = _prof.ACTIVE
         if profiler.enabled:
             t0 = perf_counter_ns()
             self._observe_impl(key, name, value, buckets, exemplar_trace)
@@ -635,7 +619,7 @@ class Recorder(NullRecorder):
         in ``obs_spans_dropped_total`` and surfaced by :meth:`snapshot`
         and the drive() stall report.
         """
-        profiler = self._profiler
+        profiler = _prof.ACTIVE
         if not profiler.enabled:
             return self._span_impl(name, track, cat, parent, args)
         t0 = perf_counter_ns()

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs.prof import NULL_PROFILER
+from repro.obs import prof as _prof
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
 from repro.simnet.clock import SimClock
 
@@ -132,7 +132,6 @@ class EventQueue:
         self.recorder = NULL_RECORDER
         self._label_handles: dict[str, tuple[Any, Any, Any]] = {}
         self._depth_gauge = NULL_RECORDER.gauge_handle("sim_queue_depth")
-        self._profiler = NULL_PROFILER
         self._stage_cache: dict[str, str] = {}
         if recorder is not None:
             self.attach_recorder(recorder)
@@ -149,16 +148,17 @@ class EventQueue:
         self._depth_gauge = recorder.gauge_handle("sim_queue_depth")
 
     def attach_profiler(self, profiler: Any) -> None:
-        """Attribute this queue's dispatch loop to ``profiler``.
+        """Time ``profiler``'s sim-time axis by this queue's clock.
 
-        Every :meth:`step` then splits into the ``simnet.dispatch``
+        Binding the clock is all this does: stages reach the profiler
+        through the ambient :data:`repro.obs.prof.ACTIVE`.  While one is
+        active, every :meth:`step` splits into the ``simnet.dispatch``
         stage (heap pop, clock advance, event telemetry) and a
         label-derived callback stage (``chain.block``, ``chain.confirm``
         or ``event.<label>``), on both the wall-clock and sim-time axes.
         Profiling only reads clocks; event order and results are
         byte-identical with it on or off.
         """
-        self._profiler = profiler
         profiler.bind_clock(self.clock)
 
     def _handles_for(self, label: str) -> tuple[Any, Any, Any]:
@@ -305,7 +305,7 @@ class EventQueue:
 
         Returns the fired event, or None if the queue is empty.
         """
-        if self._profiler.enabled:
+        if _prof.ACTIVE.enabled:
             return self._step_profiled()
         while self._heap:
             event = heapq.heappop(self._heap)
@@ -345,7 +345,7 @@ class EventQueue:
         ``simnet.dispatch`` stage (including the sim-time jump to the
         event's fire time); the callback runs under its label's stage.
         """
-        profiler = self._profiler
+        profiler = _prof.ACTIVE
         profiler.enter("simnet.dispatch")
         event = None
         try:

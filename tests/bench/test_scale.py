@@ -62,6 +62,30 @@ class TestSixteenUserGoldenSummaries:
         assert summary == golden
 
 
+STAGE_GOLDEN = Path(__file__).parent / "golden" / "stage_calls_16u_seed1.json"
+
+
+class TestSixteenUserStageCalls:
+    """Per-stage call counts and stack paths of the same campaigns, pinned.
+
+    Every stage is entered through the ambient profiler; a change to
+    that seam that moves, drops or doubles a stage shows up here as a
+    changed ``calls`` count or stack path.  Wall times are not pinned.
+    """
+
+    @pytest.mark.parametrize("campaign", sorted(TestSixteenUserGoldenSummaries.CAMPAIGNS))
+    def test_stage_calls_and_paths_match_golden(self, campaign):
+        from repro.obs.prof import Profiler
+
+        network, batch_size = TestSixteenUserGoldenSummaries.CAMPAIGNS[campaign]
+        golden = json.loads(STAGE_GOLDEN.read_text())[campaign]
+        profiler = Profiler()
+        run_traced_journeys(network, 16, seed=SEED, batch_size=batch_size, profiler=profiler)
+        stages = profiler.profile()["stages"]
+        assert {stage: row["calls"] for stage, row in stages.items()} == golden["calls"]
+        assert sorted(";".join(path) for path in profiler.path_totals()) == golden["paths"]
+
+
 @pytest.fixture(scope="module")
 def profiled_10k():
     """One shared profiled 10k-user campaign with tiny telemetry caps.
@@ -106,7 +130,9 @@ class TestProfiledTenThousandUsers:
         # the kernel's compute stages must all have run.
         assert profile["stages"]["simnet.dispatch"]["sim_seconds"] > 0
         for stage in ("vm.execute", "mempool.schedule", "crypto.comb",
-                      "chain.submit", "obs.recorder", "obs.profiler"):
+                      "crypto.sign", "crypto.verify", "dht.op",
+                      "chain.service", "chain.submit", "chain.confirm", "chain.block",
+                      "obs.recorder", "obs.profiler"):
             assert profile["stages"][stage]["wall_seconds"] > 0, stage
 
     def test_span_drop_accounting_is_exact(self, profiled_10k):

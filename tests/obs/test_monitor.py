@@ -47,6 +47,7 @@ class TestAttachment:
         watchtower, chain = make_watchtower()
         watchtower.attach_chain(chain)
         assert chain.block_listeners.count(watchtower.on_block) == 1
+        assert chain.queue.exception_watchers.count(watchtower._on_queue_exception) == 1
         assert len(watchtower._chains) == 1
 
     def test_block_from_unattached_chain_rejected(self):
@@ -218,7 +219,6 @@ class TestBatchInclusion:
 class TestExceptionsAndNotes:
     def test_queue_exception_dumps_a_bundle(self):
         watchtower, chain = make_watchtower()
-        watchtower.attach_queue(chain.queue)
 
         def boom() -> None:
             raise RuntimeError("kernel panic")
@@ -229,12 +229,6 @@ class TestExceptionsAndNotes:
         (bundle,) = watchtower.flight.bundles
         assert bundle["reason"]["kind"] == "exception"
         assert "kernel panic" in bundle["reason"]["detail"]
-
-    def test_attach_queue_is_idempotent(self):
-        watchtower, chain = make_watchtower()
-        watchtower.attach_queue(chain.queue)
-        watchtower.attach_queue(chain.queue)
-        assert chain.queue.exception_watchers.count(watchtower._on_queue_exception) == 1
 
     def test_note_lands_in_the_flight_ring(self):
         watchtower, chain = make_watchtower()

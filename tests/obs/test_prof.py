@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import prof
 from repro.obs.prof import (
     HANDICAP_ENV,
     NULL_PROFILER,
@@ -11,9 +12,7 @@ from repro.obs.prof import (
     Profiler,
     _apply_handicap,
     activate_profiler,
-    get_profiler,
-    to_collapsed,
-    to_profile_chrome_trace,
+    staged,
     to_speedscope,
 )
 from repro.simnet import SimClock
@@ -215,18 +214,72 @@ class TestNullProfilerAndActivation:
 
     def test_activation_installs_and_restores(self):
         profiler = Profiler()
-        assert get_profiler() is NULL_PROFILER
+        assert prof.ACTIVE is NULL_PROFILER
         with activate_profiler(profiler) as active:
             assert active is profiler
-            assert get_profiler() is profiler
-        assert get_profiler() is NULL_PROFILER
+            assert prof.ACTIVE is profiler
+        assert prof.ACTIVE is NULL_PROFILER
 
     def test_activation_restores_on_exception(self):
         profiler = Profiler()
         with pytest.raises(RuntimeError):
             with activate_profiler(profiler):
                 raise RuntimeError("boom")
-        assert get_profiler() is NULL_PROFILER
+        assert prof.ACTIVE is NULL_PROFILER
+
+
+@staged("test.outer")
+def staged_outer(value: int) -> int:
+    """Double ``value`` through a nested stage."""
+    return staged_inner(value) * 2
+
+
+@staged("test.inner")
+def staged_inner(value: int) -> int:
+    return value + 1
+
+
+@staged("test.fails")
+def staged_failure() -> None:
+    raise ValueError("stage body failed")
+
+
+class TestStaged:
+    def test_one_stage_per_call(self):
+        profiler = Profiler()
+        profiler.start()
+        with activate_profiler(profiler):
+            results = [staged_outer(value) for value in range(3)]
+        profiler.stop()
+        assert results == [2, 4, 6]
+        stages = profiler.profile()["stages"]
+        assert stages["test.outer"]["calls"] == 3
+        assert stages["test.inner"]["calls"] == 3
+        assert set(profiler.path_totals()) == {("test.outer",), ("test.outer", "test.inner")}
+
+    def test_exception_still_closes_the_stage(self):
+        profiler = Profiler()
+        profiler.start()
+        with activate_profiler(profiler):
+            profiler.enter("caller")
+            with pytest.raises(ValueError, match="stage body failed"):
+                staged_failure()
+            # The failed stage is closed: this exit pops the caller.
+            profiler.exit()
+        profiler.stop()
+        assert profiler._stack == []
+        assert profiler.profile()["stages"]["test.fails"]["calls"] == 1
+        assert ("caller", "test.fails") in profiler.path_totals()
+
+    def test_profiling_off_returns_the_plain_result(self):
+        assert prof.ACTIVE is NULL_PROFILER
+        assert staged_outer(4) == 10
+        with pytest.raises(ValueError):
+            staged_failure()
+
+    def test_wrapper_keeps_the_function_identity(self):
+        assert staged_outer.__name__ == "staged_outer"
+        assert staged_outer.__doc__ == "Double ``value`` through a nested stage."
 
 
 def profiled_fixture() -> Profiler:
@@ -244,17 +297,6 @@ def profiled_fixture() -> Profiler:
 
 
 class TestExports:
-    def test_collapsed_stack_lines(self):
-        profiler = profiled_fixture()
-        text = to_collapsed(profiler)
-        lines = dict(
-            line.rsplit(" ", 1) for line in text.strip().splitlines()
-        )
-        assert "root" in lines
-        assert "root;child" in lines
-        assert "obs.profiler" in lines
-        assert all(int(weight) > 0 for weight in lines.values())
-
     def test_speedscope_profile_shape(self):
         profiler = profiled_fixture()
         doc = to_speedscope(profiler, name="test")
@@ -267,13 +309,3 @@ class TestExports:
         names = {frame["name"] for frame in frames}
         assert {"root", "child", "obs.profiler"} <= names
         json.dumps(doc)  # round-trippable
-
-    def test_chrome_trace_icicle_nests_child_inside_parent(self):
-        profiler = profiled_fixture()
-        doc = to_profile_chrome_trace(profiler)
-        events = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
-        root, child = events["root"], events["child"]
-        assert root["ts"] <= child["ts"]
-        assert child["ts"] + child["dur"] <= root["ts"] + root["dur"]
-        # root's inclusive duration covers its self time plus the child's.
-        assert root["dur"] >= child["dur"]

@@ -106,7 +106,7 @@ class NullProfiler:
         return {}
 
 
-#: the process-wide disabled profiler every component defaults to.
+#: the process-wide disabled profiler :data:`ACTIVE` defaults to.
 NULL_PROFILER = NullProfiler()
 
 #: the ambient profiler every stage reads: the run harness activates one

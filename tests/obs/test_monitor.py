@@ -230,6 +230,15 @@ class TestExceptionsAndNotes:
         assert bundle["reason"]["kind"] == "exception"
         assert "kernel panic" in bundle["reason"]["detail"]
 
+    def test_attach_queue_is_idempotent(self):
+        # Two chains driven by one event queue register one exception watcher.
+        watchtower, chain = make_watchtower()
+        sibling = type(chain)(profile=chain.profile, queue=chain.queue, seed=1, validator_count=8)
+        watchtower.attach_chain(sibling)
+        assert sibling.queue is chain.queue
+        assert chain.queue.exception_watchers.count(watchtower._on_queue_exception) == 1
+        assert len(watchtower._chains) == 2
+
     def test_note_lands_in_the_flight_ring(self):
         watchtower, chain = make_watchtower()
         watchtower.note("custom", weight=3)

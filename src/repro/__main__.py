@@ -266,7 +266,7 @@ def _cmd_analyze(args) -> int:
     import os
     import time
 
-    from repro.bench.simulation import run_traced_journeys
+    from repro.bench.simulation import campaign_users, run_traced_journeys
     from repro.obs import bench_summary, histogram_exemplars, render_report, validate_journeys
     from repro.obs.prof import Profiler, write_speedscope
     from repro.obs.regress import append_run, run_meta
@@ -296,8 +296,7 @@ def _cmd_analyze(args) -> int:
         family = PROFILES[network].family
         points: list[dict] = []
         for users, batch in run_specs:
-            # Whole groups only in batched runs (mirrors the workload's trim).
-            effective = users if batch == 1 else max(batch, users - users % batch)
+            effective = campaign_users(users, None if batch == 1 else batch)
             sample_every = args.sample_every or _auto_sample_every(effective)
             profiler = Profiler()
             started = time.perf_counter()

@@ -271,10 +271,11 @@ def run_traced_journeys(
     generation skipped, as in the thesis); journey analysis needs the
     *whole* lifecycle, so this runner drives
     :class:`~repro.core.system.ProofOfLocationSystem` end to end with a
-    live recorder: ``user_count`` provers grouped four to a location
-    request witness-signed proofs, submit them concurrently
-    (``submit_many`` pipelines every ceremony on one event queue), and
-    an accredited verifier checks and rewards each record.
+    live recorder: provers grouped four to a location (whole groups
+    only, see :func:`campaign_users`) request witness-signed proofs,
+    submit them concurrently (``submit_many`` pipelines every ceremony
+    on one event queue), and an accredited verifier checks and rewards
+    each record.
 
     Scale knobs:
 
@@ -288,9 +289,7 @@ def run_traced_journeys(
       group's creator deploys, and the N-1 members' accepted proofs are
       anchored by *one* ``insert_batch`` transaction per group
       (:class:`repro.core.batch.BatchAggregator`), then light-verified
-      against the anchored root.  ``user_count`` is trimmed down to a
-      whole number of groups (a remainder group could never fill its
-      contract's seats);
+      against the anchored root;
     - ``watchtower`` (a :class:`repro.obs.monitor.Watchtower`) rides the
       whole campaign through the system facade, which attaches it to the
       chain (and so its event queue) and the DHT, and tracks every submission
@@ -353,6 +352,19 @@ def group_position(group: int) -> tuple[float, float]:
     return 44.4949 + 0.01 * row, 11.3426 + 0.1 * column
 
 
+def campaign_users(user_count: int, batch_size: int | None = None) -> int:
+    """How many provers a facade campaign runs: whole location groups.
+
+    Provers are grouped ``batch_size or USERS_PER_CONTRACT`` to a
+    location, batched or not.  A remainder group could never fill its
+    contract's seats, stranding it in the attach phase (funding it
+    reverts), so ``user_count`` is rounded down to whole groups, and up
+    to one group when it is smaller than that.
+    """
+    group = batch_size or USERS_PER_CONTRACT
+    return max(group, user_count - user_count % group)
+
+
 def _run_facade_campaign(
     chain, recorder, user_count, reward, sample_every, batch_size, watchtower,
 ) -> None:
@@ -372,13 +384,7 @@ def _run_facade_campaign(
     from repro.obs.context import MUTED_CONTEXT
 
     group = batch_size or USERS_PER_CONTRACT
-    users = user_count
-    if batch_size:
-        # Whole groups only: a remainder group could never fill its
-        # contract's seats, stranding it in the attach phase.
-        users = max(group, user_count - user_count % group)
-        if users != user_count:
-            recorder.counter("batch_users_trimmed_total", user_count - users)
+    users = campaign_users(user_count, batch_size)
     system = ProofOfLocationSystem(
         chain=chain, reward=reward, max_users=group, watchtower=watchtower
     )

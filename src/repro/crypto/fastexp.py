@@ -99,24 +99,24 @@ def _make_comb(base: int) -> FixedBaseComb:
     """The comb for one shared generator: the OpenSSL-backed extension
     when the host can build and load it (see :mod:`repro.crypto.native`),
     else the pure-Python table.  The native comb is only trusted after
-    its output matches the Python comb on a spread of exponents -- both
-    paths compute the identical function, so which one serves a given
-    process is unobservable in results.
+    it matches builtin ``pow`` -- the ground truth -- on a spread of
+    exponents; the Python table (21 x 255 modmuls) is built only when
+    it is the comb that will serve.  Both paths compute the identical
+    function, so which one serves a given process is unobservable in
+    results.
     """
-    reference = FixedBaseComb(base, group.P)
     from repro.crypto.native import load_native_comb
 
     native = load_native_comb(base, group.P)
-    if native is None:
-        return reference
-    probes = [0, 1, 2, group.Q - 1, group.Q // 2]
-    probes += [pow(1000003, i, group.Q) for i in range(1, 9)]
-    try:
-        if all(native.pow(e) == reference.pow(e) for e in probes):
-            return native  # type: ignore[return-value]
-    except RuntimeError:
-        pass
-    return reference
+    if native is not None:
+        probes = [0, 1, 2, group.Q - 1, group.Q // 2]
+        probes += [pow(1000003, i, group.Q) for i in range(1, 9)]
+        try:
+            if all(native.pow(e) == pow(base, e, group.P) for e in probes):
+                return native  # type: ignore[return-value]
+        except RuntimeError:
+            pass
+    return FixedBaseComb(base, group.P)
 
 
 #: one lazily built comb per shared generator (``G``, ``H``)

@@ -4,8 +4,8 @@ The extension is built on demand with the host C toolchain and linked
 against the libcrypto the interpreter already loads for ``hashlib`` --
 no new dependency, no build step in the install path.  Everything here
 is best-effort: no compiler, no headers, a failed load or a failed
-arithmetic cross-check all degrade silently to the pure-Python comb in
-:mod:`repro.crypto.fastexp`, which stays the reference implementation.
+arithmetic cross-check against builtin ``pow`` all degrade silently to
+the pure-Python comb in :mod:`repro.crypto.fastexp`.
 
 Set ``REPRO_NO_NATIVE=1`` to skip the extension entirely (the kernel
 then runs on the pure-Python path; results are identical either way).

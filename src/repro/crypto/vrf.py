@@ -40,7 +40,7 @@ class VRFProof:
 
     def output(self) -> bytes:
         """The 32-byte pseudorandom output ``beta = H(gamma)``."""
-        return tagged_hash("repro/vrf-output", self.gamma.to_bytes(128, "big"))
+        return vrf_output(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -64,43 +64,50 @@ class VRFKeyPair:
         """The public half, published as the account's participation key."""
         return self.keypair.public
 
-    def evaluate(self, message: bytes, *, base: int | None = None) -> VRFProof:
+    def evaluate(self, message: bytes, *, gamma: int | None = None) -> VRFProof:
         """Evaluate the VRF on ``message`` and produce a credential.
 
-        ``base`` may carry a precomputed ``hash_to_group(message)`` --
-        sortition evaluates every participant on the same per-round
-        message, so the caller hashes once and shares the element.  Only
-        the Fiat-Shamir transcript needs it: every exponentiation goes
-        through the ``H`` comb on ``hash_to_exponent(message)``.
+        ``gamma`` may carry this key's already computed
+        :meth:`gamma_for` ``(message)`` -- sortition draws it to learn
+        its seats and proves only the draws that are read later.  The
+        nonce is derived deterministically, so the proof is the same
+        with or without it.  Every exponentiation goes through a comb:
+        ``H`` on multiples of ``hash_to_exponent(message)``, ``G`` for
+        the nonce commitment.
         """
         x = self.keypair.x
         e = group.hash_to_exponent(message)
-        if base is None:
-            base = h_pow(e)
-        gamma = h_pow(e * x)  # == pow(base, x, group.P)
-        # Chaum-Pedersen: prove log_G(y) == log_base(gamma) without revealing x.
+        if gamma is None:
+            gamma = h_pow(e * x)  # == pow(hash_to_group(message), x, group.P)
+        # Chaum-Pedersen: prove log_G(y) == log_base(gamma) without revealing x,
+        # where base = hash_to_group(message) = h_pow(e).
         k = int.from_bytes(tagged_hash("repro/vrf-nonce", x.to_bytes(32, "big"), message), "big") % group.Q
         if k == 0:
             k = 1
         a1 = g_pow(k)  # fixed-base comb; == pow(group.G, k, group.P)
         a2 = h_pow(e * k)  # == pow(base, k, group.P)
-        c = _dleq_challenge(self.public.y, base, gamma, a1, a2, message)
+        c = _dleq_challenge(self.public.y, h_pow(e), gamma, a1, a2, message)
         s = (k + c * x) % group.Q
         return VRFProof(gamma=gamma, c=c, s=s)
 
-    def output_for(self, message: bytes) -> bytes:
-        """The VRF output alone, without the DLEQ transcript.
+    def gamma_for(self, message: bytes) -> int:
+        """``gamma = hash_to_group(message) ** x``: one ``H``-comb exponentiation."""
+        return h_pow(group.hash_to_exponent(message) * self.keypair.x)
 
-        Sortition's *private* self-check only needs ``beta = H(gamma)``
-        to learn its seat count; the proof is revealed (and therefore
-        needed) only for selected credentials.  One ``H``-comb
-        exponentiation and no group element for the transcript, where
-        :meth:`evaluate` needs four -- and because the nonce is derived
-        deterministically, a later :meth:`evaluate` on the same message
-        yields exactly the proof whose output this is.
+    def output_for(self, message: bytes) -> bytes:
+        """The VRF output ``beta = H(gamma)`` alone, without the DLEQ transcript.
+
+        One ``H``-comb exponentiation, where :meth:`evaluate` needs
+        four.  Because the nonce is derived deterministically, a later
+        :meth:`evaluate` on the same message yields exactly the proof
+        whose output this is.
         """
-        gamma = h_pow(group.hash_to_exponent(message) * self.keypair.x)
-        return tagged_hash("repro/vrf-output", gamma.to_bytes(128, "big"))
+        return vrf_output(self.gamma_for(message))
+
+
+def vrf_output(gamma: int) -> bytes:
+    """The 32-byte pseudorandom output ``beta = H(gamma)``."""
+    return tagged_hash("repro/vrf-output", gamma.to_bytes(128, "big"))
 
 
 def verify_vrf(public: PublicKey, message: bytes, proof: VRFProof) -> bytes:

@@ -188,8 +188,9 @@ class TestGoldenVectors:
         proof = VRFProof(gamma=gamma, c=c, s=s)
         assert verify_vrf(kp.public, message, proof).hex() == output
 
-    def test_shared_base_does_not_change_the_proof(self):
+    def test_supplied_gamma_does_not_change_the_proof(self):
         seed, message, gamma, c, s, _ = GOLDEN[1]
-        base = group.hash_to_group(message)
-        proof = VRFKeyPair.from_seed(seed).evaluate(message, base=base)
+        kp = VRFKeyPair.from_seed(seed)
+        assert kp.gamma_for(message) == gamma
+        proof = kp.evaluate(message, gamma=kp.gamma_for(message))
         assert (proof.gamma, proof.c, proof.s) == (gamma, c, s)

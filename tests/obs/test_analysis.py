@@ -239,3 +239,11 @@ class TestTracedJourneyRuns:
             assert totals.get("mempool", 0.0) > 0.0
         summary = bench_summary(report, recorder)
         assert summary["fees_base_units_total"] > 0
+
+    def test_partial_group_is_trimmed_to_whole_groups(self):
+        from repro.bench.simulation import campaign_users, run_traced_journeys
+
+        assert campaign_users(6) == 4
+        report, _recorder = run_traced_journeys("goerli", 6, seed=1)
+        assert len(report.journeys) == 4
+        assert validate_journeys(report) == []

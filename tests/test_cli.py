@@ -3,8 +3,12 @@
 A value below its floor is a usage error: argparse's exit 2 with the
 flag named, before any run starts or any history file is touched.
 The chapter-5 campaigns (``simulate``, ``compare``) need a deployer
-and at least one attacher, so their floor is 2 users.
+and at least one attacher, so their floor is 2 users.  ``analyze``
+runs whole location groups of four: a remainder that could never fill
+its contract is trimmed, and the point records the users actually run.
 """
+
+import json
 
 import pytest
 
@@ -43,3 +47,14 @@ def test_value_below_floor_is_a_usage_error(argv, message, tmp_path, capsys):
 def test_smallest_campaign_runs(capsys):
     assert main(["simulate", "eth-devnet", "2"]) == 0
     assert "eth-devnet: 2 users" in capsys.readouterr().out
+
+
+def test_analyze_runs_whole_groups_and_records_them(tmp_path, capsys):
+    # 6 users are one full location group of four plus a remainder that
+    # could never fill its contract; both families run the whole group.
+    bench = tmp_path / "bench.json"
+    assert main(["analyze", "--users", "6", "--bench", str(bench)]) == 0
+    assert capsys.readouterr().out.count("users=4: ") == 2
+    families = json.loads(bench.read_text())["runs"][-1]["families"].values()
+    points = [point for family in families for point in family["points"]]
+    assert [(point["users"], point["validation_problems"]) for point in points] == [(4, []), (4, [])]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.chain import make_chain
-from repro.chain.base import drive
+from repro.chain.base import drain
 from repro.core.contract import build_pol_program, pol_record
 from repro.obs.recorder import NullRecorder
 from repro.reach.compiler import CompiledContract, compile_program
@@ -227,22 +227,7 @@ def run_simulation(
     if in_flight:
         for spec, handle in in_flight:
             track(spec, handle)
-        # O(1) completion predicate: each handle decrements a countdown
-        # when it settles instead of the drive polling every handle per
-        # event step (quadratic at 10k+ users).
-        remaining = [len(in_flight)]
-
-        def settled(_handle) -> None:
-            remaining[0] -= 1
-
-        for _spec, handle in in_flight:
-            handle.add_done_callback(settled)
-        drive(
-            chain.queue,
-            lambda: remaining[0] <= 0,
-            max_steps=max(2_000_000, 100 * len(in_flight)),
-            chain=chain,
-        )
+        drain(chain, [handle for _spec, handle in in_flight])
         for spec, handle in in_flight:
             if handle.error is not None:
                 raise handle.error

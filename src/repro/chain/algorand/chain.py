@@ -250,24 +250,3 @@ class AlgorandChain(BaseChain):
         receipt.status = TxStatus.REVERTED
         receipt.error = reason
         return receipt
-
-    # -- client conveniences -----------------------------------------------------
-
-    def make_transaction(
-        self,
-        account,
-        kind: str,
-        to: str | None = None,
-        value: int = 0,
-        data: dict[str, Any] | None = None,
-    ) -> Transaction:
-        """Build a minimum-fee transaction."""
-        return Transaction(
-            sender=account.address,
-            nonce=account.next_nonce(),
-            kind=kind,
-            to=to,
-            value=value,
-            data=data or {},
-            flat_fee=self.profile.min_fee,
-        )

@@ -328,9 +328,15 @@ class TxHandle:
         for callback in callbacks:
             callback(self)
 
-    def result(self, max_blocks: int = 10_000) -> Receipt:
-        """Drive the event queue until confirmed (blocking fallback)."""
-        return self.chain.wait(self.txid, max_blocks=max_blocks)
+    def result(self, max_steps: int = 2_000_000) -> Receipt:
+        """Drive the event queue until confirmed (blocking fallback).
+
+        The condition re-reads ``self.txid`` every step, so a handle
+        that re-targets itself at a replacement mid-wait (see
+        :class:`repro.chain.service.ManagedTxHandle`) waits for that.
+        """
+        drive(self.chain.queue, lambda: self.done, max_steps=max_steps, chain=self.chain)
+        return self.receipt
 
     def __repr__(self) -> str:
         return f"TxHandle({self.txid[:12]}..., {self.state.value})"
@@ -738,15 +744,6 @@ class BaseChain:
         """
         return self._observed_nonces.get(address, 0)
 
-    def submit_async(self, account: Account, tx: Transaction) -> TxHandle:
-        """Sign + submit and return a :class:`TxHandle` future.
-
-        Admission failures still raise synchronously (a node provider
-        surfaces them on the RPC call); only confirmation is deferred.
-        """
-        self.sign(account, tx)
-        return TxHandle(self, self.submit(tx))
-
     def subscribe_receipt(self, txid: str, callback: Callable[[Receipt], None]) -> None:
         """Fire ``callback(receipt)`` when ``txid`` reaches confirmation.
 
@@ -795,27 +792,6 @@ class BaseChain:
             return self.receipts[txid]
         except KeyError:
             raise ChainError(f"unknown transaction {txid}") from None
-
-    def wait(self, txid: str, max_blocks: int = 10_000) -> Receipt:
-        """Drive the event queue until ``txid`` confirms; return its receipt.
-
-        Confirmation means inclusion plus the profile's confirmation
-        depth, plus a sampled node-provider round trip -- the components
-        of the latency the thesis measured.
-        """
-        receipt = self.receipt(txid)
-        deadline_height = self.height + max_blocks
-        while receipt.confirmed_at is None:
-            if self.height > deadline_height:
-                raise ChainError(f"transaction {txid} not confirmed within {max_blocks} blocks")
-            if self.queue.step() is None:
-                raise ChainError("event queue ran dry before confirmation")
-        return receipt
-
-    def transact(self, account: Account, tx: Transaction) -> Receipt:
-        """Sign, submit and wait -- the common client call path."""
-        self.sign(account, tx)
-        return self.wait(self.submit(tx))
 
     # -- block production ----------------------------------------------------
 
@@ -987,11 +963,10 @@ def drive(
 ) -> None:
     """Step ``queue`` until ``until()`` holds; guard against stalls.
 
-    A generic waiting primitive for tests and tools that need a custom
-    condition (``BaseChain.wait`` covers the common receipt case).
-    Stalls raise with a diagnostic snapshot -- the pending-event labels
-    and, when ``chain`` is given, its mempool depth -- instead of a
-    bare overrun.
+    The one waiting primitive: handles block through it, and tests and
+    tools pass their own condition.  Stalls raise with a diagnostic
+    snapshot -- the pending-event labels and, when ``chain`` is given,
+    its mempool depth -- instead of a bare overrun.
     """
     steps = 0
     while not until():
@@ -1002,6 +977,32 @@ def drive(
             raise ChainError(
                 _stall_report(f"condition not reached within {max_steps} steps", queue, chain)
             )
+
+
+def drain(chain: "BaseChain", handles: list[Any]) -> None:
+    """Drive ``chain``'s queue until every handle in ``handles`` settles.
+
+    A wave's wait: each handle (a :class:`TxHandle` or an operation
+    future) decrements a countdown from its done callback, which keeps
+    the drive predicate O(1); polling ``all(h.done ...)`` per event step
+    is O(n) and turns large waves quadratic.  The step bound is only a
+    stall guard.
+    """
+    if not handles:
+        return
+    remaining = [len(handles)]
+
+    def settled(_handle: Any) -> None:
+        remaining[0] -= 1
+
+    for handle in handles:
+        handle.add_done_callback(settled)
+    drive(
+        chain.queue,
+        lambda: remaining[0] <= 0,
+        max_steps=max(2_000_000, 100 * len(handles)),
+        chain=chain,
+    )
 
 
 def _stall_report(reason: str, queue: EventQueue, chain: "BaseChain | None") -> str:

@@ -289,30 +289,6 @@ class EthereumChain(BaseChain):
                 # destroyed, not dropped from the supply accounting.
                 self.burned_total += tip
 
-    # -- client conveniences -----------------------------------------------------
-
-    def make_transaction(
-        self,
-        account,
-        kind: str,
-        to: str | None = None,
-        value: int = 0,
-        data: dict[str, Any] | None = None,
-        gas_limit: int = 3_000_000,
-    ) -> Transaction:
-        """Build a fee-sensible transaction (max fee = 2x current base fee)."""
-        return Transaction(
-            sender=account.address,
-            nonce=account.next_nonce(),
-            kind=kind,
-            to=to,
-            value=value,
-            data=data or {},
-            gas_limit=gas_limit,
-            max_fee_per_gas=max(self.base_fee * 2, MIN_BASE_FEE) + int(self.profile.priority_fee_gwei * GWEI),
-            priority_fee_per_gas=int(self.profile.priority_fee_gwei * GWEI),
-        )
-
 
 def _args_default(value: Any) -> Any:
     if isinstance(value, bytes):

@@ -9,9 +9,7 @@ application and a node provider.  It unifies, for every chain family:
   transaction would permanently desync the account.)
 - **fee estimation** -- EIP-1559 on EVM chains (max fee = 2x current
   base fee + the profile's priority tip) vs. the flat protocol minimum
-  on AVM chains.  The numbers match what the chain's own
-  ``make_transaction`` convenience produces, so both build paths price
-  identically.
+  on AVM chains.
 - **bounded retry-on-rejection** -- a transiently dropped submission
   (:class:`~repro.chain.base.TransientChainError`) is resubmitted
   as-is; a permanently rejected one is rebuilt once per attempt with a
@@ -25,9 +23,11 @@ application and a node provider.  It unifies, for every chain family:
   replacement (same nonce) when the original is priced out, relying on
   the chain's replace-by-nonce mempool rule for at-most-once execution.
 
-The Reach runtime routes every transaction through one service, which
-is how family dispatch stays below the runtime: callers never touch
-``profile.family``.
+The service is the one way to build, sign and submit a transaction:
+the Reach runtime routes every transaction through it, which is how
+family dispatch stays below the runtime (callers never touch
+``profile.family``).  Its handles wait through
+:func:`~repro.chain.base.drive`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.chain.base import (
     Transaction,
     TransientChainError,
     TxHandle,
-    drive,
 )
 from repro.chain.params import GWEI
 from repro.obs.prof import staged
@@ -232,10 +231,6 @@ class ChainService:
         if recorder.enabled:
             recorder.counter("chain_nonce_resyncs_total", chain=self.chain.profile.name)
 
-    def transact(self, account: Account, tx: Transaction) -> Any:
-        """Submit and block until confirmation (drives the event queue)."""
-        return self.submit(account, tx).result()
-
 
 class ManagedTxHandle(TxHandle):
     """A :class:`TxHandle` with a stuck-transaction watchdog.
@@ -319,16 +314,6 @@ class ManagedTxHandle(TxHandle):
             )
         self.chain.subscribe_receipt(new_txid, self._on_confirmed)
         self._arm()
-
-    def result(self, max_blocks: int = 10_000) -> Any:
-        """Drive the queue until done, tracking txid across replacements.
-
-        The base implementation waits on a fixed txid; a managed handle
-        may re-target itself at a replacement mid-wait, so the condition
-        must re-read ``self.txid`` every step.
-        """
-        drive(self.chain.queue, lambda: self.done, max_steps=2_000_000, chain=self.chain)
-        return self.receipt
 
     def _submit_bumped(self, bumped: Transaction) -> str:
         """Submit a replacement, absorbing one transient provider drop."""

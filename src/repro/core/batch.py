@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.chain.base import drain
 from repro.crypto.merkle import MerkleProof, MerkleTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -168,9 +169,7 @@ class BatchAggregator:
 
     def drain(self) -> list[AnchoredBatch]:
         """Drive the chain until every anchoring transaction settles."""
-        from repro.core.system import _drain
-
-        _drain(
+        drain(
             self.system.chain,
             [batch.handle for batch in self.anchored if not batch.handle.done],
         )

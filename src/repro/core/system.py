@@ -15,11 +15,10 @@ The three flows map to the thesis's sequence diagrams:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.chain.base import Account, BaseChain, drive
+from repro.chain.base import Account, BaseChain, drain
 from repro.did.registry import DidRegistry
 from repro.dht.hypercube import HypercubeDHT
 from repro.obs.monitor import NULL_WATCHTOWER
@@ -35,45 +34,6 @@ from repro.core.proof import LocationProof, ProofFailure, ProofRequest
 
 class PolSystemError(Exception):
     """A facade-level failure (unknown user, missing contract...)."""
-
-
-def _drain(chain: BaseChain, handles: list[OpHandle]) -> None:
-    """Drive the chain's queue until every handle settles.
-
-    A countdown settled by done-callbacks keeps the drive predicate
-    O(1); polling ``all(h.done ...)`` per event step is O(n) and turns
-    large waves quadratic.
-    """
-    if not handles:
-        return
-    remaining = [len(handles)]
-
-    def settled(_handle: OpHandle) -> None:
-        remaining[0] -= 1
-
-    for handle in handles:
-        handle.add_done_callback(settled)
-    drive(
-        chain.queue,
-        lambda: remaining[0] <= 0,
-        max_steps=max(200_000, 100 * len(handles)),
-        chain=chain,
-    )
-
-
-def __getattr__(name: str) -> Any:
-    # Deprecated alias, kept for one release: the class used to shadow
-    # the awkwardly-underscored name.  New code should catch
-    # PolSystemError; the module-level __getattr__ keeps old imports
-    # working while warning on every access.
-    if name == "SystemError_":
-        warnings.warn(
-            "SystemError_ is deprecated; catch PolSystemError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PolSystemError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -285,11 +245,11 @@ class ProofOfLocationSystem:
     # -- figure 2.3: hypercube lookup + deploy-or-attach -------------------------------
 
     def submit(self, prover_name: str, request: ProofRequest, proof: LocationProof) -> SubmissionOutcome:
-        """Store the proof record in the location's contract."""
-        pending = self.submit_async(prover_name, request, proof)
-        pending.handle.wait()
-        self.provers[prover_name].settle_submissions()
-        return pending.outcome()
+        """Store the proof record in the location's contract (blocking).
+
+        A one-element :meth:`submit_many` wave.
+        """
+        return self.submit_many([(prover_name, request, proof)])[0]
 
     def submit_async(self, prover_name: str, request: ProofRequest, proof: LocationProof) -> PendingSubmission:
         """Start a submission without blocking on confirmations.
@@ -413,7 +373,7 @@ class ProofOfLocationSystem:
         bench harness's concurrent mode.
         """
         pending = [self.submit_async(name, request, proof) for name, request, proof in submissions]
-        _drain(self.chain, [p.handle for p in pending])
+        drain(self.chain, [p.handle for p in pending])
         for prover_name, request, _ in submissions:
             tracker = self.provers.get(prover_name)
             if tracker is not None:
@@ -538,13 +498,14 @@ class ProofOfLocationSystem:
     # -- verifier flows (figure 2.6) -----------------------------------------------------
 
     def fund_contract(self, verifier_name: str, olc: str, amount: int) -> OpResult:
-        """The verifier inserts reward tokens into a location's contract."""
-        deployed = self._contract_at(olc)
-        account = self.accounts[verifier_name]
-        return deployed.api("verifierAPI.insert_money", amount, sender=account, pay=amount)
+        """The verifier inserts reward tokens into a location's contract.
+
+        A one-element :meth:`fund_contracts` wave.
+        """
+        return self.fund_contracts(verifier_name, {olc: amount})[olc]
 
     def fund_contracts(self, verifier_name: str, amounts: dict[str, int]) -> dict[str, OpResult]:
-        """Pipeline :meth:`fund_contract` across many locations.
+        """Fund many locations' contracts in one pipelined wave.
 
         All insert_money transactions share blocks instead of each
         waiting out its own confirmation: serially, funding 100k users'
@@ -557,7 +518,7 @@ class ProofOfLocationSystem:
             )
             for olc, amount in amounts.items()
         }
-        _drain(self.chain, list(handles.values()))
+        drain(self.chain, list(handles.values()))
         results: dict[str, OpResult] = {}
         for olc, handle in handles.items():
             if handle.error is not None:
@@ -566,27 +527,11 @@ class ProofOfLocationSystem:
         return results
 
     def verify_and_reward(self, verifier_name: str, olc: str, did_uint: int) -> ProofFailure:
-        """Read the record, check the proof, reward, feed the hypercube."""
-        verifier = self.verifiers.get(verifier_name)
-        if verifier is None:
-            raise PolSystemError(f"{verifier_name!r} is not an accredited verifier")
-        recorder = self.chain.recorder
-        journey = self._journey_records.pop((olc, did_uint), None) if recorder.enabled else None
-        with recorder.span(
-            "proof:verify", track=f"verifier:{verifier_name}", cat="proof",
-            olc=olc, did=did_uint, parent=journey,
-        ) as span, recorder.activate(span.context):
-            return self._verify_and_reward(verifier, verifier_name, olc, did_uint)
+        """Read the record, check the proof, reward, feed the hypercube.
 
-    def _verify_and_reward(
-        self, verifier: Verifier, verifier_name: str, olc: str, did_uint: int
-    ) -> ProofFailure:
-        outcome, handle, cid = self._start_verify(verifier, verifier_name, olc, did_uint)
-        if handle is None:
-            return outcome
-        handle.wait()
-        self._publish_verified(verifier_name, olc, cid)
-        return ProofFailure.OK
+        A one-element :meth:`verify_many` wave.
+        """
+        return self.verify_many(verifier_name, [(olc, did_uint)])[0]
 
     def _start_verify(
         self, verifier: Verifier, verifier_name: str, olc: str, did_uint: int
@@ -654,7 +599,7 @@ class ProofOfLocationSystem:
             pass  # already gone (nothing to pin) or already replicated
 
     def verify_many(self, verifier_name: str, targets: list[tuple[str, int]]) -> list[ProofFailure]:
-        """Pipeline :meth:`verify_and_reward` across many records.
+        """Verify and reward many records in one pipelined wave.
 
         Each record's off-chain checks run up front (they read state the
         submission wave already settled), every accepted record's
@@ -691,13 +636,15 @@ class ProofOfLocationSystem:
                 def finish(settled: OpHandle, *, span=span, olc=olc, cid=cid) -> None:
                     # Runs under span.context (add_done_callback re-activates
                     # the registration-time trace context).
-                    if settled.error is None:
-                        self._publish_verified(verifier_name, olc, cid)
+                    if settled.error is not None:
+                        span.end(error=type(settled.error).__name__)
+                        return
+                    self._publish_verified(verifier_name, olc, cid)
                     span.end()
 
                 handle.add_done_callback(finish)
                 pending.append(handle)
-        _drain(self.chain, pending)
+        drain(self.chain, pending)
         for handle in pending:
             if handle.error is not None:
                 raise handle.error

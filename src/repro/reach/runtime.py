@@ -245,10 +245,6 @@ class OpHandle:
             raise self.error
         return self
 
-    def result(self, max_steps: int = 500_000) -> Any:
-        """Block until settled and return the operation's value."""
-        return self.wait(max_steps=max_steps).value
-
     def __repr__(self) -> str:
         state = "done" if self.done else "in-flight"
         return f"OpHandle({self.label or 'op'}, {state}, {len(self.receipts)} receipt(s))"
@@ -272,10 +268,6 @@ class DeployedContract:
     def api_async(self, method: str, *args: Any, sender: Account, pay: int = 0) -> OpHandle:
         """Non-blocking :meth:`api`: returns the operation's future."""
         return self.client.call_async(self, method, list(args), sender=sender, pay=pay)
-
-    def attach(self, account: Account) -> OpResult:
-        """Run the attach handshake only (first half of the attach op)."""
-        return self.client.attach(self, account)
 
     def attach_and_call(self, method: str, *args: Any, sender: Account, pay: int = 0) -> OpResult:
         """The full 2-transaction *attach operation* the thesis measures."""
@@ -433,15 +425,6 @@ class ReachClient:
         return str(app_id)
 
     # -- attach + calls ----------------------------------------------------------
-
-    def attach(self, deployed: DeployedContract, account: Account) -> OpResult:
-        """The attach handshake transaction."""
-        return self.attach_async(deployed, account).wait().op_result
-
-    def attach_async(self, deployed: DeployedContract, account: Account) -> OpHandle:
-        """Non-blocking attach handshake (EVM transfer / AVM opt-in)."""
-        plan = self._attach_plan(deployed, account)
-        return OpHandle(self.chain, plan, label=f"attach:{deployed.ref}", track=track_for(account.address))
 
     def _attach_plan(self, deployed: DeployedContract, account: Account) -> OpPlan:
         if self.family == "evm":

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chain import TxStatus
+from repro.chain import ChainService, TxStatus
 from repro.chain.algorand import AlgorandChain, AvmPanic, assemble
 from repro.chain.algorand.avm import AVM, Application, CallContext
 from repro.chain.algorand.teal import TealSyntaxError
@@ -189,69 +189,73 @@ class TestAlgorandChain:
         return AlgorandChain(profile="algo-devnet", seed=7, participant_count=6)
 
     @pytest.fixture
+    def service(self, chain):
+        return ChainService(chain)
+
+    @pytest.fixture
     def alice(self, chain):
         return chain.create_account(seed=b"alice", funding=100 * ALGO)
 
     def test_addresses_are_58_chars(self, alice):
         assert len(alice.address) == 58
 
-    def test_payment_flat_fee(self, chain, alice):
+    def test_payment_flat_fee(self, chain, alice, service):
         bob = chain.create_account(seed=b"bob", funding=ALGO)
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=ALGO)
-        receipt = chain.transact(alice, tx)
+        tx = service.build(alice, "transfer", to=bob.address, value=ALGO)
+        receipt = service.submit(alice, tx).result()
         assert receipt.status is TxStatus.SUCCESS
         assert receipt.fee_paid == 1_000
 
-    def test_min_balance_enforced(self, chain, alice):
+    def test_min_balance_enforced(self, chain, alice, service):
         bob = chain.create_account(seed=b"bob", funding=ALGO)
         # Leave bob with less than 0.1 ALGO -> rejected.
-        tx = chain.make_transaction(bob, "transfer", to=alice.address, value=ALGO - 50_000)
-        receipt = chain.transact(bob, tx)
+        tx = service.build(bob, "transfer", to=alice.address, value=ALGO - 50_000)
+        receipt = service.submit(bob, tx).result()
         assert receipt.status is TxStatus.REVERTED
         assert "minimum balance" in receipt.error
 
-    def test_app_create_and_call(self, chain, alice):
+    def test_app_create_and_call(self, chain, alice, service):
         program_hash = chain.register_program(CREATE_OR_PUT)
-        create = chain.make_transaction(alice, "create", data={"program_hash": program_hash, "args": []})
-        created = chain.transact(alice, create)
+        create = service.build(alice, "create", data={"program_hash": program_hash, "args": []})
+        created = service.submit(alice, create).result()
         assert created.status is TxStatus.SUCCESS
         app_id = int(created.contract_address)
         app = chain.apps[app_id]
         assert app.global_state[b"Creator"] == alice.address
 
-        call = chain.make_transaction(alice, "call", data={"app_id": app_id, "args": []})
-        called = chain.transact(alice, call)
+        call = service.build(alice, "call", data={"app_id": app_id, "args": []})
+        called = service.submit(alice, call).result()
         assert called.status is TxStatus.SUCCESS
         assert app.global_state[b"last_sender"] == alice.address
 
-    def test_failed_call_charges_nothing(self, chain, alice):
+    def test_failed_call_charges_nothing(self, chain, alice, service):
         program_hash = chain.register_program("int 0\nreturn")
-        create = chain.make_transaction(alice, "create", data={"program_hash": program_hash, "args": []})
-        receipt = chain.transact(alice, create)
+        create = service.build(alice, "create", data={"program_hash": program_hash, "args": []})
+        receipt = service.submit(alice, create).result()
         assert receipt.status is TxStatus.REVERTED
         assert receipt.fee_paid == 0
 
-    def test_optin_tracked(self, chain, alice):
+    def test_optin_tracked(self, chain, alice, service):
         program_hash = chain.register_program(CREATE_OR_PUT)
-        create = chain.make_transaction(alice, "create", data={"program_hash": program_hash, "args": []})
-        created = chain.transact(alice, create)
+        create = service.build(alice, "create", data={"program_hash": program_hash, "args": []})
+        created = service.submit(alice, create).result()
         app_id = int(created.contract_address)
-        call = chain.make_transaction(alice, "call", data={"app_id": app_id, "on_complete": "optin", "args": []})
-        chain.transact(alice, call)
+        call = service.build(alice, "call", data={"app_id": app_id, "on_complete": "optin", "args": []})
+        service.submit(alice, call).result()
         assert alice.address in chain.apps[app_id].opted_in
 
-    def test_immediate_finality(self, chain, alice):
+    def test_immediate_finality(self, chain, alice, service):
         bob = chain.create_account(seed=b"bob", funding=ALGO)
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1_000)
-        receipt = chain.transact(alice, tx)
+        tx = service.build(alice, "transfer", to=bob.address, value=1_000)
+        receipt = service.submit(alice, tx).result()
         # Confirmed in the same round it was included (no extra depth).
         block_time = chain.blocks[receipt.block_number].timestamp
         assert receipt.confirmed_at == pytest.approx(block_time, abs=chain.profile.block_time)
 
-    def test_certified_rounds_record_committee(self, chain, alice):
+    def test_certified_rounds_record_committee(self, chain, alice, service):
         bob = chain.create_account(seed=b"bob", funding=ALGO)
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1_000)
-        chain.transact(alice, tx)
+        tx = service.build(alice, "transfer", to=bob.address, value=1_000)
+        service.submit(alice, tx).result()
         certified = [
             b for b in chain.blocks[1:] if b.metadata.get("certified") and "approvals" in b.metadata
         ]

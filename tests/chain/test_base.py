@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chain import ChainError, InsufficientFunds, InvalidTransaction, TxState, TxStatus, drive
+from repro.chain import ChainError, ChainService, InsufficientFunds, InvalidTransaction, TxState, TxStatus, drive
 from repro.chain.ethereum import EthereumChain
 from repro.crypto.merkle import MerkleTree, merkle_root
 
@@ -12,6 +12,11 @@ ETH = 10**18
 @pytest.fixture
 def chain() -> EthereumChain:
     return EthereumChain(profile="eth-devnet", seed=1, validator_count=4)
+
+
+@pytest.fixture
+def service(chain) -> ChainService:
+    return ChainService(chain)
 
 
 @pytest.fixture
@@ -46,48 +51,48 @@ class TestAccounts:
 
 
 class TestTransfers:
-    def test_simple_transfer(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=2 * ETH)
-        receipt = chain.transact(alice, tx)
+    def test_simple_transfer(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=2 * ETH)
+        receipt = service.submit(alice, tx).result()
         assert receipt.status is TxStatus.SUCCESS
         assert chain.balance_of(bob.address) == 3 * ETH
 
-    def test_transfer_charges_21000_gas(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        receipt = chain.transact(alice, tx)
+    def test_transfer_charges_21000_gas(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        receipt = service.submit(alice, tx).result()
         assert receipt.gas_used == 21_000
 
-    def test_sender_pays_value_plus_fee(self, chain, alice, bob):
+    def test_sender_pays_value_plus_fee(self, chain, alice, bob, service):
         before = chain.balance_of(alice.address)
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=ETH)
-        receipt = chain.transact(alice, tx)
+        tx = service.build(alice, "transfer", to=bob.address, value=ETH)
+        receipt = service.submit(alice, tx).result()
         assert chain.balance_of(alice.address) == before - ETH - receipt.fee_paid
 
-    def test_unsigned_submit_rejected(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+    def test_unsigned_submit_rejected(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         with pytest.raises(InvalidTransaction):
             chain.submit(tx)
 
-    def test_wrong_signer_rejected(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+    def test_wrong_signer_rejected(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         with pytest.raises(InvalidTransaction):
             chain.sign(bob, tx)
 
-    def test_tampered_after_signing_rejected(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+    def test_tampered_after_signing_rejected(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         chain.sign(alice, tx)
         tx.value = 5 * ETH
         with pytest.raises(InvalidTransaction):
             chain.submit(tx)
 
-    def test_insufficient_funds_rejected(self, chain, bob, alice):
-        tx = chain.make_transaction(bob, "transfer", to=alice.address, value=100 * ETH)
+    def test_insufficient_funds_rejected(self, chain, bob, alice, service):
+        tx = service.build(bob, "transfer", to=alice.address, value=100 * ETH)
         chain.sign(bob, tx)
         with pytest.raises(InsufficientFunds):
             chain.submit(tx)
 
-    def test_duplicate_submit_rejected(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+    def test_duplicate_submit_rejected(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         chain.sign(alice, tx)
         chain.submit(tx)
         with pytest.raises(InvalidTransaction):
@@ -96,7 +101,7 @@ class TestTransfers:
     def test_unknown_sender_rejected(self, chain):
         stranger_chain = EthereumChain(profile="eth-devnet", seed=99, validator_count=4)
         stranger = stranger_chain.create_account(seed=b"stranger", funding=ETH)
-        tx = stranger_chain.make_transaction(stranger, "transfer", to=stranger.address, value=1)
+        tx = ChainService(stranger_chain).build(stranger, "transfer", to=stranger.address, value=1)
         stranger_chain.sign(stranger, tx)
         with pytest.raises(InvalidTransaction):
             chain.submit(tx)
@@ -107,39 +112,39 @@ class TestBlocks:
         assert chain.height == 0
         assert chain.blocks[0].parent_hash == "0" * 64
 
-    def test_blocks_chain_by_parent_hash(self, chain, alice, bob):
+    def test_blocks_chain_by_parent_hash(self, chain, alice, bob, service):
         for _ in range(3):
-            tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-            chain.transact(alice, tx)
+            tx = service.build(alice, "transfer", to=bob.address, value=1)
+            service.submit(alice, tx).result()
         for previous, current in zip(chain.blocks, chain.blocks[1:]):
             assert current.parent_hash == previous.block_hash
 
-    def test_receipt_latency_positive(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        receipt = chain.transact(alice, tx)
+    def test_receipt_latency_positive(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        receipt = service.submit(alice, tx).result()
         assert receipt.latency is not None
         assert receipt.latency > 0
 
-    def test_proposer_is_a_validator(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        chain.transact(alice, tx)
+    def test_proposer_is_a_validator(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        service.submit(alice, tx).result()
         proposers = {block.proposer for block in chain.blocks[1:]}
         validator_addresses = set(chain.validators.validators)
         assert proposers <= validator_addresses
 
-    def test_included_transactions_in_merkle_root(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        receipt = chain.transact(alice, tx)
+    def test_included_transactions_in_merkle_root(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        receipt = service.submit(alice, tx).result()
         block = chain.blocks[receipt.block_number]
         assert any(t.txid == receipt.txid for t in block.transactions)
 
-    def test_tx_root_commits_to_included_txids(self, chain, alice, bob):
+    def test_tx_root_commits_to_included_txids(self, chain, alice, bob, service):
         """The header's root alone commits to the block body: a light
         client holding only headers can check any inclusion path."""
         for index in range(5):
             sender, receiver = (alice, bob) if index % 2 == 0 else (bob, alice)
-            tx = chain.make_transaction(sender, "transfer", to=receiver.address, value=index)
-            chain.transact(sender, tx)
+            tx = service.build(sender, "transfer", to=receiver.address, value=index)
+            service.submit(sender, tx).result()
         assert_tx_roots(chain)
 
     def test_tx_root_on_the_avm_family(self):
@@ -147,9 +152,10 @@ class TestBlocks:
 
         chain = AlgorandChain(profile="algo-devnet", seed=17, participant_count=6)
         alice = chain.create_account(seed=b"alice", funding=100_000_000)
+        service = ChainService(chain)
         for index in range(4):
-            tx = chain.make_transaction(alice, "transfer", to=alice.address, value=index)
-            chain.transact(alice, tx)
+            tx = service.build(alice, "transfer", to=alice.address, value=index)
+            service.submit(alice, tx).result()
         assert_tx_roots(chain)
 
 
@@ -165,50 +171,50 @@ def assert_tx_roots(chain):
 
 
 class TestTxHandle:
-    def test_submit_async_returns_live_handle(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        handle = chain.submit_async(alice, tx)
+    def test_submit_async_returns_live_handle(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        handle = service.submit(alice, tx)
         assert handle.state is TxState.SUBMITTED
         assert not handle.done
 
-    def test_handle_confirms_without_polling(self, chain, alice, bob):
+    def test_handle_confirms_without_polling(self, chain, alice, bob, service):
         """Callbacks fire from the block-production event path."""
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        handle = chain.submit_async(alice, tx)
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        handle = service.submit(alice, tx)
         confirmed_at = []
         handle.add_done_callback(lambda h: confirmed_at.append(chain.queue.clock.now))
         drive(chain.queue, lambda: handle.done, chain=chain)
         assert handle.state is TxState.CONFIRMED
         assert confirmed_at == [handle.receipt.confirmed_at]
 
-    def test_callback_added_after_done_fires_immediately(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        handle = chain.submit_async(alice, tx)
+    def test_callback_added_after_done_fires_immediately(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        handle = service.submit(alice, tx)
         handle.result()
         fired = []
         handle.add_done_callback(fired.append)
         assert fired == [handle]
 
-    def test_many_handles_interleave_on_one_queue(self, chain, alice, bob):
+    def test_many_handles_interleave_on_one_queue(self, chain, alice, bob, service):
         handles = []
         for _ in range(4):
-            tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-            handles.append(chain.submit_async(alice, tx))
+            tx = service.build(alice, "transfer", to=bob.address, value=1)
+            handles.append(service.submit(alice, tx))
         assert chain.mempool_depth == 4
         drive(chain.queue, lambda: all(h.done for h in handles), chain=chain)
         blocks = {h.receipt.block_number for h in handles}
         assert len(blocks) == 1  # one block took all four
 
-    def test_result_is_the_blocking_fallback(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        handle = chain.submit_async(alice, tx)
+    def test_result_is_the_blocking_fallback(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        handle = service.submit(alice, tx)
         receipt = handle.result()
         assert receipt.status is TxStatus.SUCCESS
         assert handle.done
 
-    def test_subscribe_to_confirmed_receipt_fires_immediately(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        receipt = chain.transact(alice, tx)
+    def test_subscribe_to_confirmed_receipt_fires_immediately(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        receipt = service.submit(alice, tx).result()
         seen = []
         chain.subscribe_receipt(receipt.txid, seen.append)
         assert seen == [receipt]
@@ -219,16 +225,16 @@ class TestTxHandle:
 
 
 class TestNonceObservation:
-    def test_chain_tracks_admitted_nonces(self, chain, alice, bob):
+    def test_chain_tracks_admitted_nonces(self, chain, alice, bob, service):
         assert chain.next_nonce_for(alice.address) == 0
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        chain.transact(alice, tx)
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        service.submit(alice, tx).result()
         assert chain.next_nonce_for(alice.address) == 1
 
-    def test_rejected_submission_does_not_advance_observed_nonce(self, chain, alice, bob):
+    def test_rejected_submission_does_not_advance_observed_nonce(self, chain, alice, bob, service):
         """The drift scenario: the local nonce advances on a rejection,
         but the chain-observed nonce (the resync source) does not."""
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=100 * ETH)
+        tx = service.build(alice, "transfer", to=bob.address, value=100 * ETH)
         chain.sign(alice, tx)
         with pytest.raises(InsufficientFunds):
             chain.submit(tx)
@@ -241,8 +247,8 @@ class TestDriveDiagnostics:
         with pytest.raises(ChainError, match="ran dry"):
             drive(chain.queue, lambda: False, chain=chain)
 
-    def test_step_exhaustion_reports_labels_and_mempool(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+    def test_step_exhaustion_reports_labels_and_mempool(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         chain.sign(alice, tx)
         chain.submit(tx)
         with pytest.raises(ChainError) as failure:

@@ -3,7 +3,7 @@ and the blockchain-agnostic contract running unmodified on it."""
 
 import pytest
 
-from repro.chain import TxStatus
+from repro.chain import ChainService, TxStatus
 from repro.chain.conflux import ConfluxChain, GhostDag
 from repro.chain.conflux.chain import COLLATERAL_PER_SLOT
 from repro.chain.conflux.treegraph import TreeGraphError
@@ -64,26 +64,30 @@ class TestConfluxChain:
     def chain(self):
         return ConfluxChain(profile="conflux-devnet", seed=171, miner_count=4)
 
+    @pytest.fixture
+    def service(self, chain):
+        return ChainService(chain)
+
     def test_addresses_are_cfx_style(self, chain):
         account = chain.create_account(seed=b"x")
         assert account.address.startswith("cfx:")
 
-    def test_transfers_work(self, chain):
+    def test_transfers_work(self, chain, service):
         alice = chain.create_account(seed=b"alice", funding=10 * CFX)
         bob = chain.create_account(seed=b"bob")
-        receipt = chain.transact(alice, chain.make_transaction(alice, "transfer", to=bob.address, value=CFX))
+        receipt = service.submit(alice, service.build(alice, "transfer", to=bob.address, value=CFX)).result()
         assert receipt.status is TxStatus.SUCCESS
 
-    def test_dag_grows_superlinearly_vs_pivot(self, chain):
+    def test_dag_grows_superlinearly_vs_pivot(self, chain, service):
         alice = chain.create_account(seed=b"alice", funding=10 * CFX)
         for _ in range(10):
-            chain.transact(alice, chain.make_transaction(alice, "transfer", to=alice.address, value=0))
+            service.submit(alice, service.build(alice, "transfer", to=alice.address, value=0)).result()
         # Concurrent mining: the DAG holds more blocks than the pivot chain.
         assert len(chain.dag) > len(chain.dag.pivot_chain()) * 1.05
 
-    def test_proposer_is_pivot_miner(self, chain):
+    def test_proposer_is_pivot_miner(self, chain, service):
         alice = chain.create_account(seed=b"alice", funding=10 * CFX)
-        chain.transact(alice, chain.make_transaction(alice, "transfer", to=alice.address, value=0))
+        service.submit(alice, service.build(alice, "transfer", to=alice.address, value=0)).result()
         assert all(block.proposer.startswith("cfx:miner-") for block in chain.blocks[1:])
 
     def test_storage_collateral_locked_on_deploy(self, chain):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chain import TxStatus
+from repro.chain import ChainService, TxStatus
 from repro.chain.ethereum import EthereumChain
 from repro.chain.ethereum.evm import EVM, EvmCode, EvmContract, Instr, VMError, VMRevert
 from repro.chain.ethereum.gas import DEFAULT_SCHEDULE, calldata_gas, intrinsic_gas
@@ -255,13 +255,18 @@ class TestContractLifecycle:
         return EthereumChain(profile="eth-devnet", seed=2, validator_count=4)
 
     @pytest.fixture
+    def service(self, chain):
+        return ChainService(chain)
+
+    @pytest.fixture
     def deployer(self, chain):
         return chain.create_account(seed=b"deployer", funding=100 * ETH)
 
     def deploy(self, chain, deployer, args):
+        service = ChainService(chain)
         code_hash = chain.register_code(COUNTER_CODE)
-        tx = chain.make_transaction(deployer, "create", data={"code_hash": code_hash, "args": args})
-        return chain.transact(deployer, tx)
+        tx = service.build(deployer, "create", data={"code_hash": code_hash, "args": args})
+        return service.submit(deployer, tx).result()
 
     def test_deploy_assigns_contract_address(self, chain, deployer):
         receipt = self.deploy(chain, deployer, [7])
@@ -277,22 +282,22 @@ class TestContractLifecycle:
         receipt = self.deploy(chain, deployer, [0])
         assert receipt.gas_used > 21_000 + 32_000 + COUNTER_CODE.byte_size() * 200
 
-    def test_call_mutates_state(self, chain, deployer):
+    def test_call_mutates_state(self, chain, deployer, service):
         deployed = self.deploy(chain, deployer, [10])
-        tx = chain.make_transaction(
+        tx = service.build(
             deployer, "call", to=deployed.contract_address, data={"selector": "increment", "args": []}
         )
-        receipt = chain.transact(deployer, tx)
+        receipt = service.submit(deployer, tx).result()
         assert receipt.status is TxStatus.SUCCESS
         assert receipt.return_value == 11
 
-    def test_reverted_call_rolls_back_but_charges(self, chain, deployer):
+    def test_reverted_call_rolls_back_but_charges(self, chain, deployer, service):
         deployed = self.deploy(chain, deployer, [10])
         before = chain.balance_of(deployer.address)
-        tx = chain.make_transaction(
+        tx = service.build(
             deployer, "call", to=deployed.contract_address, data={"selector": "fail", "args": []}
         )
-        receipt = chain.transact(deployer, tx)
+        receipt = service.submit(deployer, tx).result()
         assert receipt.status is TxStatus.REVERTED
         assert "always fails" in receipt.error
         assert receipt.fee_paid > 0
@@ -300,12 +305,12 @@ class TestContractLifecycle:
         contract = chain.contracts[deployed.contract_address]
         assert contract.storage[b"count"] == 10
 
-    def test_unknown_selector_reverts(self, chain, deployer):
+    def test_unknown_selector_reverts(self, chain, deployer, service):
         deployed = self.deploy(chain, deployer, [0])
-        tx = chain.make_transaction(
+        tx = service.build(
             deployer, "call", to=deployed.contract_address, data={"selector": "missing", "args": []}
         )
-        receipt = chain.transact(deployer, tx)
+        receipt = service.submit(deployer, tx).result()
         assert receipt.status is TxStatus.REVERTED
 
 
@@ -314,17 +319,19 @@ class TestFeeMarket:
         busy = EthereumChain(profile="ropsten", seed=3, validator_count=4)
         start = busy.base_fee
         account = busy.create_account(seed=b"x", funding=100 * ETH)
+        service = ChainService(busy)
         for _ in range(30):
-            tx = busy.make_transaction(account, "transfer", to=account.address, value=0)
-            busy.transact(account, tx)
+            tx = service.build(account, "transfer", to=account.address, value=0)
+            service.submit(account, tx).result()
         assert busy.base_fee != start  # the fee market moved
 
     def test_base_fee_change_bounded_per_block(self):
         chain = EthereumChain(profile="goerli", seed=4, validator_count=4)
         account = chain.create_account(seed=b"x", funding=100 * ETH)
+        service = ChainService(chain)
         for _ in range(10):
-            tx = chain.make_transaction(account, "transfer", to=account.address, value=0)
-            chain.transact(account, tx)
+            tx = service.build(account, "transfer", to=account.address, value=0)
+            service.submit(account, tx).result()
         fees = [block.base_fee_per_gas for block in chain.blocks[1:] if block.base_fee_per_gas]
         assert len(fees) > 5
         for previous, current in zip(fees, fees[1:]):
@@ -333,7 +340,7 @@ class TestFeeMarket:
     def test_priced_out_transaction_waits(self):
         chain = EthereumChain(profile="eth-devnet", seed=5, validator_count=4)
         account = chain.create_account(seed=b"x", funding=100 * ETH)
-        tx = chain.make_transaction(account, "transfer", to=account.address, value=0)
+        tx = ChainService(chain).build(account, "transfer", to=account.address, value=0)
         tx.max_fee_per_gas = 1  # below any plausible base fee
         tx.priority_fee_per_gas = 0
         chain.sign(account, tx)
@@ -344,6 +351,7 @@ class TestFeeMarket:
     def test_burned_fees_accumulate(self):
         chain = EthereumChain(profile="eth-devnet", seed=6, validator_count=4)
         account = chain.create_account(seed=b"x", funding=100 * ETH)
-        tx = chain.make_transaction(account, "transfer", to=account.address, value=0)
-        chain.transact(account, tx)
+        service = ChainService(chain)
+        tx = service.build(account, "transfer", to=account.address, value=0)
+        service.submit(account, tx).result()
         assert chain.burned_fees > 0

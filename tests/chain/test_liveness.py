@@ -10,7 +10,7 @@ import pytest
 
 from repro.crypto.hashing import sha256
 from repro.crypto.vrf import VRFKeyPair
-from repro.chain import ChainError, TxStatus
+from repro.chain import ChainService, TxStatus, drive
 from repro.chain.algorand import AlgorandChain
 from repro.chain.algorand.consensus import Sortition
 
@@ -75,8 +75,9 @@ class TestChainLiveness:
             chain.sortition.set_online(address, False)
         alice = chain.create_account(seed=b"alice", funding=100 * ALGO)
         bob = chain.create_account(seed=b"bob", funding=1 * ALGO)
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1_000)
-        receipt = chain.transact(alice, tx)
+        service = ChainService(chain)
+        tx = service.build(alice, "transfer", to=bob.address, value=1_000)
+        receipt = service.submit(alice, tx).result()
         assert receipt.status is TxStatus.SUCCESS
 
     def test_majority_outage_stalls_inclusion(self):
@@ -86,10 +87,11 @@ class TestChainLiveness:
             chain.sortition.set_online(address, False)
         alice = chain.create_account(seed=b"alice", funding=100 * ALGO)
         bob = chain.create_account(seed=b"bob", funding=1 * ALGO)
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1_000)
+        tx = ChainService(chain).build(alice, "transfer", to=bob.address, value=1_000)
         chain.sign(alice, tx)
         txid = chain.submit(tx)
-        with pytest.raises(ChainError):
-            chain.wait(txid, max_blocks=40)
+        deadline = chain.height + 40
+        drive(chain.queue, lambda: chain.height > deadline, chain=chain)
+        assert chain.receipt(txid).confirmed_at is None  # not within 40 blocks
         # Uncertified rounds were produced but carried nothing.
         assert all(not block.transactions for block in chain.blocks[1:])

@@ -8,7 +8,7 @@ includable at the next certified round.
 
 import pytest
 
-from repro.chain import InvalidTransaction, TxStatus, drive
+from repro.chain import ChainService, InvalidTransaction, TxStatus, drive
 from repro.chain.ethereum import EthereumChain
 
 ETH = 10**18
@@ -18,6 +18,11 @@ GWEI = 10**9
 @pytest.fixture
 def chain() -> EthereumChain:
     return EthereumChain(profile="eth-devnet", seed=1, validator_count=4)
+
+
+@pytest.fixture
+def service(chain) -> ChainService:
+    return ChainService(chain)
 
 
 @pytest.fixture
@@ -35,9 +40,9 @@ def confirmed(chain, txid):
 
 
 class TestEligibilityRounds:
-    def test_admission_buckets_by_next_round(self, chain, alice, bob):
+    def test_admission_buckets_by_next_round(self, chain, alice, bob, service):
         # transfer-sized gas: below the 1M-gas size penalty threshold
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1, gas_limit=21_000)
+        tx = service.build(alice, "transfer", to=bob.address, value=1, gas_limit=21_000)
         txid = chain.submit(chain.sign(alice, tx))
         entry = chain._mempool[txid]
         # zero congestion, zero size penalty: free at the very next round
@@ -46,15 +51,15 @@ class TestEligibilityRounds:
         assert any(pair[1] is entry for pair in bucket)
         assert entry not in [pair[1] for pair in chain._ready]
 
-    def test_gas_heavy_transaction_waits_extra_rounds(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+    def test_gas_heavy_transaction_waits_extra_rounds(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         assert tx.gas_limit >= 1_000_000  # default limit trips the size bias
         txid = chain.submit(chain.sign(alice, tx))
         entry = chain._mempool[txid]
         assert entry.eligible_round == chain._round + 1 + chain._inclusion_penalty(tx)
 
-    def test_inclusion_drains_bucket_and_mempool(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+    def test_inclusion_drains_bucket_and_mempool(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         txid = chain.submit(chain.sign(alice, tx))
         drive(chain.queue, confirmed(chain, txid), chain=chain)
         assert chain.receipts[txid].status is TxStatus.SUCCESS
@@ -62,9 +67,9 @@ class TestEligibilityRounds:
         assert not chain._eligible
         assert not chain._ready
 
-    def test_higher_priority_fee_included_first(self, chain, alice, bob):
-        cheap = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        rich = chain.make_transaction(bob, "transfer", to=alice.address, value=1)
+    def test_higher_priority_fee_included_first(self, chain, alice, bob, service):
+        cheap = service.build(alice, "transfer", to=bob.address, value=1)
+        rich = service.build(bob, "transfer", to=alice.address, value=1)
         rich.priority_fee_per_gas = 50 * GWEI
         rich.max_fee_per_gas += 50 * GWEI
         # submitted cheap-first; fee order must win over arrival order
@@ -75,9 +80,9 @@ class TestEligibilityRounds:
         txids = [t.txid for t in block.transactions]
         assert txids.index(rich_id) < txids.index(cheap_id)
 
-    def test_equal_fees_keep_submission_order(self, chain, alice, bob):
-        first = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
-        second = chain.make_transaction(bob, "transfer", to=alice.address, value=1)
+    def test_equal_fees_keep_submission_order(self, chain, alice, bob, service):
+        first = service.build(alice, "transfer", to=bob.address, value=1)
+        second = service.build(bob, "transfer", to=alice.address, value=1)
         first_id = chain.submit(chain.sign(alice, first))
         second_id = chain.submit(chain.sign(bob, second))
         drive(chain.queue, confirmed(chain, first_id), chain=chain)
@@ -88,34 +93,34 @@ class TestEligibilityRounds:
 
 class TestReplaceByNonce:
     def replacement_for(self, chain, account, tx, bump):
-        replacement = chain.make_transaction(account, "transfer", to=tx.to, value=tx.value)
+        replacement = ChainService(chain).build(account, "transfer", to=tx.to, value=tx.value)
         replacement.nonce = tx.nonce
         replacement.max_fee_per_gas = tx.max_fee_per_gas + bump
         return chain.sign(account, replacement)
 
-    def test_replacement_evicts_pending_copy(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+    def test_replacement_evicts_pending_copy(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         old_id = chain.submit(chain.sign(alice, tx))
         new_id = chain.submit(self.replacement_for(chain, alice, tx, bump=GWEI))
         assert old_id not in chain._mempool
         assert chain._mempool_nonce[(alice.address, tx.nonce)] == new_id
         assert chain.receipts[old_id].error == "replaced"
 
-    def test_underpriced_replacement_rejected(self, chain, alice, bob):
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+    def test_underpriced_replacement_rejected(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         chain.submit(chain.sign(alice, tx))
         # distinct txid (different value) but fees that fail the
         # strict-outbid rule
-        replacement = chain.make_transaction(alice, "transfer", to=bob.address, value=2)
+        replacement = service.build(alice, "transfer", to=bob.address, value=2)
         replacement.nonce = tx.nonce
         with pytest.raises(InvalidTransaction, match="underpriced"):
             chain.submit(chain.sign(alice, replacement))
 
-    def test_stale_ready_pair_is_skipped_not_executed(self, chain, alice, bob):
+    def test_stale_ready_pair_is_skipped_not_executed(self, chain, alice, bob, service):
         """The evicted entry's pair stays in its eligibility bucket; the
         identity check at inclusion must drop it so the nonce executes
         exactly once."""
-        tx = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
         old_id = chain.submit(chain.sign(alice, tx))
         new_id = chain.submit(self.replacement_for(chain, alice, tx, bump=GWEI))
         before = chain.balance_of(bob.address)

@@ -8,12 +8,14 @@ from repro.chain import (
     InvalidTransaction,
     ManagedTxHandle,
     TransientChainError,
+    TxHandle,
     TxStatus,
 )
 from repro.chain.algorand import AlgorandChain
 from repro.chain.ethereum import EthereumChain
 from repro.chain.ethereum.chain import MIN_BASE_FEE
 from repro.chain.params import GWEI
+from repro.chain.service import DEFAULT_EVM_GAS_LIMIT
 from repro.faults import RetryPolicy
 
 ETH = 10**18
@@ -39,20 +41,15 @@ class TestFeeEstimation:
             "max_fee_per_gas": max(eth_chain.base_fee * 2, MIN_BASE_FEE) + priority,
             "priority_fee_per_gas": priority,
         }
+        account = eth_chain.create_account(seed=b"alice", funding=ETH)
+        built = service.build(account, "transfer", to=account.address, value=1)
+        assert built.max_fee_per_gas == fields["max_fee_per_gas"]
+        assert built.priority_fee_per_gas == fields["priority_fee_per_gas"]
+        assert built.gas_limit == DEFAULT_EVM_GAS_LIMIT
 
     def test_avm_fees_are_the_flat_minimum(self, algo_chain):
         service = ChainService(algo_chain)
         assert service.fee_fields() == {"flat_fee": algo_chain.profile.min_fee}
-
-    def test_build_prices_like_the_chain_convenience(self, eth_chain):
-        """Both build paths must price identically (serial-path parity)."""
-        service = ChainService(eth_chain)
-        account = eth_chain.create_account(seed=b"alice", funding=ETH)
-        built = service.build(account, "transfer", to=account.address, value=1)
-        reference = eth_chain.make_transaction(account, "transfer", to=account.address, value=1)
-        assert built.max_fee_per_gas == reference.max_fee_per_gas
-        assert built.priority_fee_per_gas == reference.priority_fee_per_gas
-        assert built.gas_limit == reference.gas_limit
 
     def test_avm_build_carries_no_gas_limit(self, algo_chain):
         service = ChainService(algo_chain)
@@ -119,7 +116,7 @@ class TestNonceResync:
         service = ChainService(algo_chain)
         alice = algo_chain.create_account(seed=b"alice", funding=10 * ALGO)
         bob = algo_chain.create_account(seed=b"bob")
-        receipt = service.transact(alice, service.build(alice, "transfer", to=bob.address, value=ALGO))
+        receipt = service.submit(alice, service.build(alice, "transfer", to=bob.address, value=ALGO)).result()
         assert receipt.status is TxStatus.SUCCESS
         assert algo_chain.balance_of(bob.address) == ALGO
 
@@ -200,7 +197,7 @@ class TestReplaceByNonce:
         bumped_txid = eth_chain.submit(bumped)
         assert eth_chain.receipt(stuck_txid).error == "replaced"
         assert eth_chain.mempool_depth == 1
-        receipt = eth_chain.wait(bumped_txid)
+        receipt = TxHandle(eth_chain, bumped_txid).result()
         assert receipt.status is TxStatus.SUCCESS
         assert eth_chain.balance_of(bob.address) == 1  # exactly-once execution
 

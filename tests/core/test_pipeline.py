@@ -27,33 +27,6 @@ def proof_for(system, prover_name):
     return request, proof
 
 
-class TestErrorRename:
-    def test_alias_is_the_same_class(self):
-        """The deprecated trailing-underscore name must keep working."""
-        import repro.core.system as system_module
-
-        with pytest.warns(DeprecationWarning, match="SystemError_ is deprecated"):
-            alias = system_module.SystemError_
-        assert alias is PolSystemError
-
-    def test_alias_import_warns(self):
-        """`from ... import SystemError_` resolves through __getattr__ too."""
-        with pytest.warns(DeprecationWarning, match="SystemError_ is deprecated"):
-            from repro.core.system import SystemError_  # noqa: F401
-
-    def test_old_handlers_still_catch(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.system import SystemError_
-        with pytest.raises(SystemError_):
-            raise PolSystemError("caught through the alias")
-
-    def test_other_missing_attributes_still_raise(self):
-        import repro.core.system as system_module
-
-        with pytest.raises(AttributeError):
-            system_module.NoSuchName
-
-
 class TestSubmitAsync:
     def test_submission_is_a_future(self):
         system = build_system()

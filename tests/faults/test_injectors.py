@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chain import TransientChainError
+from repro.chain import ChainService, TransientChainError
 from repro.chain.ethereum import EthereumChain
 from repro.core.bluetooth import BluetoothChannel, BluetoothError
 from repro.dht import HypercubeDHT
@@ -18,6 +18,11 @@ def chain() -> EthereumChain:
     return EthereumChain(profile="eth-devnet", seed=1, validator_count=4)
 
 
+@pytest.fixture
+def service(chain) -> ChainService:
+    return ChainService(chain)
+
+
 def _plan(**kwargs) -> FaultPlan:
     return FaultPlan(seed=0, **kwargs)
 
@@ -28,14 +33,14 @@ class TestChainFaultInjector:
         assert chain.faults is injector
         assert chain.queue.fault_delay == injector.event_delay
 
-    def test_planned_ordinal_rejected_transiently(self, chain):
+    def test_planned_ordinal_rejected_transiently(self, chain, service):
         ChainFaultInjector(_plan(reject_submissions=frozenset({1}))).install(chain)
         alice = chain.create_account(seed=b"alice", funding=10 * ETH)
         bob = chain.create_account(seed=b"bob")
-        tx0 = chain.make_transaction(alice, "transfer", to=bob.address, value=1)
+        tx0 = service.build(alice, "transfer", to=bob.address, value=1)
         chain.sign(alice, tx0)
         chain.submit(tx0)  # ordinal 0: clean
-        tx1 = chain.make_transaction(alice, "transfer", to=bob.address, value=2)
+        tx1 = service.build(alice, "transfer", to=bob.address, value=2)
         chain.sign(alice, tx1)
         with pytest.raises(TransientChainError):
             chain.submit(tx1)  # ordinal 1: injected drop
@@ -96,7 +101,7 @@ class TestChainFaultInjector:
         )
         ChainFaultInjector(_plan(reject_submissions=frozenset({0}))).install(chain)
         alice = chain.create_account(seed=b"alice", funding=10 * ETH)
-        tx = chain.make_transaction(alice, "transfer", to=alice.address, value=0)
+        tx = ChainService(chain).build(alice, "transfer", to=alice.address, value=0)
         chain.sign(alice, tx)
         with pytest.raises(TransientChainError):
             chain.submit(tx)

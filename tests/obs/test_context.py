@@ -126,6 +126,7 @@ class TestEventQueuePropagation:
 
 class TestHandleCallbacks:
     def test_tx_handle_callback_runs_under_registration_context(self):
+        from repro.chain import ChainService, TxHandle
         from repro.chain.ethereum import EthereumChain
 
         recorder = Recorder()
@@ -133,17 +134,15 @@ class TestHandleCallbacks:
             profile="eth-devnet", queue=EventQueue(recorder=recorder), seed=1, validator_count=4
         )
         account = chain.create_account(funding=10**18)
-        tx = chain.make_transaction(account, "transfer", to=account.address, value=1)
+        tx = ChainService(chain).build(account, "transfer", to=account.address, value=1)
         chain.sign(account, tx)
         registration = recorder.span("registration")
         seen = []
-        from repro.chain.base import TxHandle
-
         chain.submit(tx)
         handle = TxHandle(chain, tx.txid)
         with recorder.activate(registration.context):
             handle.add_done_callback(lambda _h: seen.append(recorder.current_context()))
-        chain.wait(tx.txid)
+        handle.result()
         assert seen == [registration.context]
 
     def test_op_spans_parent_ceremony_tx_spans(self):

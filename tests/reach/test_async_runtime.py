@@ -54,7 +54,6 @@ class TestOpHandle:
         creator = fund(chain, "creator")
         attacher = fund(chain, "attacher")
         deployed = client.deploy(compiled_contract(4), creator, [OLC, 1, record_for(creator, 1)])
-        client.attach(deployed, attacher)
         handle = deployed.api_async("attacherAPI.insert_data", record_for(attacher, 2), 2, sender=attacher)
         seats_left = handle.wait().value
         assert seats_left == 2  # 4 seats, creator + one attacher seated

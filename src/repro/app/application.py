@@ -45,7 +45,6 @@ class CrowdsensingApp:
         title: str,
         description: str,
         category: ReportCategory = ReportCategory.OTHER,
-        photo: bytes = b"",
     ) -> SubmittedReport:
         """The six-step insertion algorithm of section 3.1.2.
 
@@ -62,7 +61,6 @@ class CrowdsensingApp:
             title=title,
             description=description,
             category=category,
-            photo=photo,
             reporter_did=prover.did_uint,
             olc=prover.olc,
             timestamp=self.system.chain.queue.clock.now,

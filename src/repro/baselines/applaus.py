@@ -6,7 +6,7 @@ report them to a server."  Faithful elements:
 
 - proofs are generated peer-to-peer between a prover and a witness over
   the Bluetooth channel (no infrastructure);
-- users act under *periodically changing pseudonyms*;
+- each user holds a pool of pseudonyms, all registered with the CA;
 - proofs are uploaded to an untrusted **central server**;
 - a **Central Authority** knows the pseudonym -> real-identity mapping;
   a verifier queries the CA with a real identity, the CA translates to
@@ -61,13 +61,12 @@ class ApplausProof:
 
 @dataclass
 class PseudonymousUser:
-    """A mobile user with a rotating pseudonym pool."""
+    """A mobile user with a pseudonym pool (it proves under the first)."""
 
     name: str
     latitude: float
     longitude: float
     pseudonym_pool: list[KeyPair] = field(default_factory=list)
-    active_index: int = 0
 
     def __post_init__(self) -> None:
         if not self.pseudonym_pool:
@@ -78,7 +77,7 @@ class PseudonymousUser:
     @property
     def active_keypair(self) -> KeyPair:
         """The currently used pseudonym key."""
-        return self.pseudonym_pool[self.active_index]
+        return self.pseudonym_pool[0]
 
     @property
     def active_pseudonym(self) -> str:
@@ -89,11 +88,6 @@ class PseudonymousUser:
     def olc(self) -> str:
         """Current location code."""
         return olc_encode(self.latitude, self.longitude)
-
-    def rotate(self) -> str:
-        """Periodic pseudonym change (the APPLAUS privacy mechanism)."""
-        self.active_index = (self.active_index + 1) % len(self.pseudonym_pool)
-        return self.active_pseudonym
 
     def all_pseudonyms(self) -> list[str]:
         """Every pseudonym this user may appear under."""

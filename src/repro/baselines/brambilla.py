@@ -29,6 +29,10 @@ from repro.crypto.keys import KeyPair, PublicKey, Signature
 from repro.geo.distance import haversine_km
 
 
+#: how far an honest witness lets a claimed position be from its own.
+PROXIMITY_KM = 0.1
+
+
 class BrambillaError(Exception):
     """Protocol violation detected by honest peers."""
 
@@ -153,17 +157,17 @@ class Peer:
             signature_hex=self.keypair.sign(body).to_bytes().hex(),
         )
 
-    def respond(self, request: PolRequest, timestamp: float = 0.0, proximity_km: float = 0.1) -> PolRecord:
+    def respond(self, request: PolRequest, timestamp: float = 0.0) -> PolRecord:
         """Witness side: sign a response.
 
-        An *honest* peer refuses when the claimed position is not near
-        its own; a dishonest (colluding) peer signs anyway -- the
-        protocol itself cannot tell the difference, which is the
-        vulnerability the thesis points out.
+        An *honest* peer refuses when the claimed position is more than
+        :data:`PROXIMITY_KM` from its own; a dishonest (colluding) peer
+        signs anyway -- the protocol itself cannot tell the difference,
+        which is the vulnerability the thesis points out.
         """
         if self.honest:
             distance = haversine_km(self.latitude, self.longitude, request.latitude, request.longitude)
-            if distance > proximity_km:
+            if distance > PROXIMITY_KM:
                 raise BrambillaError(
                     f"{self.name} refuses: claimed position is {distance:.1f} km away"
                 )
@@ -200,20 +204,6 @@ class BrambillaNetwork:
         self._rng = random.Random(self.seed)
         if not self.chain:
             self.chain = [PolBlock(height=0, previous_hash="0" * 64, creator_key_hex="genesis", pols=())]
-
-    def add_peer(self, name: str, latitude: float, longitude: float, honest: bool = True) -> Peer:
-        """Join a peer."""
-        if name in self.peers:
-            raise BrambillaError(f"peer {name!r} already joined")
-        peer = Peer(
-            name=name,
-            keypair=KeyPair.from_seed(f"brambilla/{name}".encode()),
-            latitude=latitude,
-            longitude=longitude,
-            honest=honest,
-        )
-        self.peers[name] = peer
-        return peer
 
     @property
     def head_hash(self) -> str:
@@ -253,13 +243,3 @@ class BrambillaNetwork:
         self.chain.append(block)
         self.pending = []
         return block
-
-    def proofs_of(self, peer_name: str) -> list[PolRecord]:
-        """Every recorded proof where the peer is the prover."""
-        key_hex = self.peers[peer_name].key_hex
-        return [
-            pol
-            for block in self.chain
-            for pol in block.pols
-            if pol.request.prover_key_hex == key_hex
-        ]

@@ -73,13 +73,13 @@ def render_table(title: str, rows: list[OperationStats]) -> str:
     return "\n".join(lines)
 
 
-def render_bar_chart(title: str, series: list[tuple[str, float]], width: int = 50) -> str:
+def render_bar_chart(title: str, series: list[tuple[str, float]]) -> str:
     """ASCII per-user bars (the figure 5.2-5.5 shape)."""
     if not series:
         return f"{title}\n(no data)"
     peak = max(value for _, value in series) or 1.0
     lines = [title]
     for label, value in series:
-        bar = "#" * max(1, int(value / peak * width))
+        bar = "#" * max(1, int(value / peak * 50))
         lines.append(f"{label:12} {value:8.2f}s |{bar}")
     return "\n".join(lines)

@@ -93,7 +93,6 @@ def run_simulation(
     network: str,
     user_count: int,
     seed: int = 0,
-    reward: int = 0,
     compiled: CompiledContract | None = None,
     recorder: NullRecorder | None = None,
     concurrent: bool = False,
@@ -150,7 +149,7 @@ def run_simulation(
     client = ReachClient(chain, policy=policy)
     if compiled is None:
         compiled = compile_program(
-            build_pol_program(max_users=USERS_PER_CONTRACT, reward=reward or 1_000)
+            build_pol_program(max_users=USERS_PER_CONTRACT, reward=1_000)
         )
     workload = generate_workload(user_count)
     funding = chain.profile.simulation_funding
@@ -244,7 +243,6 @@ def run_traced_journeys(
     network: str,
     user_count: int,
     seed: int = 0,
-    reward: int = 5_000,
     sample_every: int = 1,
     profiler=None,
     batch_size: int | None = None,
@@ -311,7 +309,7 @@ def run_traced_journeys(
     try:
         with activate_profiler(profiler):
             _run_facade_campaign(
-                chain, recorder, user_count, reward, sample_every,
+                chain, recorder, user_count, sample_every,
                 batch_size if batch_size is not None and batch_size >= 2 else None,
                 watchtower if watchtower is not None else NULL_WATCHTOWER,
             )
@@ -319,6 +317,9 @@ def run_traced_journeys(
         profiler.stop()
     return reconstruct_journeys(recorder), recorder
 
+
+#: What the facade campaign's verifier pays each proven prover.
+JOURNEY_REWARD = 5_000
 
 #: Groups per column of locations.  Group ``g`` sits 0.01 degrees
 #: (~1.1 km) north of group ``g - 1``; after 4,000 groups (40 degrees,
@@ -351,7 +352,7 @@ def campaign_users(user_count: int, batch_size: int | None = None) -> int:
 
 
 def _run_facade_campaign(
-    chain, recorder, user_count, reward, sample_every, batch_size, watchtower,
+    chain, recorder, user_count, sample_every, batch_size, watchtower,
 ) -> None:
     """The traced campaign body (profiled window of ``run_traced_journeys``).
 
@@ -371,7 +372,7 @@ def _run_facade_campaign(
     group = batch_size or USERS_PER_CONTRACT
     users = campaign_users(user_count, batch_size)
     system = ProofOfLocationSystem(
-        chain=chain, reward=reward, max_users=group, watchtower=watchtower
+        chain=chain, reward=JOURNEY_REWARD, max_users=group, watchtower=watchtower
     )
     funding = chain.profile.simulation_funding
     for index in range((users + group - 1) // group):
@@ -425,7 +426,7 @@ def _run_facade_campaign(
     # verify loop alone is one consensus round trip per record.
     rewards: dict[str, int] = {}
     for outcome in outcomes:
-        rewards[outcome.olc] = rewards.get(outcome.olc, 0) + reward
+        rewards[outcome.olc] = rewards.get(outcome.olc, 0) + JOURNEY_REWARD
     system.fund_contracts("verifier", rewards)
     system.verify_many(
         "verifier",

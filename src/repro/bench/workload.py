@@ -62,8 +62,3 @@ def generate_workload(user_count: int) -> list[ProverSpec]:
             )
         )
     return provers
-
-
-def find_neighbours(spec: ProverSpec, workload: list[ProverSpec]) -> list[int]:
-    """DIDs of the other provers placed at the same location."""
-    return [other.did for other in workload if other.olc == spec.olc and other.did != spec.did]

@@ -10,7 +10,7 @@ execution engines and consensus:
   Yellow-Paper gas schedule, EIP-1559 base-fee dynamics and
   proof-of-stake slot/committee consensus.
 - :mod:`repro.chain.polygon` -- a layer-2 parametrization of the EVM
-  chain (2 s blocks, low fees) with periodic L1 checkpoints.
+  chain (2 s blocks, low fees).
 - :mod:`repro.chain.algorand` -- an AVM/TEAL-style VM with Pure
   Proof-of-Stake: VRF sortition of leader + committee, immediate
   finality, flat minimum fees.

@@ -36,7 +36,6 @@ from repro.chain.algorand.teal import TealProgram, assemble
 from repro.chain.params import PROFILES, NetworkProfile
 
 MIN_BALANCE = 100_000  # microAlgos every account must retain
-APP_MIN_BALANCE = 100_000  # extra min balance the app creator locks per app
 
 
 class AlgorandChain(BaseChain):

@@ -134,10 +134,6 @@ class Sortition:
             raise KeyError(address)
         participant.online = online
 
-    def online_stake(self) -> int:
-        """Stake currently participating."""
-        return sum(p.stake for p in self.participants.values() if p.online)
-
     def run_round(self, round_number: int, seed: bytes) -> CertifiedRound:
         """Select a leader and committee, then certify the proposal.
 
@@ -212,7 +208,3 @@ class Sortition:
         seats = sortition_seats(output, participant.stake, self.total_stake(), expected)
         return seats == credential.seats and seats > 0
 
-
-def honest_majority_bound(total_value: int) -> int:
-    """Money that must be honest: strictly more than 2/3 (section 1.4.2)."""
-    return math.floor(total_value * 2 / 3) + 1

@@ -65,8 +65,6 @@ class TealProgram:
 
 #: ops taking a label immediate, resolved to instruction indices
 _BRANCH_OPS = {"b", "bz", "bnz", "callsub"}
-#: ops taking one integer immediate
-_INT_OPS = {"int", "txna_index"}
 #: ops with a free-form string immediate
 _FIELD_OPS = {"txn", "global"}
 

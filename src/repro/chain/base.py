@@ -131,24 +131,18 @@ class Transaction:
     priority_fee_per_gas: int = 0  # EVM
     flat_fee: int = 0  # AVM
     signature: Signature | None = None
-    #: lazy caches for the canonical body; invalidated by field writes
+    #: lazy cache of the canonical body; invalidated by field writes
     #: (below) so a transaction tampered after signing still fails.
     _payload: bytes | None = field(default=None, init=False, repr=False, compare=False)
-    _data_size: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name: str, value: Any) -> None:
-        # Invalidation only has to fire once a cache holds a value;
+        # Invalidation only has to fire once the cache holds a value;
         # during __init__ (13 field writes per transaction, the hottest
-        # dataclass in the kernel) both caches are still unset and the
-        # write collapses to one dict store.
+        # dataclass in the kernel) it is still unset and the write
+        # collapses to one dict store.
         d = self.__dict__
-        if (
-            name != "signature"
-            and name[0] != "_"
-            and (d.get("_payload") is not None or d.get("_data_size") is not None)
-        ):
+        if name != "signature" and name[0] != "_" and d.get("_payload") is not None:
             d["_payload"] = None
-            d["_data_size"] = None
         d[name] = value
 
     def signing_payload(self) -> bytes:
@@ -182,14 +176,6 @@ class Transaction:
         tail = self.signature.to_bytes() if self.signature else b""
         return sha256_hex(self.signing_payload(), tail)
 
-    def data_size(self) -> int:
-        """Approximate serialized payload size in bytes (for gas/fees)."""
-        size = self._data_size
-        if size is None:
-            size = self._data_size = len(
-                json.dumps(self.data, sort_keys=True, default=_json_default).encode()
-            )
-        return size
 
 
 def _json_default(value: Any) -> Any:

@@ -158,7 +158,3 @@ class ConfluxChain(EthereumChain):
         if delta:
             self._debit(tx.sender, delta)
             self.collateral[tx.sender] = self.collateral.get(tx.sender, 0) + delta
-
-    def collateral_of(self, address: str) -> int:
-        """Drip currently locked as storage collateral by ``address``."""
-        return self.collateral.get(address, 0)

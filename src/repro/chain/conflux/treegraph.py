@@ -82,36 +82,5 @@ class GhostDag:
         """Blocks with no children (candidates for referee edges)."""
         return sorted(block_id for block_id, kids in self.children.items() if not kids)
 
-    def epoch_of(self, block_id: str) -> int | None:
-        """The pivot index whose epoch serializes ``block_id``.
-
-        A non-pivot block belongs to the epoch of the first pivot block
-        that can reach it via parent/referee edges.
-        """
-        pivot = self.pivot_chain()
-        position = {b: i for i, b in enumerate(pivot)}
-        if block_id in position:
-            return position[block_id]
-        for index, pivot_block in enumerate(pivot):
-            if self._reaches(pivot_block, block_id):
-                return index
-        return None
-
-    def _reaches(self, source: str, target: str) -> bool:
-        seen = set()
-        stack = [source]
-        while stack:
-            current = stack.pop()
-            if current == target:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            block = self.blocks[current]
-            if block.parent:
-                stack.append(block.parent)
-            stack.extend(block.referees)
-        return False
-
     def __len__(self) -> int:
         return len(self.blocks)

@@ -120,7 +120,7 @@ class EthereumChain(BaseChain):
         committee = self.validators.select_committee(seed, exclude=proposer.address)
         attestations = self.validators.attest(committee, block_number)
         return proposer.address, {
-            "attestations": [vote.validator for vote in attestations if vote.approve],
+            "attestations": [vote.validator for vote in attestations],
         }
 
     def _begin_block(self, block: Block) -> None:

@@ -3,8 +3,7 @@
 Models the post-Merge design the thesis describes (section 1.4.1.2): a
 validator registry where each validator stakes 32 ETH, a randomly
 selected proposer per 12-second slot, and a random committee that
-attests to the proposed block.  Misbehaving validators are slashed
-(their staked funds destroyed).
+attests to the proposed block.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ class Validator:
 
     address: str
     stake: int  # base units (wei)
-    slashed: bool = False
     blocks_proposed: int = 0
     attestations: int = 0
 
@@ -32,7 +30,6 @@ class Attestation:
 
     validator: str
     block_number: int
-    approve: bool
 
 
 @dataclass
@@ -56,8 +53,8 @@ class ValidatorSet:
         return validator
 
     def active(self) -> list[Validator]:
-        """Validators eligible for duties (not slashed), in stable order."""
-        return [v for v in sorted(self.validators.values(), key=lambda v: v.address) if not v.slashed]
+        """Validators eligible for duties, in stable order."""
+        return sorted(self.validators.values(), key=lambda v: v.address)
 
     def select_proposer(self, seed: bytes) -> Validator:
         """Pick the slot's block proposer, seeded by the chain randomness."""
@@ -78,25 +75,13 @@ class ValidatorSet:
         size = min(self.committee_size, len(eligible))
         return rng.sample(eligible, size)
 
-    def attest(self, committee: list[Validator], block_number: int, block_valid: bool = True) -> list[Attestation]:
-        """Committee votes on the proposal; honest members follow validity."""
+    def attest(self, committee: list[Validator], block_number: int) -> list[Attestation]:
+        """Committee votes for the proposal (every block is valid)."""
         votes = []
         for member in committee:
             member.attestations += 1
-            votes.append(Attestation(validator=member.address, block_number=block_number, approve=block_valid))
+            votes.append(Attestation(validator=member.address, block_number=block_number))
         return votes
-
-    def slash(self, address: str) -> int:
-        """Destroy a misbehaving validator's stake; returns the amount burned."""
-        validator = self.validators.get(address)
-        if validator is None:
-            raise KeyError(address)
-        if validator.slashed:
-            return 0
-        validator.slashed = True
-        burned = validator.stake
-        validator.stake = 0
-        return burned
 
     def total_stake(self) -> int:
         """Sum of active stake."""

@@ -4,34 +4,18 @@ The thesis treats Polygon as "an overlay network that improves some
 aspects of the Ethereum blockchain ... low fees and high transactions
 per second" (section 1.4.1.4).  We model it as the same EVM engine with
 the Mumbai profile (2 s blocks, gwei-scale fees, its own congestion
-process) plus a checkpoint manager that periodically commits the L2
-state root to an L1 chain -- the mechanism through which the L2
-"derives some properties such as security from the Ethereum mainnet".
+process).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.crypto.merkle import merkle_root
 from repro.simnet import EventQueue
 from repro.chain.ethereum.chain import EthereumChain
-from repro.chain.params import PROFILES, NetworkProfile
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """A batch of L2 blocks committed to L1."""
-
-    sequence: int
-    first_block: int
-    last_block: int
-    state_root: bytes
-    l1_block: int | None
+from repro.chain.params import NetworkProfile
 
 
 class PolygonChain(EthereumChain):
-    """The Mumbai-profile EVM chain with L1 checkpointing."""
+    """The EVM chain on the Mumbai profile."""
 
     def __init__(
         self,
@@ -39,47 +23,5 @@ class PolygonChain(EthereumChain):
         queue: EventQueue | None = None,
         seed: int = 0,
         validator_count: int = 16,
-        checkpoint_interval: int = 64,
-        l1: EthereumChain | None = None,
     ):
         super().__init__(profile=profile, queue=queue, seed=seed, validator_count=validator_count)
-        self.checkpoint_interval = checkpoint_interval
-        self.l1 = l1
-        self.checkpoints: list[Checkpoint] = []
-
-    def _begin_block(self, block) -> None:
-        super()._begin_block(block)
-        if block.number % self.checkpoint_interval == 0 and block.number > 0:
-            self._emit_checkpoint(block.number)
-
-    def _emit_checkpoint(self, up_to_block: int) -> None:
-        first = self.checkpoints[-1].last_block + 1 if self.checkpoints else 1
-        if first > up_to_block - 1:
-            return
-        covered = self.blocks[first : up_to_block]
-        root = merkle_root([blk.block_hash.encode() for blk in covered])
-        l1_block = self.l1.height if self.l1 is not None else None
-        self.checkpoints.append(
-            Checkpoint(
-                sequence=len(self.checkpoints),
-                first_block=first,
-                last_block=up_to_block - 1,
-                state_root=root,
-                l1_block=l1_block,
-            )
-        )
-
-    def checkpointed_height(self) -> int:
-        """The highest L2 block already committed to L1 (0 if none)."""
-        return self.checkpoints[-1].last_block if self.checkpoints else 0
-
-    def verify_checkpoint(self, sequence: int) -> bool:
-        """Recompute a checkpoint's state root from the covered blocks."""
-        checkpoint = self.checkpoints[sequence]
-        covered = self.blocks[checkpoint.first_block : checkpoint.last_block + 1]
-        return merkle_root([blk.block_hash.encode() for blk in covered]) == checkpoint.state_root
-
-
-def mumbai_profile() -> NetworkProfile:
-    """The calibrated Polygon Mumbai profile."""
-    return PROFILES["polygon-mumbai"]

@@ -29,9 +29,9 @@ from repro.core.actors import (
     Verifier,
     Witness,
     WitnessRefusal,
-    uint_did,
 )
 from repro.core.bluetooth import BluetoothChannel, BluetoothError
+from repro.did.document import uint_did
 from repro.core.factory import ContractFactory, FactoryError
 from repro.core.system import ProofOfLocationSystem, SubmissionOutcome
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.did.auth import AuthError, ChallengeResponseAuth
-from repro.did.document import uint_did
 from repro.did.registry import DidRegistry
 from repro.geo.olc import encode as olc_encode
 from repro.core.bluetooth import BluetoothChannel
@@ -69,13 +68,6 @@ class CertificationAuthority:
         if wallet:
             self.wallets[public.fingerprint()] = wallet
 
-    def revoke_witness(self, public: PublicKey) -> None:
-        """Strip a witness of its role: its key leaves the delivered list."""
-        if public in self._members:
-            self._members.discard(public)
-            self.witness_keys.remove(public)
-            self._delivered = None
-
     def witness_wallet(self, public: PublicKey) -> str | None:
         """The payout wallet of a registered witness (section 2.8)."""
         return self.wallets.get(public.fingerprint())
@@ -88,18 +80,12 @@ class CertificationAuthority:
         """Check a verifier accreditation."""
         return verifier_id in self.verifiers
 
-    def witness_list(self, verifier_id: str) -> list[PublicKey]:
-        """Deliver the witness key list -- only to accredited verifiers."""
-        if not self.is_verifier(verifier_id):
-            raise PermissionError(f"{verifier_id} is not an accredited verifier")
-        return list(self.witness_keys)
-
     def witness_set(self, verifier_id: str) -> frozenset[PublicKey]:
-        """The witness list as a cached frozenset for O(1) membership.
+        """Deliver the witness key list -- only to accredited verifiers.
 
-        Same accreditation gate and same keys as :meth:`witness_list`;
-        verification only needs "is this key CA-listed?" and "which of
-        these keys verifies?", neither of which depends on list order.
+        A cached frozenset for O(1) membership: verification only needs
+        "is this key CA-listed?" and "which of these keys verifies?",
+        neither of which depends on list order.
         The cache is rebuilt whenever the roster changes (including
         direct ``witness_keys`` mutation, detected by length).
         """
@@ -242,11 +228,6 @@ class Prover(UserBase):
         """Remember a submission the prover has in flight."""
         self.in_flight.append(pending)
 
-    @property
-    def unsettled(self) -> list:
-        """Submissions still waiting on chain confirmations."""
-        return [pending for pending in self.in_flight if not pending.done]
-
     def settle_submissions(self) -> list:
         """Drop (and return) the submissions that have since settled."""
         settled = [pending for pending in self.in_flight if pending.done]
@@ -331,17 +312,8 @@ class Verifier:
 
 
 def _did_of(registry: DidRegistry, did_uint: int) -> str:
-    """Look up the full DID string for a contract-level UInt DID.
-
-    The registry's UInt index answers in O(1) for documents it
-    registered itself; the linear scan remains as a fallback for
-    documents injected directly into ``registry.documents`` (tests,
-    external registries).
-    """
-    indexed = registry.did_for_uint(did_uint)
-    if indexed is not None:
-        return indexed
-    for did, document in registry.documents.items():
-        if uint_did(did) == did_uint and not document.deactivated:
-            return did
-    raise AuthError(f"no active DID registered for UInt id {did_uint}")
+    """Look up the full DID string for a contract-level UInt DID."""
+    did = registry.did_for_uint(did_uint)
+    if did is None:
+        raise AuthError(f"no DID registered for UInt id {did_uint}")
+    return did

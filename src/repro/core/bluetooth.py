@@ -2,9 +2,9 @@
 
 "We will use Bluetooth to communicate between the prover and witness"
 -- the physical-proximity guarantee that GPS alone cannot give.  The
-channel is range-limited: discovery and messaging only work between
-devices within radio range, so a remote attacker simply cannot obtain a
-witness signature.
+channel is range-limited: messaging only works between devices within
+radio range, so a remote attacker simply cannot obtain a witness
+signature.
 """
 
 from __future__ import annotations
@@ -72,11 +72,6 @@ class BluetoothChannel:
     def in_range(self, a: str, b: str) -> bool:
         """Whether two devices can currently talk."""
         return a != b and self.distance_m(a, b) <= self.effective_range_m
-
-    def discover(self, device_id: str) -> list[str]:
-        """The 'view users nearby' feature: device ids within range."""
-        self._device(device_id)
-        return sorted(other for other in self.devices if self.in_range(device_id, other))
 
     def send(self, sender: str, recipient: str, payload: Any) -> None:
         """Deliver a message if (and only if) the peers are in range."""

@@ -41,11 +41,6 @@ class ContractFactory:
         if self.client is None:
             self.client = ReachClient(self.chain)
 
-    @property
-    def template_name(self) -> str:
-        """The audited template's name."""
-        return self.template.name
-
     def instance_for(self, olc: str) -> DeployedContract | None:
         """The live instance for a location, if any."""
         return self.instances.get(olc.upper())

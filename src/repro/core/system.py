@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.chain.base import Account, BaseChain, drain
+from repro.did.document import uint_did
 from repro.did.registry import DidRegistry
 from repro.dht.hypercube import HypercubeDHT
 from repro.obs.monitor import NULL_WATCHTOWER
 from repro.ipfs.network import IpfsNetwork
 from repro.reach.compiler import CompiledContract, compile_program
 from repro.reach.runtime import DeployedContract, OpHandle, OpResult, ReachClient
-from repro.core.actors import CertificationAuthority, Prover, Verifier, Witness, uint_did
+from repro.core.actors import CertificationAuthority, Prover, Verifier, Witness
 from repro.core.bluetooth import BluetoothChannel
 from repro.core.contract import build_pol_program, parse_pol_record, pol_record
 from repro.core.factory import ContractFactory
@@ -179,9 +180,9 @@ class ProofOfLocationSystem:
         self.provers[name] = prover
         return prover
 
-    def register_witness(self, name: str, latitude: float, longitude: float, funding: int = 0) -> Witness:
-        """Onboard a witness; its public key goes to the CA list."""
-        account, did, short_did = self._onboard(name, latitude, longitude, funding)
+    def register_witness(self, name: str, latitude: float, longitude: float) -> Witness:
+        """Onboard an unfunded witness; its public key goes to the CA list."""
+        account, did, short_did = self._onboard(name, latitude, longitude, funding=0)
         witness = Witness(
             name=name, keypair=account.keypair, did=did, did_uint=short_did,
             latitude=latitude, longitude=longitude,
@@ -232,15 +233,6 @@ class ProofOfLocationSystem:
             # it via the (prover, nonce) key.
             self._journey_roots[(prover_name, request.nonce)] = span.context
         return request, proof, cid
-
-    def discover_witnesses(self, prover_name: str) -> list[str]:
-        """The 'view users nearby' feature (figure 2.2): witnesses in
-        Bluetooth range of the prover's device."""
-        prover = self.provers.get(prover_name)
-        if prover is None:
-            raise PolSystemError(f"unknown prover {prover_name!r}")
-        nearby = self.channel.discover(prover.device_id)
-        return [name for name in nearby if name in self.witnesses]
 
     # -- figure 2.3: hypercube lookup + deploy-or-attach -------------------------------
 
@@ -586,17 +578,17 @@ class ProofOfLocationSystem:
         return ProofFailure.OK, handle, str(fields["cid"])
 
     def _publish_verified(self, verifier_name: str, olc: str, cid: str) -> None:
-        """Post-reward bookkeeping: feed the hypercube, pin the report."""
+        """Post-reward bookkeeping: feed the hypercube, keep the report."""
         with self.chain.recorder.span(
             "dht:publish", track=f"verifier:{verifier_name}", cat="dht", olc=olc
         ):
             self.dht.append_cid(olc, cid)
-        # Keep verified reports alive: replicate + pin on the gateway so
-        # they survive the uploader garbage-collecting its node.
+        # Keep verified reports alive: replicate on the gateway so they
+        # survive the uploader dropping its copy.
         try:
-            self.ipfs.replicate(cid, "gateway", pin=True)
+            self.ipfs.replicate(cid, "gateway")
         except Exception:
-            pass  # already gone (nothing to pin) or already replicated
+            pass  # already gone (nothing to keep) or already replicated
 
     def verify_many(self, verifier_name: str, targets: list[tuple[str, int]]) -> list[ProofFailure]:
         """Verify and reward many records in one pipelined wave.
@@ -649,43 +641,6 @@ class ProofOfLocationSystem:
             if handle.error is not None:
                 raise handle.error
         return results
-
-    def rotate_identity(self, prover_name: str) -> Prover:
-        """GDPR-style pseudonym rotation (section 2.7).
-
-        "the DID and the wallet address are not directly connected to
-        the user identity and both could be changed periodically."
-        Deactivates the old DID, creates a fresh wallet + DID, and keeps
-        the physical device/position.
-        """
-        prover = self.provers.get(prover_name)
-        if prover is None:
-            raise PolSystemError(f"unknown prover {prover_name!r}")
-        old_account = self.accounts[prover_name]
-        self.registry.deactivate(prover.did, old_account.keypair)
-        self._did_uints.pop(prover.did_uint, None)
-
-        rotation = sum(1 for did in self.registry.documents if did).__str__()
-        new_account = self.chain.create_account(
-            seed=f"user/{prover_name}/rotation/{rotation}".encode(),
-            funding=self.chain.balance_of(old_account.address),
-        )
-        document = self.registry.create(new_account.keypair)
-        short_did = uint_did(document.id)
-        if short_did in self._did_uints:
-            raise PolSystemError("UInt DID collision on rotation; retry")
-        self._did_uints[short_did] = document.id
-        self.accounts[prover_name] = new_account
-        rotated = Prover(
-            name=prover_name,
-            keypair=new_account.keypair,
-            did=document.id,
-            did_uint=short_did,
-            latitude=prover.latitude,
-            longitude=prover.longitude,
-        )
-        self.provers[prover_name] = rotated
-        return rotated
 
     def display_reports(self, olc: str) -> list[bytes]:
         """Figure 3.2: hypercube -> CIDs -> IPFS fetches."""

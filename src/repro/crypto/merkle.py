@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.hashing import sha256, tagged_hash
+from repro.crypto.hashing import tagged_hash
 
 _LEAF_TAG = "repro/merkle-leaf"
 _NODE_TAG = "repro/merkle-node"
@@ -136,8 +136,3 @@ class MerkleTree:
 def merkle_root(leaves: list[bytes]) -> bytes:
     """Convenience: the root of :class:`MerkleTree` over ``leaves``."""
     return MerkleTree(leaves).root
-
-
-def combined_digest(*parts: bytes) -> bytes:
-    """Hash several fields into one commitment (block header sealing)."""
-    return sha256(*parts)

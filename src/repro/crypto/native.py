@@ -144,9 +144,9 @@ class NativeComb:
             self._comb = None
 
 
-def load_native_comb(base: int, modulus: int, max_exponent_bits: int = 168) -> NativeComb | None:
+def load_native_comb(base: int, modulus: int) -> NativeComb | None:
     """A :class:`NativeComb`, or None when the extension can't be used."""
     try:
-        return NativeComb(base, modulus, max_exponent_bits)
+        return NativeComb(base, modulus)
     except (RuntimeError, OverflowError, ValueError):
         return None

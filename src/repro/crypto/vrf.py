@@ -8,8 +8,9 @@ seed and learns **secretly** whether it was chosen, then reveals a proof
 Construction (Goldberg-style DH VRF on our Schnorr group):
 
 - key pair ``(x, y = g**x)``
-- ``gamma = hash_to_group(m) ** x``  -- unique for a given ``(y, m)``
-- a DLEQ proof that ``log_g(y) == log_{hash_to_group(m)}(gamma)``
+- base ``h_m = H ** hash_to_exponent(m)``, a hash-to-group element
+- ``gamma = h_m ** x``  -- unique for a given ``(y, m)``
+- a DLEQ proof that ``log_g(y) == log_{h_m}(gamma)``
 - output ``beta = H(gamma)``
 
 Uniqueness matters: a staker must not be able to grind different outputs
@@ -78,9 +79,9 @@ class VRFKeyPair:
         x = self.keypair.x
         e = group.hash_to_exponent(message)
         if gamma is None:
-            gamma = h_pow(e * x)  # == pow(hash_to_group(message), x, group.P)
+            gamma = h_pow(e * x)  # == pow(h_pow(e), x, group.P)
         # Chaum-Pedersen: prove log_G(y) == log_base(gamma) without revealing x,
-        # where base = hash_to_group(message) = h_pow(e).
+        # where base = h_pow(e).
         k = int.from_bytes(tagged_hash("repro/vrf-nonce", x.to_bytes(32, "big"), message), "big") % group.Q
         if k == 0:
             k = 1
@@ -91,18 +92,8 @@ class VRFKeyPair:
         return VRFProof(gamma=gamma, c=c, s=s)
 
     def gamma_for(self, message: bytes) -> int:
-        """``gamma = hash_to_group(message) ** x``: one ``H``-comb exponentiation."""
+        """``gamma = (H ** hash_to_exponent(message)) ** x``: one ``H``-comb exponentiation."""
         return h_pow(group.hash_to_exponent(message) * self.keypair.x)
-
-    def output_for(self, message: bytes) -> bytes:
-        """The VRF output ``beta = H(gamma)`` alone, without the DLEQ transcript.
-
-        One ``H``-comb exponentiation, where :meth:`evaluate` needs
-        four.  Because the nonce is derived deterministically, a later
-        :meth:`evaluate` on the same message yields exactly the proof
-        whose output this is.
-        """
-        return vrf_output(self.gamma_for(message))
 
 
 def vrf_output(gamma: int) -> bytes:

@@ -4,8 +4,8 @@ Keywords are Open Location Codes; the responsible node is selected by
 the dual encoding of figure 1.3 (OLC -> r-bit string -> node key).
 Look-ups route greedily along one-bit-different neighbours, so any
 content is located within ``r`` hops -- the property the thesis credits
-for fast queries (section 1.3).  A ``max_hops`` budget supports the
-bounded complex queries of the hypercube literature [Zichichi et al.].
+for fast queries (section 1.3).  Reads may start at any node; writes
+route from node 0.
 """
 
 from __future__ import annotations
@@ -131,14 +131,14 @@ class HypercubeDHT:
     # -- public API (figure 2.3 / section 2.5 flows) ---------------------------------
 
     @staged("dht.op")
-    def lookup(self, olc: str, origin_id: int = 0, max_hops: int | None = None) -> LookupResult:
+    def lookup(self, olc: str, origin_id: int = 0) -> LookupResult:
         """Route to the responsible node and fetch the record for ``olc``.
 
         Falls back to the replicas (one extra hop each: they are direct
         neighbours) when the responsible node is offline.
         """
         target = self.responsible_node(olc)
-        path = self.route(origin_id, target.node_id, max_hops)
+        path = self.route(origin_id, target.node_id)
         if self.replication > 0:
             self._heal(olc.upper())
         if target.online:
@@ -206,7 +206,7 @@ class HypercubeDHT:
         return online
 
     @staged("dht.op")
-    def register_contract(self, olc: str, contract_id: str, origin_id: int = 0) -> LookupResult:
+    def register_contract(self, olc: str, contract_id: str) -> LookupResult:
         """Insert the contract-ID record for a location (figure 2.3).
 
         The prover that deploys a new contract stores its ID so later
@@ -214,7 +214,7 @@ class HypercubeDHT:
         """
         olc = olc.upper()
         target = self.responsible_node(olc)
-        path = self.route(origin_id, target.node_id)
+        path = self.route(0, target.node_id)
         writers = self._write_targets(olc)
         existing = next((node.retrieve(olc) for node in writers if node.retrieve(olc) is not None), None)
         if existing is not None and existing.contract_id != contract_id:
@@ -226,11 +226,11 @@ class HypercubeDHT:
         return LookupResult(found=True, content=content, hops=len(path) - 1, path=tuple(path))
 
     @staged("dht.op")
-    def append_cid(self, olc: str, cid: str, origin_id: int = 0) -> LookupResult:
+    def append_cid(self, olc: str, cid: str) -> LookupResult:
         """The verifier's garbage-in insert: append a validated CID."""
         olc = olc.upper()
         target = self.responsible_node(olc)
-        path = self.route(origin_id, target.node_id)
+        path = self.route(0, target.node_id)
         writers = self._write_targets(olc)
         if all(node.retrieve(olc) is None for node in writers):
             raise HypercubeError(f"no contract registered for location {olc}")
@@ -244,27 +244,7 @@ class HypercubeDHT:
             content = record
         return LookupResult(found=True, content=content, hops=len(path) - 1, path=tuple(path))
 
-    def query_area(self, olcs: list[str], origin_id: int = 0, max_hops: int | None = None) -> dict[str, NodeContent]:
-        """Multi-keyword query: fetch the records of several locations.
-
-        Routes incrementally (each hop continues from the previous
-        responsible node), the way neighbouring keywords land on nearby
-        nodes thanks to the topology.
-        """
-        results: dict[str, NodeContent] = {}
-        current = origin_id
-        for olc in olcs:
-            outcome = self.lookup(olc, origin_id=current, max_hops=max_hops)
-            if outcome.found and outcome.content is not None:
-                results[olc.upper()] = outcome.content
-            current = outcome.path[-1]
-        return results
-
     # -- statistics -----------------------------------------------------------------
-
-    def total_records(self) -> int:
-        """Number of stored records across all nodes."""
-        return sum(len(node.storage) for node in self.nodes.values())
 
     def replication_health(self) -> int | None:
         """The worst-case live copy count across every stored location.
@@ -286,7 +266,3 @@ class HypercubeDHT:
             if worst is None or live < worst:
                 worst = live
         return worst
-
-    def max_possible_hops(self) -> int:
-        """The diameter of the hypercube: exactly r."""
-        return self.r

@@ -1,9 +1,9 @@
 """A hypercube node and the record format it stores.
 
 Each node is responsible for a keyword set; the content of a node is
-the JSON of thesis figure 2.9: the contract/application ID deployed for
-a location, the Open Location Code, and the array of CIDs the verifier
-appends after validation (the "garbage-in" gate).
+the record of thesis figure 2.9: the contract/application ID deployed
+for a location, the Open Location Code, and the array of CIDs the
+verifier appends after validation (the "garbage-in" gate).
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ class NodeContent:
     olc: str
     cids: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        """The on-wire representation."""
-        return {"contractID": self.contract_id, "olc": self.olc, "cids": list(self.cids)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "NodeContent":
-        """Parse the on-wire representation."""
-        return cls(contract_id=payload["contractID"], olc=payload["olc"], cids=list(payload["cids"]))
 
 
 @dataclass
@@ -52,18 +44,6 @@ class HypercubeNode:
     def neighbours(self) -> list[int]:
         """IDs of the r adjacent nodes (one flipped bit each)."""
         return [self.node_id ^ (1 << bit) for bit in range(self.r)]
-
-    def distance_to(self, other_id: int) -> int:
-        """Hamming distance (= minimum hop count) to another node."""
-        return (self.node_id ^ other_id).bit_count()
-
-    def next_hop(self, target_id: int) -> int:
-        """Greedy bit-fixing: flip the highest differing bit."""
-        difference = self.node_id ^ target_id
-        if difference == 0:
-            return self.node_id
-        highest = difference.bit_length() - 1
-        return self.node_id ^ (1 << highest)
 
     def store(self, keyword: str, content: NodeContent) -> None:
         """Store a record under a keyword this node is responsible for."""

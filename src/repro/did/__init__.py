@@ -2,9 +2,8 @@
 
 - :mod:`repro.did.document` -- DID syntax (``did:repro:<id>``) and DID
   documents (figure 1.8).
-- :mod:`repro.did.registry` -- the verifiable data registry: create,
-  resolve, rotate and deactivate documents, with controller-signed
-  updates.
+- :mod:`repro.did.registry` -- the verifiable data registry: create
+  and resolve documents.
 - :mod:`repro.did.auth` -- the challenge-response authentication of
   figure 2.4: the witness encrypts a random value to the DID's public
   key; only the private-key holder can answer.

@@ -2,14 +2,14 @@
 
 A DID here uses the ``did:repro`` method; the method-specific id is
 derived from the subject's public key, which makes the binding
-self-certifying.  The document mirrors figure 1.8: ``id``,
-``controller``, a verification method carrying the public key, and the
-``authentication`` relationship used by the challenge-response flow.
+self-certifying.  The document keeps what the challenge-response flow
+reads from figure 1.8: the ``id`` and the public key of its
+verification method.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.keys import PublicKey
 
@@ -52,50 +52,6 @@ class DidDocument:
 
     id: str
     public_key: PublicKey
-    controller: str = ""
-    authentication: list[str] = field(default_factory=list)
-    deactivated: bool = False
-    version: int = 1
 
     def __post_init__(self) -> None:
         parse_did(self.id)
-        if not self.controller:
-            self.controller = self.id
-        if not self.authentication:
-            self.authentication = [f"{self.id}#keys-1"]
-
-    def to_json(self) -> dict:
-        """Serialize to the W3C-document-like shape."""
-        return {
-            "@context": "https://www.w3.org/ns/did/v1",
-            "id": self.id,
-            "controller": self.controller,
-            "verificationMethod": [
-                {
-                    "id": f"{self.id}#keys-1",
-                    "type": "ReproSchnorrKey2026",
-                    "controller": self.controller,
-                    "publicKeyHex": self.public_key.to_bytes().hex(),
-                }
-            ],
-            "authentication": list(self.authentication),
-            "deactivated": self.deactivated,
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "DidDocument":
-        """Parse a document produced by :meth:`to_json`."""
-        try:
-            methods = payload["verificationMethod"]
-            public = PublicKey.from_bytes(bytes.fromhex(methods[0]["publicKeyHex"]))
-            return cls(
-                id=payload["id"],
-                public_key=public,
-                controller=payload.get("controller", ""),
-                authentication=list(payload.get("authentication", [])),
-                deactivated=bool(payload.get("deactivated", False)),
-                version=int(payload.get("version", 1)),
-            )
-        except (KeyError, IndexError, ValueError) as exc:
-            raise DidError(f"malformed DID document: {exc}") from exc

@@ -2,38 +2,35 @@
 
 "Through the DID resolution it is possible to reach the DID document,
 stored in a verifiable data registry such as a blockchain" (section
-1.6).  Updates must be signed by the current controller key, so only
-the DID owner can rotate or deactivate -- the property the thesis's
-pseudonym-rotation privacy strategy relies on (section 2.7).
+1.6).  A run registers and resolves documents; nothing updates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.keys import KeyPair, PublicKey
+from repro.crypto.keys import KeyPair
 from repro.did.document import DidDocument, DidError, make_did, parse_did, uint_did
 
 
 class DidResolutionError(DidError):
-    """The DID does not resolve to an active document."""
+    """The DID does not resolve to a registered document."""
 
 
 @dataclass
 class DidRegistry:
-    """Create / resolve / update / deactivate DID documents."""
+    """Create and resolve DID documents."""
 
     documents: dict[str, DidDocument] = field(default_factory=dict)
     resolutions: int = 0
-    #: UInt-DID projection -> DID string for documents registered through
-    #: :meth:`create`; lets the witness authentication path resolve a
-    #: contract-level UInt DID in O(1) instead of scanning every document.
+    #: UInt-DID projection -> DID string, so the witness authentication
+    #: path resolves a contract-level UInt DID in O(1).
     _uint_index: dict[int, str] = field(default_factory=dict)
 
     def create(self, keypair: KeyPair) -> DidDocument:
         """Register a new DID derived from ``keypair``'s public key."""
         did = make_did(keypair.public)
-        if did in self.documents and not self.documents[did].deactivated:
+        if did in self.documents:
             raise DidError(f"{did} is already registered")
         document = DidDocument(id=did, public_key=keypair.public)
         self.documents[did] = document
@@ -41,46 +38,14 @@ class DidRegistry:
         return document
 
     def did_for_uint(self, short_did: int) -> str | None:
-        """The *active* DID behind a UInt projection, if indexed.
-
-        Returns None when the projection is unknown or the document was
-        deactivated; callers that allow out-of-band ``documents``
-        mutation should treat None as "fall back to a full scan".
-        """
-        did = self._uint_index.get(short_did)
-        if did is None:
-            return None
-        document = self.documents.get(did)
-        if document is None or document.deactivated:
-            return None
-        return did
+        """The DID behind a UInt projection, or None if unknown."""
+        return self._uint_index.get(short_did)
 
     def resolve(self, did: str) -> DidDocument:
         """DID resolution: DID -> document (figure 2.4, step 1)."""
         parse_did(did)
         self.resolutions += 1
         document = self.documents.get(did)
-        if document is None or document.deactivated:
+        if document is None:
             raise DidResolutionError(f"{did} does not resolve")
         return document
-
-    def rotate_key(self, did: str, new_public: PublicKey, controller_keypair: KeyPair) -> DidDocument:
-        """Replace the verification key; must be signed by the controller."""
-        document = self.resolve(did)
-        payload = b"rotate:" + did.encode() + new_public.to_bytes()
-        signature = controller_keypair.sign(payload)
-        if not document.public_key.verify(payload, signature):
-            raise DidError("key rotation must be authorized by the current controller key")
-        document.public_key = new_public
-        document.version += 1
-        return document
-
-    def deactivate(self, did: str, controller_keypair: KeyPair) -> None:
-        """Tombstone the DID; must be signed by the controller."""
-        document = self.resolve(did)
-        payload = b"deactivate:" + did.encode()
-        signature = controller_keypair.sign(payload)
-        if not document.public_key.verify(payload, signature):
-            raise DidError("deactivation must be authorized by the current controller key")
-        document.deactivated = True
-        document.version += 1

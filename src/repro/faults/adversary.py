@@ -2,8 +2,7 @@
 
 The model checker (:mod:`repro.reach.absint.modelcheck`) refutes
 protocol theorems over an *abstract* twin of each backend VM.  This
-module closes the loop: an :class:`AdversarySchedule` -- built from a
-:class:`~repro.reach.absint.modelcheck.cex.CounterExample` or from the
+module closes the loop: an :class:`AdversarySchedule` -- built from the
 ``data`` payload of an ``MC-CEX`` lint finding -- is replayed through
 the full production stack (:class:`~repro.reach.runtime.ReachClient`
 over a simulated network from :func:`repro.chain.make_chain`, with a
@@ -30,7 +29,6 @@ from repro.faults.inject import ChainFaultInjector
 from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:
-    from repro.reach.absint.modelcheck.cex import CounterExample
     from repro.reach.compiler import CompiledContract
 
 #: generous funding so the adversary is never short of fees mid-attack.
@@ -55,15 +53,6 @@ class AdversarySchedule:
     theorem: str
     backend: str  # backend the checker minimized the trace on
     steps: tuple[AdversaryStep, ...]
-
-    @classmethod
-    def from_counterexample(cls, cex: "CounterExample") -> "AdversarySchedule":
-        """Import a minimized checker trace."""
-        steps = tuple(
-            AdversaryStep(actor=actor, entry=entry, args=tuple(args), value=value, expect=expect)
-            for actor, entry, args, value, expect in cex.schedule_steps()
-        )
-        return cls(theorem=cex.theorem, backend=cex.backend, steps=steps)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "AdversarySchedule":
@@ -102,12 +91,10 @@ class AdversaryReport:
 
 
 def _decode_args(args: tuple[Any, ...], placeholders: dict[str, str]) -> list[Any]:
-    """Checker args to runtime args: bytes become text, symbolic addresses bind."""
+    """Checker args to runtime args: symbolic addresses bind."""
     decoded: list[Any] = []
     for arg in args:
-        if isinstance(arg, bytes):
-            decoded.append(arg.decode("latin-1"))
-        elif isinstance(arg, str) and arg in placeholders:
+        if isinstance(arg, str) and arg in placeholders:
             decoded.append(placeholders[arg])
         else:
             decoded.append(arg)

@@ -29,9 +29,6 @@ from repro.faults.policy import RetryPolicy
 #: the simulation's own ``Random(seed)`` streams.
 _PLAN_SALT = 0x5DEECE66D
 
-#: timed-window fault kinds scheduled by :meth:`FaultPlan.generate`.
-WINDOW_KINDS = ("fee_spike", "block_stall", "receipt_delay")
-
 
 @dataclass(frozen=True)
 class FaultWindow:
@@ -83,25 +80,23 @@ class FaultPlan:
         seed: int,
         *,
         horizon: float = 900.0,
-        reject_rate: float = 0.12,
-        submission_horizon: int = 256,
         spikes: int = 2,
         stalls: int = 2,
         delays: int = 2,
         churn_rounds: int = 3,
         flaps: int = 1,
-        policy: RetryPolicy | None = None,
     ) -> FaultPlan:
         """Derive a full schedule from ``seed``, deterministically."""
         rng = random.Random(seed ^ _PLAN_SALT)
 
-        # Transient rejections by submission ordinal.  Never reject two
+        # Transient rejections by submission ordinal, each of the first
+        # 256 with probability 0.12.  Never reject two
         # consecutive ordinals: the retry of ordinal n is itself the
         # next submit call, so dropping n when n-1 rejected guarantees
         # every transient fault recovers on its immediate retry.
         rejects: set[int] = set()
-        for ordinal in range(submission_horizon):
-            if rng.random() < reject_rate and (ordinal - 1) not in rejects:
+        for ordinal in range(256):
+            if rng.random() < 0.12 and (ordinal - 1) not in rejects:
                 rejects.add(ordinal)
 
         windows: list[FaultWindow] = []
@@ -132,5 +127,5 @@ class FaultPlan:
             windows=tuple(windows),
             churn_rounds=churn_rounds,
             radio_flaps=tuple(flap_windows),
-            policy=policy or RetryPolicy(),
+            policy=RetryPolicy(),
         )

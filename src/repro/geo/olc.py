@@ -61,11 +61,6 @@ class CodeArea:
         """North-south extent in degrees."""
         return self.latitude_high - self.latitude_low
 
-    @property
-    def width_degrees(self) -> float:
-        """East-west extent in degrees."""
-        return self.longitude_high - self.longitude_low
-
 
 def _clip_latitude(latitude: float) -> float:
     return min(max(latitude, -LATITUDE_MAX), LATITUDE_MAX)
@@ -77,13 +72,6 @@ def _normalize_longitude(longitude: float) -> float:
     while longitude >= LONGITUDE_MAX:
         longitude -= 2 * LONGITUDE_MAX
     return longitude
-
-
-def _latitude_precision(code_length: int) -> float:
-    """The height in degrees of a code of ``code_length`` digits."""
-    if code_length <= PAIR_CODE_LENGTH:
-        return 20.0 ** ((code_length // -2) + 2)
-    return (20.0 ** -3) / (GRID_ROWS ** (code_length - PAIR_CODE_LENGTH))
 
 
 # Integer precision of the full 15-digit code: pairs give 1/8000 degree,

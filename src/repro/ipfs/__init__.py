@@ -1,8 +1,8 @@
 """An IPFS-like distributed file storage (thesis section 1.5).
 
-Content-addressed blocks with CIDv1-style identifiers, a provider DHT
-mapping CIDs to hosting nodes, pinning, and garbage collection -- which
-reproduces the drawback the thesis calls out: "a specific object could
+Content-addressed blocks with CIDv1-style identifiers and a provider
+DHT mapping CIDs to hosting nodes.  Content no node hosts any more is
+gone -- the drawback the thesis calls out: "a specific object could
 disappear from the network if nobody decides to host it".
 """
 

@@ -1,4 +1,4 @@
-"""The IPFS peer network: block stores, provider records, pinning, GC.
+"""The IPFS peer network: block stores and provider records.
 
 "The IPFS is built through the use of a DHT which is used to map each
 Content IDentifier to the IP address of the owner" (section 1.5).  The
@@ -15,45 +15,25 @@ from repro.ipfs.cid import CidError, compute_cid, verify_cid
 
 
 class ContentNotAvailable(Exception):
-    """No reachable node hosts this CID (the unpinned-data drawback)."""
+    """No reachable node hosts this CID (the unhosted-data drawback)."""
 
 
 @dataclass
 class IpfsNode:
-    """One peer: a block store plus its pin set."""
+    """One peer: a block store."""
 
     node_id: str
     blocks: dict[str, bytes] = field(default_factory=dict)
-    pinned: set[str] = field(default_factory=set)
 
-    def put(self, content: bytes, pin: bool = True) -> str:
+    def put(self, content: bytes) -> str:
         """Store a block locally; returns its CID."""
         cid = compute_cid(content)
         self.blocks[cid] = content
-        if pin:
-            self.pinned.add(cid)
         return cid
 
     def get(self, cid: str) -> bytes | None:
         """Local fetch."""
         return self.blocks.get(cid)
-
-    def pin(self, cid: str) -> None:
-        """Protect a block from garbage collection."""
-        if cid not in self.blocks:
-            raise KeyError(f"{self.node_id} does not hold {cid}")
-        self.pinned.add(cid)
-
-    def unpin(self, cid: str) -> None:
-        """Allow a block to be garbage collected."""
-        self.pinned.discard(cid)
-
-    def garbage_collect(self) -> list[str]:
-        """Drop every unpinned block; returns the evicted CIDs."""
-        evicted = [cid for cid in self.blocks if cid not in self.pinned]
-        for cid in evicted:
-            del self.blocks[cid]
-        return evicted
 
 
 @dataclass
@@ -72,45 +52,40 @@ class IpfsNetwork:
         self.nodes[node_id] = node
         return node
 
-    def add(self, node_id: str, content: bytes, pin: bool = True) -> str:
+    def add(self, node_id: str, content: bytes) -> str:
         """Upload content from a peer and announce the provider record."""
-        node = self.nodes[node_id]
-        cid = node.put(content, pin=pin)
+        cid = self.nodes[node_id].put(content)
         self.providers.setdefault(cid, set()).add(node_id)
         return cid
 
     def get(self, cid: str) -> bytes:
-        """Fetch by CID from any live provider, verifying the content.
+        """Fetch by CID from the first provider holding valid content.
 
-        Raises :class:`ContentNotAvailable` when every provider has
-        dropped the block -- the persistence gap the thesis notes.
+        Providers are tried in name order, so the outcome never depends
+        on set iteration order.  A provider that no longer holds the
+        block, or whose block fails its CID, leaves the provider record.
+        Raises :class:`CidError` when no provider had valid content and
+        at least one returned corrupted content, else
+        :class:`ContentNotAvailable` -- the persistence gap the thesis
+        notes.
         """
         self.fetches += 1
-        stale: set[str] = set()
-        for provider_id in self.providers.get(cid, set()):
+        providers = self.providers.get(cid, set())
+        corrupted: list[str] = []
+        for provider_id in sorted(providers):
             node = self.nodes.get(provider_id)
             content = node.get(cid) if node is not None else None
-            if content is None:
-                stale.add(provider_id)
-                continue
-            if not verify_cid(content, cid):
-                raise CidError(f"provider {provider_id} returned corrupted content for {cid}")
-            return content
-        if stale:
-            self.providers[cid] -= stale
+            if content is not None and verify_cid(content, cid):
+                return content
+            providers.discard(provider_id)
+            if content is not None:
+                corrupted.append(provider_id)
+        if corrupted:
+            raise CidError(f"provider(s) {', '.join(corrupted)} returned corrupted content for {cid}")
         raise ContentNotAvailable(cid)
 
-    def replicate(self, cid: str, to_node_id: str, pin: bool = True) -> None:
-        """Copy a block to another peer (how popular data survives GC)."""
+    def replicate(self, cid: str, to_node_id: str) -> None:
+        """Copy a block to another peer (how popular data survives)."""
         content = self.get(cid)
-        target = self.nodes[to_node_id]
-        target.put(content, pin=pin)
+        self.nodes[to_node_id].put(content)
         self.providers.setdefault(cid, set()).add(to_node_id)
-
-    def provider_count(self, cid: str) -> int:
-        """How many peers currently announce this CID."""
-        return sum(
-            1
-            for provider_id in self.providers.get(cid, set())
-            if provider_id in self.nodes and cid in self.nodes[provider_id].blocks
-        )

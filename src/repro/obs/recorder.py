@@ -363,9 +363,6 @@ class NullRecorder:
     def observe(self, name: str, value: float, buckets: tuple[float, ...] | None = None, **labels: Any) -> None:
         pass
 
-    def declare_histogram(self, name: str, buckets: tuple[float, ...]) -> None:
-        pass
-
     def counter_handle(self, name: str, **labels: Any) -> "_NullHandle":
         return _NULL_HANDLE
 
@@ -447,7 +444,6 @@ class Recorder(NullRecorder):
         self._gauge_strides: dict[MetricKey, int] = {}
         self._gauge_ticks: dict[MetricKey, int] = {}
         self._histograms: dict[MetricKey, _Histogram] = {}
-        self._declared_buckets: dict[str, tuple[float, ...]] = {}
         self.spans: list[Span] = []
         self.spans_dropped = 0
         self.spans_sampled_out = 0
@@ -554,15 +550,10 @@ class Recorder(NullRecorder):
             drop_key = self._drop_counter_key(key, name)
             self._counters[drop_key] = self._counters.get(drop_key, 0.0) + float(before - len(series))
 
-    def declare_histogram(self, name: str, buckets: tuple[float, ...]) -> None:
-        """Pin the bucket bounds used when ``name`` is first observed."""
-        self._declared_buckets.setdefault(name, tuple(sorted(buckets)))
-
     def observe(self, name: str, value: float, buckets: tuple[float, ...] | None = None, **labels: Any) -> None:
         """Record ``value`` into the histogram ``name{labels}``.
 
-        Bucket bounds come from, in priority order: an earlier
-        :meth:`declare_histogram`, the ``buckets`` argument, or
+        Bucket bounds come from the ``buckets`` argument, else
         :data:`DEFAULT_BUCKETS`; they are fixed at first observation.
         """
         self._observe_key(_key(name, labels), name, value, buckets)
@@ -585,7 +576,7 @@ class Recorder(NullRecorder):
     ) -> None:
         histogram = self._histograms.get(key)
         if histogram is None:
-            bounds = self._declared_buckets.get(name) or buckets or DEFAULT_BUCKETS
+            bounds = buckets or DEFAULT_BUCKETS
             histogram = self._histograms[key] = _Histogram(tuple(bounds))
         if exemplar_trace:
             histogram.observe(value, exemplar_trace, self.now())
@@ -654,11 +645,6 @@ class Recorder(NullRecorder):
         return span
 
     # -- inspection -----------------------------------------------------------
-
-    @property
-    def open_spans(self) -> list[Span]:
-        """Spans begun but not yet closed (in-flight operations)."""
-        return [span for span in self.spans if not span.done]
 
     def gauge_series(self, name: str, **labels: Any) -> list[tuple[float, float]]:
         """The recorded (sim-time, value) samples of one gauge."""

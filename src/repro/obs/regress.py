@@ -89,7 +89,7 @@ class Finding:
 # -- run metadata --------------------------------------------------------------
 
 
-def git_sha(cwd: str | Path | None = None) -> str:
+def git_sha() -> str:
     """The current git commit sha, or ``"unknown"`` outside a checkout."""
     try:
         out = subprocess.run(
@@ -97,7 +97,6 @@ def git_sha(cwd: str | Path | None = None) -> str:
             capture_output=True,
             timeout=10,
             check=True,
-            cwd=str(cwd) if cwd else None,
         )
         return out.stdout.decode().strip()
     except (OSError, subprocess.CalledProcessError, subprocess.TimeoutExpired):

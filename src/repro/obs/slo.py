@@ -286,7 +286,6 @@ def default_rules(
     min_replication: int = 2,
     latency_budget: float | None = None,
     fee_budget: float | None = None,
-    completeness_objective: float = 1.0,
 ) -> list[SloRule]:
     """The stock rule set for one chain profile.
 
@@ -345,7 +344,7 @@ def default_rules(
             description="accepted proofs that anchored by end of run",
             kind="finish_ratio",
             source="journeys",
-            threshold=completeness_objective,
+            threshold=1.0,
         ),
     ]
     if getattr(profile, "family", "") == "evm":
@@ -370,7 +369,3 @@ def default_rules(
             )
         )
     return rules
-
-
-#: Canonical state names in machine order, used in bundle metadata.
-ALERT_STATES = tuple(STATE_CODES)

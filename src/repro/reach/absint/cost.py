@@ -265,8 +265,9 @@ def _pool_interval(teal_ops: Interval) -> Interval:
 # -- the analysis --------------------------------------------------------------
 
 
-def analyze_costs(compiled: CompiledContract, schedule: GasSchedule = DEFAULT_SCHEDULE) -> CostReport:
+def analyze_costs(compiled: CompiledContract) -> CostReport:
     """Compute per-entry-point cost intervals for a compiled contract."""
+    schedule = DEFAULT_SCHEDULE
     code: EvmCode = compiled.evm_code
     teal = assemble(compiled.teal_source)
     method_order = list(code.methods)
@@ -374,12 +375,7 @@ class BatchAmortization:
         return max(2, -(-self.batch_gas.hi // self.single_gas.lo))
 
 
-def batch_amortization(
-    costs: CostReport,
-    batch_entry: str = "attacherAPI.insert_batch",
-    single_entry: str = "attacherAPI.insert_data",
-    schedule: GasSchedule = DEFAULT_SCHEDULE,
-) -> BatchAmortization | None:
+def batch_amortization(costs: CostReport) -> BatchAmortization | None:
     """Derive the amortization comparison from a contract's cost report.
 
     Returns None when the contract has no batching entry point (the
@@ -389,18 +385,20 @@ def batch_amortization(
     ``N`` proofs for one call fee amortizes by construction --
     ``avm_batch_pool_flat`` records that the premise holds.
     """
+    batch_entry, single_entry = "attacherAPI.insert_batch", "attacherAPI.insert_data"
     batch = costs.entries.get(batch_entry)
     single = costs.entries.get(single_entry)
     if batch is None or single is None:
         return None
+    handshake = DEFAULT_SCHEDULE.transaction
     single_gas = Interval(
-        schedule.transaction + single.evm_gas.lo,
-        None if single.evm_gas.hi is None else schedule.transaction + single.evm_gas.hi,
+        handshake + single.evm_gas.lo,
+        None if single.evm_gas.hi is None else handshake + single.evm_gas.hi,
     )
     return BatchAmortization(
         batch_entry=batch_entry,
         single_entry=single_entry,
-        handshake_gas=schedule.transaction,
+        handshake_gas=handshake,
         batch_gas=batch.evm_gas,
         single_gas=single_gas,
         avm_batch_pool_flat=batch.avm_pool.hi == 1,

@@ -13,9 +13,11 @@ first step on which the backends disagree -- so a minimized divergence
 ends exactly at its diverging transition.
 
 :meth:`CounterExample.schedule_steps` exports the trace in the neutral
-``(actor, entry, args, value, expect)`` form consumed by
-:class:`repro.faults.adversary.AdversarySchedule`, which turns every
-refuted property into a runnable chaos regression.
+``(actor, entry, args, value, expect)`` form that an ``MC-CEX`` lint
+finding carries as its payload;
+:class:`repro.faults.adversary.AdversarySchedule` reads that payload
+back, which turns every refuted property into a runnable chaos
+regression.
 """
 
 from __future__ import annotations

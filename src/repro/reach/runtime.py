@@ -238,9 +238,9 @@ class OpHandle:
         else:
             self._callbacks.append(callback)
 
-    def wait(self, max_steps: int = 500_000) -> "OpHandle":
+    def wait(self) -> "OpHandle":
         """Drive the event queue until settled; re-raise any failure."""
-        drive(self.chain.queue, lambda: self.done, max_steps=max_steps, chain=self.chain)
+        drive(self.chain.queue, lambda: self.done, max_steps=500_000, chain=self.chain)
         if self.error is not None:
             raise self.error
         return self
@@ -524,16 +524,15 @@ class ReachClient:
         method: str,
         args: list[Any],
         sender: Account,
-        pay: int = 0,
     ) -> OpHandle:
-        """Attach to a contract whose deploy is still in flight.
+        """Attach to a contract whose deploy is still in flight (paying nothing).
 
         The plan first awaits the (other user's) deploy handle, then
         runs the normal attach operation against the fresh instance.
         The deploy's receipts stay with the deployer; only the
         attacher's own two transactions land on this handle.
         """
-        plan = self._attach_after_plan(pending_deploy, method, args, sender, pay)
+        plan = self._attach_after_plan(pending_deploy, method, args, sender)
         return OpHandle(self.chain, plan, label=f"attach-after:{method}", track=track_for(sender.address))
 
     def _attach_after_plan(
@@ -542,7 +541,6 @@ class ReachClient:
         method: str,
         args: list[Any],
         sender: Account,
-        pay: int,
     ) -> OpPlan:
         settled = yield pending_deploy
         if settled.error is not None:
@@ -550,7 +548,7 @@ class ReachClient:
                 f"cannot attach: the pending deploy failed ({settled.error})"
             )
         deployed = settled.value
-        value = yield from self._attach_and_call_plan(deployed, method, args, sender, pay)
+        value = yield from self._attach_and_call_plan(deployed, method, args, sender, 0)
         return value
 
     # -- views ------------------------------------------------------------------

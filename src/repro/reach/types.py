@@ -105,9 +105,3 @@ class Fun:
     def __init__(self, domain: list[ReachType], range: ReachType | None):  # noqa: A002
         object.__setattr__(self, "domain", tuple(domain))
         object.__setattr__(self, "range", range)
-
-    def check_args(self, args: tuple) -> tuple:
-        """Validate a call's arguments against the domain."""
-        if len(args) != len(self.domain):
-            raise ReachTypeError(f"expected {len(self.domain)} arguments, got {len(args)}")
-        return tuple(t.check(a) for t, a in zip(self.domain, args))

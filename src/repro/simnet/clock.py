@@ -22,13 +22,6 @@ class SimClock:
         """The current simulated time in seconds."""
         return self._now
 
-    def advance(self, delta: float) -> float:
-        """Move the clock forward by ``delta`` seconds and return the new time."""
-        if delta < 0:
-            raise ValueError("time cannot move backwards")
-        self._now += delta
-        return self._now
-
     def advance_to(self, timestamp: float) -> float:
         """Move the clock forward to an absolute ``timestamp``.
 

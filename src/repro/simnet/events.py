@@ -398,13 +398,3 @@ class EventQueue:
                 fired += 1
         self.clock.advance_to(timestamp)
         return fired
-
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
-        """Fire events until none remain; guard against runaway loops."""
-        fired = 0
-        while len(self) > 0:
-            if fired >= max_events:
-                raise RuntimeError("event budget exhausted; likely a self-rescheduling loop")
-            if self.step() is not None:
-                fired += 1
-        return fired

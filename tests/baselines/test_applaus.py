@@ -41,23 +41,6 @@ class TestProofGeneration:
 
 
 class TestPseudonyms:
-    def test_rotation_changes_pseudonym(self, system):
-        alice = system.users["alice"]
-        first = alice.active_pseudonym
-        second = alice.rotate()
-        assert first != second
-
-    def test_proofs_after_rotation_still_found_via_ca(self, system):
-        alice = system.users["alice"]
-        proof1 = system.generate_proof("alice", "bob")
-        system.submit_proof(proof1)
-        alice.rotate()
-        proof2 = system.generate_proof("alice", "bob")
-        system.submit_proof(proof2)
-        found = system.verify_identity("inspector", "alice")
-        assert len(found) == 2
-        assert {p.prover_pseudonym for p in found} == {proof1.prover_pseudonym, proof2.prover_pseudonym}
-
     def test_ca_links_every_pseudonym(self, system):
         # The privacy cost: 3 users x 4 pseudonyms, all linkable by the CA.
         assert system.authority.linkable_pairs() == 12

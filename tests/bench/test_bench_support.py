@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import generate_workload, run_simulation, summarize
 from repro.bench.metrics import render_bar_chart, render_table
-from repro.bench.workload import THESIS_LOCATIONS, find_neighbours
+from repro.bench.workload import THESIS_LOCATIONS
 
 
 class TestWorkload:
@@ -30,9 +30,9 @@ class TestWorkload:
 
     def test_neighbours(self):
         workload = generate_workload(8)
-        neighbours = find_neighbours(workload[0], workload)
-        assert len(neighbours) == 3
-        assert workload[0].did not in neighbours
+        neighbours = [spec for spec in workload if spec.olc == workload[0].olc]
+        assert len(neighbours) == 4
+        assert len({spec.did for spec in neighbours}) == 4
 
     def test_too_many_users_rejected(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,6 @@ class TestGhostDag:
         dag.add_block("a1", "a", referees=("stale",))
         pivot = dag.pivot_chain()
         assert "stale" not in pivot
-        assert dag.epoch_of("stale") is not None  # serialized via referee edge
 
     def test_unknown_parent_rejected(self):
         with pytest.raises(TreeGraphError):
@@ -95,8 +94,8 @@ class TestConfluxChain:
         client = ReachClient(chain)
         creator = chain.create_account(seed=b"creator", funding=100 * CFX)
         client.deploy(compiled, creator, ["LOC", 1, pol_record("h", "s", creator.address, 1, "c")])
-        assert chain.collateral_of(creator.address) > 0
-        assert chain.collateral_of(creator.address) % COLLATERAL_PER_SLOT == 0
+        assert chain.collateral.get(creator.address, 0) > 0
+        assert chain.collateral.get(creator.address, 0) % COLLATERAL_PER_SLOT == 0
 
     def test_collateral_refunded_on_release(self, chain):
         compiled = compile_program(build_pol_program(max_users=2, reward=1_000))
@@ -108,12 +107,12 @@ class TestConfluxChain:
         deployed.attach_and_call(
             "attacherAPI.insert_data", pol_record("h2", "s2", attacher.address, 2, "c2"), 2, sender=attacher
         )
-        locked_before = chain.collateral_of(attacher.address)
+        locked_before = chain.collateral.get(attacher.address, 0)
         assert locked_before > 0
         deployed.api("verifierAPI.insert_money", 2_000, sender=verifier, pay=2_000)
         # verify deletes the attacher's Map row -> releases its slot.
         deployed.api("verifierAPI.verify", 2, attacher.address, sender=verifier)
-        assert chain.collateral_of(attacher.address) < locked_before
+        assert chain.collateral.get(attacher.address, 0) < locked_before
 
     def test_same_artifact_as_ethereum(self, chain):
         """The agnostic claim, third connector: byte-identical artifact."""

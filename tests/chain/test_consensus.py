@@ -10,7 +10,6 @@ from repro.crypto.vrf import VRFKeyPair
 from repro.chain.algorand.consensus import (
     Credential,
     Sortition,
-    honest_majority_bound,
     sortition_seats,
 )
 from repro.chain.ethereum.consensus import ValidatorSet
@@ -56,16 +55,8 @@ class TestValidatorSet:
         assert proposer.address not in [v.address for v in committee]
         assert len(committee) == validators.committee_size
 
-    def test_slashing_removes_from_duty(self, validators):
-        burned = validators.slash("0xval3")
-        assert burned == 32 * ETH
-        assert "0xval3" not in [v.address for v in validators.active()]
-        assert validators.slash("0xval3") == 0  # idempotent
-
     def test_total_stake(self, validators):
         assert validators.total_stake() == 10 * 32 * ETH
-        validators.slash("0xval0")
-        assert validators.total_stake() == 9 * 32 * ETH
 
 
 class TestSortitionSeats:
@@ -216,8 +207,3 @@ class TestRoundCost:
         assert self._comb_calls(profiler) == 3
         assert proof.output() == outcome.leader.output
         assert chain.sortition.verify_credential(outcome.leader, seed, 1, role="leader")
-
-
-def test_honest_majority_bound():
-    assert honest_majority_bound(300) == 201
-    assert honest_majority_bound(299) > 299 * 2 / 3

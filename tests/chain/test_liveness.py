@@ -55,12 +55,6 @@ class TestSortitionLiveness:
             sortition.set_online(f"P{index}", True)
         assert certification_rate(sortition) > 0.7
 
-    def test_online_stake_accounting(self):
-        sortition = make_sortition(participants=4)
-        assert sortition.online_stake() == sortition.total_stake()
-        sortition.set_online("P0", False)
-        assert sortition.online_stake() == sortition.total_stake() - 1_000
-
     def test_unknown_participant_rejected(self):
         with pytest.raises(KeyError):
             make_sortition().set_online("GHOST", False)

@@ -29,12 +29,9 @@ class TestProximity:
     def test_not_in_range_of_self(self, channel):
         assert not channel.in_range("alice", "alice")
 
-    def test_discover_lists_only_nearby(self, channel):
-        assert channel.discover("alice") == ["bob"]
-
     def test_unknown_device(self, channel):
         with pytest.raises(BluetoothError):
-            channel.discover("mallory")
+            channel.distance_m("alice", "mallory")
 
 
 class TestMessaging:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.chain.ethereum import EthereumChain
 from repro.core.proof import ProofFailure, ProofRequest, build_proof, identify_witness
-from repro.core.system import PolSystemError, ProofOfLocationSystem
+from repro.core.system import ProofOfLocationSystem
 from repro.ipfs import ContentNotAvailable
 
 ETH = 10**18
@@ -73,43 +73,10 @@ class TestWitnessReward:
     def test_identify_witness(self):
         system = build_system(witness_reward=WITNESS_REWARD)
         request, proof, _ = system.request_location_proof("anna", "walter", b"r")
-        keys = system.authority.witness_list("vera")
+        keys = system.authority.witness_set("vera")
         signer = identify_witness(proof.hashed_proof_hex, proof.signature_hex, keys)
         assert signer == system.witnesses["walter"].keypair.public
         assert identify_witness("zz", "zz", keys) is None
-
-
-class TestPseudonymRotation:
-    def test_rotation_changes_did_and_wallet(self):
-        system = build_system()
-        old = system.provers["anna"]
-        old_address = system.accounts["anna"].address
-        rotated = system.rotate_identity("anna")
-        assert rotated.did != old.did
-        assert system.accounts["anna"].address != old_address
-        # The balance moved to the new pseudonym.
-        assert system.chain.balance_of(system.accounts["anna"].address) > 0
-
-    def test_old_did_stops_resolving(self):
-        system = build_system()
-        old_did = system.provers["anna"].did
-        system.rotate_identity("anna")
-        from repro.did.registry import DidResolutionError
-
-        with pytest.raises(DidResolutionError):
-            system.registry.resolve(old_did)
-
-    def test_rotated_prover_can_still_file(self):
-        system = build_system(seed=72)
-        system.rotate_identity("anna")
-        request, proof, _ = system.request_location_proof("anna", "walter", b"post-rotation")
-        outcome = system.submit("anna", request, proof)
-        assert outcome.was_deploy
-
-    def test_unknown_prover_rotation_rejected(self):
-        system = build_system()
-        with pytest.raises(PolSystemError):
-            system.rotate_identity("ghost")
 
 
 class TestReportPersistence:
@@ -118,10 +85,8 @@ class TestReportPersistence:
         olc = file_both(system)
         system.fund_contract("vera", olc, REWARD * 2)
         system.verify_and_reward("vera", olc, system.provers["anna"].did_uint)
-        # Anna's node garbage-collects everything it held.
-        anna_node = system.ipfs.nodes["anna"]
-        anna_node.pinned.clear()
-        anna_node.garbage_collect()
+        # Anna's node drops everything it held.
+        system.ipfs.nodes["anna"].blocks.clear()
         reports = system.display_reports(olc)
         assert b"report-a" in reports[0]
 
@@ -129,9 +94,7 @@ class TestReportPersistence:
         system = build_system(seed=74)
         request, proof, cid = system.request_location_proof("anna", "walter", b"ephemeral")
         system.submit("anna", request, proof)
-        anna_node = system.ipfs.nodes["anna"]
-        anna_node.pinned.clear()
-        anna_node.garbage_collect()
+        system.ipfs.nodes["anna"].blocks.clear()
         with pytest.raises(ContentNotAvailable):
             system.ipfs.get(cid)
 

@@ -48,11 +48,11 @@ class TestOnboarding:
 
     def test_witness_key_in_ca_list(self, system):
         walter_key = system.witnesses["walter"].keypair.public
-        assert walter_key in system.authority.witness_list("vera")
+        assert walter_key in system.authority.witness_set("vera")
 
     def test_unaccredited_verifier_denied_witness_list(self, system):
         with pytest.raises(PermissionError):
-            system.authority.witness_list("anna")
+            system.authority.witness_set("anna")
 
     def test_duplicate_registration_rejected(self, system):
         with pytest.raises(PolSystemError):

@@ -182,4 +182,4 @@ class TestHashToExponent:
     def test_hash_to_group_is_h_to_the_exponent(self, message):
         exponent = group.hash_to_exponent(message)
         assert 0 < exponent < group.Q
-        assert group.hash_to_group(message) == pow(group.H, exponent, group.P)
+        assert h_pow(exponent) == pow(group.H, exponent, group.P)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.keys import KeyPair
-from repro.did import ChallengeResponseAuth, DidDocument, DidError, DidRegistry, make_did, parse_did
+from repro.did import ChallengeResponseAuth, DidError, DidRegistry, make_did, parse_did
 from repro.did.auth import AuthError
 from repro.did.registry import DidResolutionError
 
@@ -33,23 +33,6 @@ class TestDidSyntax:
             parse_did("did:repro:")
 
 
-class TestDocuments:
-    def test_document_defaults(self, alice):
-        document = DidDocument(id=make_did(alice.public), public_key=alice.public)
-        assert document.controller == document.id
-        assert document.authentication == [f"{document.id}#keys-1"]
-
-    def test_json_roundtrip(self, alice):
-        document = DidDocument(id=make_did(alice.public), public_key=alice.public)
-        parsed = DidDocument.from_json(document.to_json())
-        assert parsed.id == document.id
-        assert parsed.public_key == document.public_key
-
-    def test_malformed_json_rejected(self):
-        with pytest.raises(DidError):
-            DidDocument.from_json({"id": "did:repro:x"})
-
-
 class TestRegistry:
     def test_create_and_resolve(self, registry, alice):
         document = registry.create(alice)
@@ -63,30 +46,6 @@ class TestRegistry:
     def test_unknown_did_does_not_resolve(self, registry):
         with pytest.raises(DidResolutionError):
             registry.resolve("did:repro:deadbeef")
-
-    def test_key_rotation_by_controller(self, registry, alice):
-        document = registry.create(alice)
-        new_key = KeyPair.from_seed(b"alice-new")
-        registry.rotate_key(document.id, new_key.public, alice)
-        assert registry.resolve(document.id).public_key == new_key.public
-        assert registry.resolve(document.id).version == 2
-
-    def test_key_rotation_by_stranger_rejected(self, registry, alice):
-        document = registry.create(alice)
-        stranger = KeyPair.from_seed(b"stranger")
-        with pytest.raises(DidError):
-            registry.rotate_key(document.id, stranger.public, stranger)
-
-    def test_deactivation(self, registry, alice):
-        document = registry.create(alice)
-        registry.deactivate(document.id, alice)
-        with pytest.raises(DidResolutionError):
-            registry.resolve(document.id)
-
-    def test_deactivation_by_stranger_rejected(self, registry, alice):
-        document = registry.create(alice)
-        with pytest.raises(DidError):
-            registry.deactivate(document.id, KeyPair.from_seed(b"stranger"))
 
 
 class TestChallengeResponse:
@@ -122,9 +81,3 @@ class TestChallengeResponse:
         with pytest.raises(AuthError):
             auth.check_response(challenge.challenge_id, response, now=100.0)
 
-    def test_challenge_for_deactivated_did_fails(self, registry, alice):
-        document = registry.create(alice)
-        registry.deactivate(document.id, alice)
-        auth = ChallengeResponseAuth(registry=registry)
-        with pytest.raises(DidResolutionError):
-            auth.issue_challenge(document.id)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.faults import AdversarySchedule, AdversaryStep, run_adversary
-from repro.reach.absint.modelcheck import check_protocol, weaken_replay_screen
+from repro.reach.absint.modelcheck import check_protocol, protocol_findings, weaken_replay_screen
 from repro.reach.compiler import compile_program
 from repro.reach.parser import parse_contract
 
@@ -30,9 +30,13 @@ def pol():
 
 @pytest.fixture(scope="module")
 def replay_schedule(pol):
-    report = check_protocol(weaken_replay_screen(pol, 0))
-    cex = next(c for c in report.counterexamples if c.theorem == "MC-SAFETY-REPLAY")
-    return AdversarySchedule.from_counterexample(cex)
+    # The schedule travels as the MC-CEX finding's payload, exactly as
+    # `repro lint --json` emits it.
+    findings = protocol_findings(check_protocol(weaken_replay_screen(pol, 0)))
+    payload = next(
+        f.data for f in findings if f.theorem == "MC-CEX" and f.data["theorem"] == "MC-SAFETY-REPLAY"
+    )
+    return AdversarySchedule.from_payload(payload)
 
 
 class TestScheduleImport:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.faults import FaultPlan, FaultWindow, RetryPolicy
-from repro.faults.plan import WINDOW_KINDS
 
 
 class TestFaultPlanGeneration:
@@ -25,7 +24,7 @@ class TestFaultPlanGeneration:
         starts = [w.start for w in plan.windows]
         assert starts == sorted(starts)
         for window in plan.windows:
-            assert window.kind in WINDOW_KINDS
+            assert window.kind in ("fee_spike", "block_stall", "receipt_delay")
             assert 0.0 <= window.start < window.end
             assert window.magnitude > 0
 

@@ -64,7 +64,7 @@ class TestDecode:
 
     def test_padded_code_decodes_to_large_area(self):
         area = olc.decode("7FG40000+")
-        assert area.width_degrees == pytest.approx(1.0)
+        assert area.longitude_high - area.longitude_low == pytest.approx(1.0)
 
     def test_decode_short_code_raises(self):
         with pytest.raises(olc.OlcError):

@@ -69,25 +69,21 @@ class TestNetwork:
         with pytest.raises(ValueError):
             network.add_node("alice")
 
-    def test_unpinned_content_disappears_after_gc(self, network):
+    def test_content_disappears_when_no_node_hosts_it(self, network):
         # The thesis's drawback: nobody hosting -> content gone.
-        cid = network.add("alice", b"ephemeral", pin=False)
+        cid = network.add("alice", b"ephemeral")
         assert network.get(cid) == b"ephemeral"
-        network.nodes["alice"].garbage_collect()
+        del network.nodes["alice"].blocks[cid]
         with pytest.raises(ContentNotAvailable):
             network.get(cid)
-
-    def test_pinned_content_survives_gc(self, network):
-        cid = network.add("alice", b"kept", pin=True)
-        network.nodes["alice"].garbage_collect()
-        assert network.get(cid) == b"kept"
+        assert network.providers[cid] == set()
 
     def test_replication_keeps_content_alive(self, network):
-        cid = network.add("alice", b"popular", pin=False)
-        network.replicate(cid, "bob", pin=True)
-        network.nodes["alice"].garbage_collect()
+        cid = network.add("alice", b"popular")
+        network.replicate(cid, "bob")
+        del network.nodes["alice"].blocks[cid]
         assert network.get(cid) == b"popular"
-        assert network.provider_count(cid) == 1
+        assert network.providers[cid] == {"bob"}
 
     def test_corrupted_provider_detected(self, network):
         cid = network.add("alice", b"original")
@@ -95,12 +91,29 @@ class TestNetwork:
         with pytest.raises(CidError):
             network.get(cid)
 
-    def test_pin_unknown_block_rejected(self, network):
-        with pytest.raises(KeyError):
-            network.nodes["alice"].pin("bishvjkgx")
+    @pytest.mark.parametrize(
+        "names",
+        [("alice", "bob", "carol"), ("bob", "alice", "carol"), ("zed", "amy", "mia"),
+         ("p0", "p1", "p2", "p3", "p4"), ("n9", "n3", "n7", "n1")],
+    )
+    def test_honest_provider_outvotes_a_corrupted_one(self, names):
+        # Whatever the names (and so the provider-set order), an honest
+        # copy is served; providers are tried in name order, and a
+        # tampering provider tried before the honest one leaves the record.
+        for tampered in names:
+            network = IpfsNetwork()
+            for name in names:
+                network.add_node(name)
+            cid = network.add(names[0], b"original")
+            for name in names[1:]:
+                network.replicate(cid, name)
+            network.nodes[tampered].blocks[cid] = b"tampered"
+            assert network.get(cid) == b"original"
+            tried_first = tampered < min(set(names) - {tampered})
+            assert network.providers[cid] == set(names) - ({tampered} if tried_first else set())
 
     def test_provider_count(self, network):
         cid = network.add("alice", b"shared")
-        assert network.provider_count(cid) == 1
+        assert network.providers[cid] == {"alice"}
         network.replicate(cid, "bob")
-        assert network.provider_count(cid) == 2
+        assert network.providers[cid] == {"alice", "bob"}

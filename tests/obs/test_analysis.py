@@ -27,22 +27,22 @@ def synthetic_journey(clock: SimClock, recorder: Recorder):
       9..12  proof:verify, with dht:publish 10..11 inside it
     """
     root = recorder.span("proof:request", track="prover:p", cat="proof")
-    clock.advance(2.0)
+    clock.advance_to(clock.now + 2.0)
     root.end()
     submit = recorder.span("proof:submit", track="prover:p", cat="proof", parent=root.context)
-    clock.advance(1.0)
+    clock.advance_to(clock.now + 1.0)
     tx = recorder.span("tx:attach", track="prover:p", cat="tx", parent=submit.context)
-    clock.advance(3.0)
+    clock.advance_to(clock.now + 3.0)
     tx.end(included_at=5.0)
-    clock.advance(1.0)
+    clock.advance_to(clock.now + 1.0)
     submit.end()
-    clock.advance(2.0)
+    clock.advance_to(clock.now + 2.0)
     verify = recorder.span("proof:verify", track="verifier:v", cat="proof", parent=root.context)
-    clock.advance(1.0)
+    clock.advance_to(clock.now + 1.0)
     dht = recorder.span("dht:publish", track="verifier:v", cat="dht", parent=verify.context)
-    clock.advance(1.0)
+    clock.advance_to(clock.now + 1.0)
     dht.end()
-    clock.advance(1.0)
+    clock.advance_to(clock.now + 1.0)
     verify.end()
     return root
 
@@ -76,7 +76,7 @@ class TestReconstruction:
         recorder = Recorder(clock=clock)
         synthetic_journey(clock, recorder)
         funding = recorder.span("fund-contract", track="verifier:v", cat="op")
-        clock.advance(1.0)
+        clock.advance_to(clock.now + 1.0)
         funding.end()
         report = reconstruct_journeys(recorder)
         assert len(report.journeys) == 1
@@ -86,7 +86,7 @@ class TestReconstruction:
         clock = SimClock()
         recorder = Recorder(clock=clock)
         op = recorder.span("deploy:pol", track="user:1", cat="op")
-        clock.advance(5.0)
+        clock.advance_to(clock.now + 5.0)
         op.end()
         report = reconstruct_journeys(recorder, roots=("deploy:", "attach"))
         assert [j.root.name for j in report.journeys] == ["deploy:pol"]
@@ -110,7 +110,7 @@ class TestReconstruction:
         clock = SimClock()
         recorder = Recorder(clock=clock)
         root = recorder.span("proof:request", track="prover:p", cat="proof")
-        clock.advance(1.0)
+        clock.advance_to(clock.now + 1.0)
         root.end()
         recorder.span("proof:submit", track="prover:p", cat="proof", parent=root.context)
         report = reconstruct_journeys(recorder)
@@ -122,7 +122,7 @@ class TestReconstruction:
         recorder = Recorder(clock=clock)
         root = recorder.span("proof:request", track="p", cat="proof")
         tx = recorder.span("tx:t", track="p", cat="tx", parent=root.context)
-        clock.advance(4.0)
+        clock.advance_to(clock.now + 4.0)
         tx.end()
         root.end()
         journey = reconstruct_journeys(recorder).journeys[0]
@@ -132,11 +132,11 @@ class TestReconstruction:
 
     def test_inclusion_before_span_start_is_all_confirm(self):
         clock = SimClock()
-        clock.advance(10.0)
+        clock.advance_to(clock.now + 10.0)
         recorder = Recorder(clock=clock)
         root = recorder.span("proof:request", track="p", cat="proof")
         tx = recorder.span("tx:t", track="p", cat="tx", parent=root.context)
-        clock.advance(3.0)
+        clock.advance_to(clock.now + 3.0)
         tx.end(included_at=2.0)  # clamped to the span's own start
         root.end()
         journey = reconstruct_journeys(recorder).journeys[0]
@@ -158,7 +158,7 @@ class TestStatistics:
         synthetic_journey(clock, recorder)
         # A second, degenerate journey with no chain time at all.
         bare = recorder.span("proof:request", track="prover:q", cat="proof")
-        clock.advance(4.0)
+        clock.advance_to(clock.now + 4.0)
         bare.end()
         report = reconstruct_journeys(recorder)
         stats = stage_statistics(report.journeys)
@@ -173,7 +173,7 @@ class TestStatistics:
         clock = SimClock()
         recorder = Recorder(clock=clock)
         bare = recorder.span("proof:request", track="prover:q", cat="proof")
-        clock.advance(4.0)
+        clock.advance_to(clock.now + 4.0)
         bare.end()
         report = reconstruct_journeys(recorder)
         assert report.complete  # structurally fine ...

@@ -71,7 +71,7 @@ class TestOrphanedBatchMember:
     def synthetic_member(self, clock, recorder, *, orphan_mirror=False):
         """A member trace shaped like the batching pipeline's output."""
         root = recorder.span("proof:request", track="prover:p", cat="proof")
-        clock.advance(1.0)
+        clock.advance_to(clock.now + 1.0)
         submit = recorder.span(
             "proof:submit", track="prover:p", cat="proof", parent=root.context
         )
@@ -82,7 +82,7 @@ class TestOrphanedBatchMember:
         mirror = recorder.span(
             "tx:insert_batch", track="prover:p", cat="tx", parent=parent, batch=1
         )
-        clock.advance(12.0)
+        clock.advance_to(clock.now + 12.0)
         mirror.end(included_at=clock.now)
         submit.end(batch=1)
         return root.trace_id
@@ -117,7 +117,7 @@ class TestOpenSpanAccounting:
         clock = SimClock()
         recorder = Recorder(clock=clock)
         root = recorder.span("proof:request", track="prover:p", cat="proof")
-        clock.advance(1.0)
+        clock.advance_to(clock.now + 1.0)
         recorder.span(
             "proof:submit", track="prover:p", cat="proof", parent=root.context
         )

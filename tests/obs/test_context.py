@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chain.base import drive
 from repro.obs.recorder import NULL_RECORDER, Recorder, TraceContext
 from repro.simnet import EventQueue
 
@@ -82,7 +83,7 @@ class TestEventQueuePropagation:
         with recorder.activate(parent.context):
             queue.schedule(1.0, lambda: seen.append(recorder.current_context()))
         queue.schedule(2.0, lambda: seen.append(recorder.current_context()))
-        queue.run_until_idle()
+        drive(queue, lambda: not len(queue))
         assert seen == [parent.context, None]
 
     def test_inherit_context_false_detaches_infrastructure_events(self):
@@ -94,7 +95,7 @@ class TestEventQueuePropagation:
             queue.schedule(
                 1.0, lambda: seen.append(recorder.current_context()), inherit_context=False
             )
-        queue.run_until_idle()
+        drive(queue, lambda: not len(queue))
         assert seen == [None]
 
     def test_chained_continuations_stay_in_the_trace(self):
@@ -113,7 +114,7 @@ class TestEventQueuePropagation:
 
         with recorder.activate(root.context):
             queue.schedule(1.0, first)
-        queue.run_until_idle()
+        drive(queue, lambda: not len(queue))
         assert [s.trace_id for s in spans] == [root.trace_id, root.trace_id]
         assert spans[0].parent_id == root.span_id
         assert spans[1].parent_id == root.span_id

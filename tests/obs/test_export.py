@@ -23,11 +23,11 @@ def build_recorder() -> Recorder:
     recorder = Recorder(clock=clock)
     recorder.counter("tx_total", chain="goerli", kind="call")
     recorder.gauge("mempool_depth", 2, chain="goerli")
-    clock.advance(12.0)
+    clock.advance_to(clock.now + 12.0)
     recorder.gauge("mempool_depth", 0, chain="goerli")
     recorder.observe("fee_paid", 1500.0, buckets=(1e3, 1e6), chain="goerli")
     with recorder.span("deploy:pol", track="user:0xaaaa", cat="op", olc="X"):
-        clock.advance(30.0)
+        clock.advance_to(clock.now + 30.0)
     recorder.span("attach:pol", track="user:0xbbbb", cat="op")  # left open
     return recorder
 
@@ -93,11 +93,11 @@ class TestChromeTrace:
         clock = SimClock()
         recorder = Recorder(clock=clock)
         with recorder.span("deploy:pol", track="user:0xaaaa", cat="op") as parent:
-            clock.advance(5.0)
+            clock.advance_to(clock.now + 5.0)
             with recorder.span("tx:create", track="user:0xaaaa", cat="tx",
                                parent=parent.context):
-                clock.advance(10.0)
-            clock.advance(5.0)
+                clock.advance_to(clock.now + 10.0)
+            clock.advance_to(clock.now + 5.0)
         trace = to_chrome_trace(recorder)
         events = trace["traceEvents"]
         starts = [e for e in events if e["ph"] == "s"]
@@ -197,7 +197,7 @@ class TestPrometheus:
         clock = SimClock()
         recorder = Recorder(clock=clock)
         handle = recorder.histogram_handle("latency_seconds", buckets=(1.0, 10.0), chain="goerli")
-        clock.advance(3.5)
+        clock.advance_to(clock.now + 3.5)
         handle.observe(0.5, "t000007")
         handle.observe(2.0)  # no exemplar on this bucket
         text = to_prometheus(recorder)

@@ -27,7 +27,7 @@ class TestRing:
     def test_poll_harvests_closed_spans_once(self):
         flight, recorder, clock = make_flight()
         with recorder.span("proof:request", track="user:0", cat="op"):
-            clock.advance(2.0)
+            clock.advance_to(clock.now + 2.0)
         flight.poll()
         flight.poll()
         spans = [entry for entry in flight.ring if entry["type"] == "span"]
@@ -40,7 +40,7 @@ class TestRing:
         span = recorder.span("proof:submit", track="user:0", cat="op")
         flight.poll()
         assert not [entry for entry in flight.ring if entry["type"] == "span"]
-        clock.advance(3.0)
+        clock.advance_to(clock.now + 3.0)
         span.end()
         flight.poll()
         (entry,) = [entry for entry in flight.ring if entry["type"] == "span"]
@@ -64,7 +64,7 @@ class TestRing:
 class TestDump:
     def test_bundle_carries_ring_snapshot_and_reason(self):
         flight, recorder, clock = make_flight()
-        clock.advance(5.0)
+        clock.advance_to(clock.now + 5.0)
         flight.note("alert", alert="fee-spike", state="firing")
         bundle = flight.dump("alert", "fee-spike firing")
         assert bundle["version"] == 1
@@ -84,7 +84,7 @@ class TestDump:
         flight, recorder, clock = make_flight()
         for index in range(3):
             with recorder.span("proof:request", track=f"user:{index}", cat="op"):
-                clock.advance(1.0)
+                clock.advance_to(clock.now + 1.0)
         flight.poll()
         bundle = flight.dump("exception", "boom")
         # Most recent closures first, no explicit suspects given.
@@ -97,7 +97,7 @@ class TestDump:
         for index in range(2):
             with recorder.span("proof:request", track=f"user:{index}", cat="op") as span:
                 traces.append(span.trace_id)
-                clock.advance(1.0)
+                clock.advance_to(clock.now + 1.0)
         bundle = flight.dump("invariant", "x", trace_ids=[traces[0]])
         assert [journey["trace_id"] for journey in bundle["journeys"]] == [traces[0]]
 
@@ -157,7 +157,7 @@ class TestRender:
     def make_bundle(self):
         flight, recorder, clock = make_flight()
         with recorder.span("proof:request", track="user:0", cat="op") as span:
-            clock.advance(4.0)
+            clock.advance_to(clock.now + 4.0)
         trace = span.trace_id
         recorder.counter("chain_tx_rejected_total", chain="goerli")
         flight.note("alert", alert="tx-retry-burn", previous="pending", state="firing")

@@ -60,7 +60,7 @@ class TestStageAccounting:
         profiler = Profiler(clock=clock)
         profiler.start()
         profiler.enter("dispatch")
-        clock.advance(10.0)
+        clock.advance_to(clock.now + 10.0)
         profiler.enter("compute")
         profiler.exit()
         profiler.exit()
@@ -78,7 +78,7 @@ class TestStageAccounting:
         profiler.start()
         profiler.enter("outer")
         profiler.enter("inner")
-        clock.advance(4.0)
+        clock.advance_to(clock.now + 4.0)
         profiler.exit()
         profiler.exit()
         profiler.stop()
@@ -91,7 +91,7 @@ class TestStageAccounting:
         profiler = Profiler()
         profiler.bind_clock(first)
         profiler.bind_clock(second)
-        first.advance(3.0)
+        first.advance_to(first.now + 3.0)
         profiler.start()
         profiler.enter("s")
         profiler.exit()

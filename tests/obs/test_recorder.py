@@ -6,7 +6,6 @@ from repro.obs.recorder import (
     DEFAULT_BUCKETS,
     NULL_RECORDER,
     NullRecorder,
-    RATIO_BUCKETS,
     Recorder,
     track_for,
 )
@@ -39,7 +38,7 @@ class TestGauges:
         clock = SimClock()
         recorder = Recorder(clock=clock)
         recorder.gauge("depth", 3)
-        clock.advance(10.0)
+        clock.advance_to(clock.now + 10.0)
         recorder.gauge("depth", 5)
         assert recorder.gauge_series("depth") == [(0.0, 3), (10.0, 5)]
 
@@ -59,7 +58,7 @@ class TestGaugeDownsampling:
         recorder = Recorder(clock=clock)
         for value in range(8):
             recorder.gauge("depth", value)
-            clock.advance(1.0)
+            clock.advance_to(clock.now + 1.0)
         series = recorder.gauge_series("depth")
         # The 8th append hits the cap: every other sample is shed.
         assert series == [(0.0, 0), (2.0, 2), (4.0, 4), (6.0, 6)]
@@ -71,7 +70,7 @@ class TestGaugeDownsampling:
         recorder = Recorder(clock=clock)
         for value in range(11):  # 8 trigger the halving, 3 more under stride 2
             recorder.gauge("depth", value)
-            clock.advance(1.0)
+            clock.advance_to(clock.now + 1.0)
         series = recorder.gauge_series("depth")
         assert len(series) <= 8
         # Post-cap, odd ticks are dropped and even ticks retained.
@@ -87,7 +86,7 @@ class TestGaugeDownsampling:
         recorder = Recorder(clock=clock)
         for value in range(200):
             recorder.gauge("depth", value)
-            clock.advance(1.0)
+            clock.advance_to(clock.now + 1.0)
         series = recorder.gauge_series("depth")
         assert len(series) <= 8
         times = [t for t, _ in series]
@@ -112,7 +111,7 @@ class TestSpanCap:
         recorder = Recorder(clock=clock)
         kept = [recorder.span("kept") for _ in range(2)]
         dropped = recorder.span("dropped")
-        clock.advance(1.0)
+        clock.advance_to(clock.now + 1.0)
         dropped.end(status="ok")  # call sites never branch on the cap
         assert dropped.duration == 1.0
         assert recorder.spans == kept
@@ -144,13 +143,6 @@ class TestHistograms:
         snapshot = recorder.snapshot()["histograms"]["latency"]
         assert snapshot["buckets"]["10"] == 1
 
-    def test_declared_buckets_win(self):
-        recorder = Recorder()
-        recorder.declare_histogram("ratio", RATIO_BUCKETS)
-        recorder.observe("ratio", 0.35)
-        snapshot = recorder.snapshot()["histograms"]["ratio"]
-        assert snapshot["buckets"]["0.4"] == 1
-
     def test_default_buckets_cover_fees_and_latencies(self):
         assert DEFAULT_BUCKETS[0] <= 0.01
         assert DEFAULT_BUCKETS[-1] >= 1e13
@@ -161,7 +153,7 @@ class TestSpans:
         clock = SimClock()
         recorder = Recorder(clock=clock)
         with recorder.span("work", track="user:abc") as span:
-            clock.advance(4.0)
+            clock.advance_to(clock.now + 4.0)
         assert span.started_at == 0.0
         assert span.finished_at == 4.0
         assert span.duration == 4.0
@@ -170,18 +162,17 @@ class TestSpans:
         clock = SimClock()
         recorder = Recorder(clock=clock)
         span = recorder.span("inflight")
-        clock.advance(2.5)
+        clock.advance_to(clock.now + 2.5)
         assert not span.done
         assert span.duration == 2.5
-        assert recorder.open_spans == [span]
 
     def test_end_is_idempotent_and_merges_args(self):
         clock = SimClock()
         recorder = Recorder(clock=clock)
         span = recorder.span("op", key="v")
-        clock.advance(1.0)
+        clock.advance_to(clock.now + 1.0)
         span.end(status="ok")
-        clock.advance(1.0)
+        clock.advance_to(clock.now + 1.0)
         span.end(status="late")  # ignored
         assert span.finished_at == 1.0
         assert span.args == {"key": "v", "status": "ok"}
@@ -200,7 +191,6 @@ class TestNullRecorder:
         NULL_RECORDER.counter("anything")
         NULL_RECORDER.gauge("anything", 1)
         NULL_RECORDER.observe("anything", 1)
-        NULL_RECORDER.declare_histogram("anything", (1.0,))
         assert NULL_RECORDER.snapshot() == {}
         assert NULL_RECORDER.render_compact() == ""
 
@@ -220,7 +210,7 @@ class TestClockBinding:
         first, second = SimClock(), SimClock()
         recorder.bind_clock(first)
         recorder.bind_clock(second)
-        first.advance(7.0)
+        first.advance_to(first.now + 7.0)
         assert recorder.now() == 7.0
 
     def test_unbound_recorder_reads_zero(self):
@@ -274,7 +264,7 @@ class TestHistogramExemplars:
         recorder = Recorder(clock=clock)
         handle = recorder.histogram_handle("latency", buckets=(1.0, 10.0))
         handle.observe(0.5, "t-aaa")
-        clock.advance(5.0)
+        clock.advance_to(clock.now + 5.0)
         handle.observe(0.7, "t-bbb")  # same bucket: replaces t-aaa
         handle.observe(50.0, "t-ccc")  # +Inf bucket
         histogram = recorder._histograms[("latency", ())]

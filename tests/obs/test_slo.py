@@ -89,7 +89,7 @@ class TestCounterBurn:
 
     def test_growth_within_both_windows_breaches(self):
         engine, recorder, clock = self.make_engine()
-        clock.advance(10.0)
+        clock.advance_to(clock.now + 10.0)
         for _ in range(3):
             recorder.counter("errors_total")
         edges = engine.evaluate(clock.now, {})
@@ -97,7 +97,7 @@ class TestCounterBurn:
 
     def test_growth_below_threshold_stays_quiet(self):
         engine, recorder, clock = self.make_engine()
-        clock.advance(10.0)
+        clock.advance_to(clock.now + 10.0)
         recorder.counter("errors_total", 2)
         assert engine.evaluate(clock.now, {}) == []
 
@@ -106,12 +106,12 @@ class TestCounterBurn:
             short_window=60.0, long_window=300.0
         )
         recorder.counter("errors_total", 5)
-        clock.advance(10.0)
+        clock.advance_to(clock.now + 10.0)
         engine.evaluate(clock.now, {})
         assert engine.alerts["r"].state == "firing"
         # No further growth: once the short window slides past the burst
         # the alert resolves even though the long window still covers it.
-        clock.advance(120.0)
+        clock.advance_to(clock.now + 120.0)
         engine.evaluate(clock.now, {})
         assert engine.alerts["r"].state == "resolved"
 
@@ -121,12 +121,12 @@ class TestCounterBurn:
         engine = SloEngine(
             recorder, [rule(kind="counter_burn", source="errors_total", threshold=3.0)]
         )
-        clock.advance(10.0)
+        clock.advance_to(clock.now + 10.0)
         assert engine.evaluate(clock.now, {}) == []
 
     def test_counter_summed_across_label_sets(self):
         engine, recorder, clock = self.make_engine()
-        clock.advance(5.0)
+        clock.advance_to(clock.now + 5.0)
         recorder.counter("errors_total", 2, chain="goerli")
         recorder.counter("errors_total", 1, chain="algorand-testnet")
         engine.evaluate(clock.now, {})

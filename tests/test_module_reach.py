@@ -5,6 +5,8 @@ inside functions too (the CLI and the system facade import lazily).
 The roots are the CLI entry point, the chapter-5 benchmarks, the
 repository benchmark and the shipped examples.  A module that only
 tests reach is dead weight: delete it, or give it a run that uses it.
+:mod:`tests.test_function_reach` applies the same rule, from the same
+roots, to every function, method and class.
 """
 
 import ast

@@ -22,13 +22,19 @@ every difference: that message list is the divergence.
 
 States are immutable snapshots (:class:`MCState`); each call gets fresh
 VM stores built from the snapshot, so a caller can fan a state out over
-every enabled action.  A checking run makes about ten thousand calls
-per backend, so nothing per-call is rebuilt that can be built once: the
-caller assembles the TEAL artifact once (both VMs then cache their
-decoded program on the artifact), every storage key, box name and
-digest prefix comes precomputed from the model's
+every enabled action.  A checking run steps about ten thousand (state,
+action) pairs per backend, but most of them repeat a VM call already
+made: a call sees only its action, the clock, the balance and the few
+store values it reads, and those recur across states that differ
+elsewhere.  Each model therefore keeps an exact read-footprint memo
+(:class:`BackendModel`) and runs its VM once per footprint -- 913 of
+the 10,091 steps per backend of the 4-seat PoL sweep.  The rest is
+built once too: the caller assembles the TEAL artifact once (both VMs
+then cache their decoded program on the artifact), every storage key,
+box name and digest prefix comes precomputed from the model's
 :class:`~repro.reach.absint.encode.StateLayout`, and a state's digest
-is computed once.
+is computed once.  The memo lives on the models of one sweep; the
+reports the analyses cache hold none of it.
 """
 
 from __future__ import annotations
@@ -129,15 +135,112 @@ class StepResult(NamedTuple):
         return sum(amount for _to, amount in self.transfers)
 
 
-class BackendModel:
-    """Shared state plumbing; subclasses supply the VM call."""
+#: a store read that found no entry (unequal to every stored value)
+_ABSENT = object()
 
-    def __init__(self, layout: StateLayout):
+
+#: a call's reads: ``(store index, key) -> value or _ABSENT``, in first-read order
+_ReadLog = dict[tuple[int, bytes], Any]
+
+
+class _Recording(dict[bytes, Any]):
+    """A copy of one VM store that logs each key's first read into the
+    call's read log.
+
+    The VMs read their stores only through ``get``, ``in`` and ``[]``;
+    each is a function of ``dict.get(key, _ABSENT)``, so replaying that
+    one lookup per logged key reproduces what the VM saw.  A repeated
+    read adds nothing: the VMs buffer their writes, so a store does not
+    change during a call.
+    """
+
+    __slots__ = ("index", "log")
+
+    def __init__(self, data: Mapping[bytes, Any], index: int, log: _ReadLog) -> None:
+        super().__init__(data)
+        self.index = index
+        self.log = log
+
+    def _read(self, key: Any) -> Any:
+        value = dict.get(self, key, _ABSENT)
+        self.log.setdefault((self.index, key), value)
+        return value
+
+    def get(self, key: bytes, default: Any = None) -> Any:
+        value = self._read(key)
+        return default if value is _ABSENT else value
+
+    def __contains__(self, key: object) -> bool:
+        return self._read(key) is not _ABSENT
+
+    def __getitem__(self, key: bytes) -> Any:
+        value = self._read(key)
+        if value is _ABSENT:
+            raise KeyError(key)
+        return value
+
+
+#: one store's (writes, deletes) of a call, as (key, value) pairs and keys
+_StoreEffects = tuple[tuple[tuple[bytes, Any], ...], tuple[bytes, ...]]
+
+
+class _Outcome(NamedTuple):
+    """What one VM call did, independent of the stores it ran on."""
+
+    status: str  # "ok" | "rejected" | "machine-error"
+    error: str = ""
+    effects: tuple[_StoreEffects, ...] = ()  # per store, in store order
+    transfers: tuple[tuple[str, int], ...] = ()
+    logs: tuple[Any, ...] = ()
+    ret: Any = None
+
+
+class _Read:
+    """A memo trie node: the store read a call makes next.  Hashed by
+    identity, so ``(node, value found)`` names the edge it leads along."""
+
+    __slots__ = ("store", "key")
+
+    def __init__(self, store: int, key: bytes) -> None:
+        self.store = store
+        self.key = key
+
+
+class BackendModel:
+    """Shared state plumbing and the read-footprint memo; subclasses
+    supply the stores and the VM call.
+
+    The memo is exact.  A call's inputs are the action template, the
+    clock, the balance and what it reads from the stores; everything
+    else the VM sees (code, gas limit, block number, round, addresses,
+    budget pool) is constant.  The VMs are deterministic, so which key a
+    call reads next depends only on those first three and the values it
+    has read so far.  Keyed by ``(template, now, balance)``, a trie of
+    read sequences therefore names the outcome of any state whose stores
+    hold the same values along one of its paths, without running the VM.
+    (Stored values are ints, bytes and strs, so equal values are
+    interchangeable.)
+
+    The trie is one dict from a position -- the prefix, or ``(read node,
+    value found)`` -- to what comes next: a read node or an outcome.
+    Equal outcomes are stored once: a sweep has about a hundred distinct
+    ones per backend among a thousand leaves.
+    """
+
+    def __init__(self, layout: StateLayout, cell_keys: tuple[bytes, ...]):
         self.layout = layout
+        self.cell_keys = cell_keys  # the backend's keys for ``layout.entries``, in order
+        self._memo: dict[tuple[Any, ...], _Read | _Outcome] = {}
+        self._outcomes: dict[_Outcome, _Outcome] = {}
 
     # -- subclass surface ----------------------------------------------------
 
-    def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
+    def _stores(self, state: MCState) -> tuple[dict[bytes, Any], ...]:
+        """Fresh VM stores holding ``state``: scalars first, Map cells last."""
+        raise NotImplementedError
+
+    def _run(self, state: MCState, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...]) -> _Outcome:
+        """Run the VM on ``stores`` (without changing them)."""
         raise NotImplementedError
 
     # -- common --------------------------------------------------------------
@@ -150,6 +253,58 @@ class BackendModel:
             return StepResult(status="ok", state=state.with_clock(deadline + 1))
         return self._execute(state, template)
 
+    def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
+        stores = self._stores(state)
+        outcome = self._recall(state, template, stores)
+        if outcome.status != "ok":
+            return StepResult(status=outcome.status, state=state, error=outcome.error)
+        for store, (writes, deletes) in zip(stores, outcome.effects):
+            store.update(writes)
+            for dead in deletes:
+                store.pop(dead, None)
+        return self._accepted(state, template, stores[0], stores[-1], outcome)
+
+    @staticmethod
+    def _prefix(state: MCState, template: ActionTemplate) -> tuple[ActionTemplate, int, int]:
+        """The memo key: every VM input that is not a store read."""
+        return (template, state.now, state.balance)
+
+    def _recall(self, state: MCState, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...]) -> _Outcome:
+        """The call's outcome: from the memo when the stores hold what an
+        earlier call with the same prefix read, else from a recorded run."""
+        prefix = self._prefix(state, template)
+        memo = self._memo
+        node = memo.get(prefix)
+        try:
+            while isinstance(node, _Read):
+                node = memo.get((node, stores[node.store].get(node.key, _ABSENT)))
+        except TypeError:  # an unhashable stored value: run without the memo
+            return self._run(state, template, stores)
+        if node is not None:
+            return node
+        log: _ReadLog = {}
+        outcome = self._run(state, template, tuple(_Recording(store, index, log) for index, store in enumerate(stores)))
+        self._remember(prefix, log, outcome)
+        return outcome
+
+    def _remember(self, prefix: tuple[ActionTemplate, int, int], log: _ReadLog, outcome: _Outcome) -> None:
+        """Insert one run's read sequence, ending at its outcome."""
+        try:
+            hash(tuple(log.values()))
+            outcome = self._outcomes.setdefault(outcome, outcome)
+        except TypeError:
+            return  # an unhashable value cannot key the trie
+        memo = self._memo
+        slot: tuple[Any, ...] = prefix
+        for (store, key), value in log.items():
+            node = memo.get(slot)
+            if node is None:
+                node = memo[slot] = _Read(store, key)
+            elif not isinstance(node, _Read) or (node.store, node.key) != (store, key):
+                raise RuntimeError(f"the read memo key misses an input of {prefix[0].name}")
+            slot = (node, value)
+        memo[slot] = outcome
+
     def _globals_of(self, state: MCState) -> dict[bytes, object]:
         """The state's scalars keyed as both VMs store them."""
         key_of = self.layout.global_key_of
@@ -161,24 +316,19 @@ class BackendModel:
         template: ActionTemplate,
         globals_: Mapping[bytes, object],
         cells: Mapping[bytes, object],
-        cell_keys: tuple[bytes, ...],
-        transfers: tuple[tuple[str, int], ...],
-        logs: tuple[Any, ...],
-        ret: Any,
+        outcome: _Outcome,
     ) -> StepResult:
         """The accepted call's result, its successor read back out of the
-        VM's post-call stores.
-
-        ``cell_keys`` are the backend's keys for ``layout.entries``, in
-        order; absent, zero and empty cells are not part of the state.
-        """
+        VM's post-call stores (absent, zero and empty cells are not part
+        of the state)."""
         layout = self.layout
         scalars = tuple([(name, globals_.get(key, 0)) for name, key in zip(layout.names, layout.global_keys)])
         maps = []
-        for entry, key in zip(layout.entries, cell_keys):
+        for entry, key in zip(layout.entries, self.cell_keys):
             value = cells.get(key)
             if value is not None and not is_absent(value):
                 maps.append((entry, value))
+        transfers = outcome.transfers
         paid = sum(amount for _to, amount in transfers)
         successor = MCState(
             scalars=scalars,
@@ -186,23 +336,26 @@ class BackendModel:
             balance=state.balance + template.value - paid,
             now=state.now,
         )
-        return StepResult(status="ok", state=successor, transfers=transfers, logs=logs, ret=ret)
+        return StepResult(status="ok", state=successor, transfers=transfers, logs=outcome.logs, ret=outcome.ret)
 
 
 class EvmModel(BackendModel):
     """The Ethereum side: emitted EVM code on the gas-metered VM."""
 
     def __init__(self, code: EvmCode, layout: StateLayout):
-        super().__init__(layout)
+        super().__init__(layout, layout.evm_keys)
         self.code = code
         self.vm = EVM()
 
-    def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
+    def _stores(self, state: MCState) -> tuple[dict[bytes, Any], ...]:
         storage = self._globals_of(state)
         evm_key_of = self.layout.evm_key_of
         for entry, value in state.maps:
             storage[evm_key_of[entry]] = value
-        contract = EvmContract(address=_APP_ADDRESS, code=self.code, storage=storage, creator=CREATOR)
+        return (storage,)
+
+    def _run(self, state: MCState, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...]) -> _Outcome:
+        contract = EvmContract(address=_APP_ADDRESS, code=self.code, storage=stores[0], creator=CREATOR)
         creating = template.fn == "constructor"
         try:
             result = self.vm.execute(
@@ -218,19 +371,15 @@ class EvmModel(BackendModel):
                 intrinsic=0,
             )
         except VMRevert as revert:
-            return StepResult(status="rejected", state=state, error=str(revert))
+            return _Outcome("rejected", str(revert))
         except VMError as error:
-            return StepResult(status="machine-error", state=state, error=str(error))
-        storage.update(result.storage_writes)
-        return self._accepted(
-            state,
-            template,
-            storage,
-            storage,
-            self.layout.evm_keys,
-            tuple(result.transfers),
-            tuple(result.logs),
-            result.return_value,
+            return _Outcome("machine-error", str(error))
+        return _Outcome(
+            "ok",
+            effects=((tuple(result.storage_writes.items()), ()),),
+            transfers=tuple(result.transfers),
+            logs=tuple(result.logs),
+            ret=result.return_value,
         )
 
 
@@ -242,16 +391,19 @@ class AvmModel(BackendModel):
     """
 
     def __init__(self, program: TealProgram | TealSyntaxError, layout: StateLayout):
-        super().__init__(layout)
+        super().__init__(layout, layout.box_keys)
         self.program = program
         self.vm = AVM()
 
-    def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
-        if isinstance(self.program, TealSyntaxError):
-            return StepResult(status="machine-error", state=state, error=str(self.program))
-        global_state = self._globals_of(state)
+    def _stores(self, state: MCState) -> tuple[dict[bytes, Any], ...]:
         box_key_of = self.layout.box_key_of
         boxes: dict[bytes, Any] = {box_key_of[entry]: value for entry, value in state.maps}
+        return (self._globals_of(state), boxes)
+
+    def _run(self, state: MCState, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...]) -> _Outcome:
+        if isinstance(self.program, TealSyntaxError):
+            return _Outcome("machine-error", str(self.program))
+        global_state, boxes = stores
         app_id = 0 if template.fn == "constructor" else 1
         app = Application(
             app_id=app_id,
@@ -275,24 +427,18 @@ class AvmModel(BackendModel):
         try:
             result = self.vm.execute(app, ctx)
         except AvmPanic as panic:
-            return StepResult(status="rejected", state=state, error=str(panic))
+            return _Outcome("rejected", str(panic))
         except AvmError as error:
-            return StepResult(status="machine-error", state=state, error=str(error))
-        global_state.update(result.global_writes)
-        for dead in result.global_deletes:
-            global_state.pop(dead, None)
-        boxes.update(result.box_writes)
-        for dead in result.box_deletes:
-            boxes.pop(dead, None)
-        return self._accepted(
-            state,
-            template,
-            global_state,
-            boxes,
-            self.layout.box_keys,
-            tuple(result.inner_payments),
-            tuple(result.logs),
-            result.return_value,
+            return _Outcome("machine-error", str(error))
+        return _Outcome(
+            "ok",
+            effects=(
+                (tuple(result.global_writes.items()), tuple(result.global_deletes)),
+                (tuple(result.box_writes.items()), tuple(result.box_deletes)),
+            ),
+            transfers=tuple(result.inner_payments),
+            logs=tuple(result.logs),
+            ret=result.return_value,
         )
 
 

@@ -11,14 +11,18 @@ transition (including rejected attempts -- replay safety is a theorem
 about rejections) is checked once by the safety monitors, on the EVM
 side.  BFS parent pointers make every trace shortest by construction.
 
-Tractability comes from three reductions:
+Tractability comes from four reductions:
 
 1. **state-digest deduplication** -- interleavings that commute into
    the same protocol state collapse to one node;
 2. **caller symmetry** -- the universe models one adversarial address,
    since no contract state is keyed by caller (see universe.py);
 3. **no-progress pruning** -- accepted calls that leave the digest
-   unchanged (and every rejected call) produce no new node.
+   unchanged (and every rejected call) produce no new node;
+4. **read-footprint memoization** -- a step whose action, clock,
+   balance and store reads match an earlier call's reuses that call's
+   outcome instead of running the VM (see exec.py).  It saves time,
+   not states: every transition is still stepped and checked.
 
 There is no partial-order reduction: every entry point reads ``_phase``
 in its prologue and every phase has an action that may write it, so no

@@ -11,7 +11,11 @@ over the sorted set of distinct (inputs, outcome) records.
 
 The set, not the call sequence, is hashed: the explorer may skip
 re-executing a (state, action) pair it has already run without changing
-what the interpreters compute.
+what the interpreters compute.  The backend models' read-footprint memo
+skips far more (a sweep then runs about one VM call in eleven), so this
+test forces every memo lookup to miss: the interpreters still run on
+every input the sweep explores, and the pinned set stays the one the
+memo's exactness rests on.
 """
 
 import hashlib
@@ -23,6 +27,7 @@ import pytest
 from repro.chain.algorand.avm import AVM, AvmError, AvmPanic
 from repro.chain.ethereum.evm import EVM, VMError, VMRevert
 from repro.reach.absint import equiv, modelcheck
+from repro.reach.absint.exec import BackendModel
 from repro.reach.absint.modelcheck import MCConfig, check_protocol
 from repro.reach.compiler import compile_program
 from repro.reach.parser import parse_contract
@@ -99,12 +104,18 @@ def _recording(monkeypatch, records):
     monkeypatch.setattr(AVM, "execute", avm_execute)
 
 
+def _run_vm(model, state, template, stores):
+    """A memo lookup forced to miss: the VM runs on every call."""
+    return model._run(state, template, stores)
+
+
 @pytest.fixture(scope="module")
 def transcript():
     records: set[str] = set()
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(modelcheck, "_CACHE", {})
         monkeypatch.setattr(equiv, "_CACHE", {})
+        monkeypatch.setattr(BackendModel, "_recall", _run_vm)
         _recording(monkeypatch, records)
         for name in CONTRACTS:
             compiled = compile_program(parse_contract((REPO / "contracts" / name).read_text()))

@@ -1,17 +1,13 @@
-"""Baseline location-proof systems from the related work (thesis 1.7).
+"""The baseline location-proof system from the related work (thesis 1.7).
 
 - :mod:`repro.baselines.applaus` -- an APPLAUS-style system (Zhu & Cao):
   infrastructure-independent proof generation between pseudonymous
   peers, but a *centralized* server stores the proofs and a Central
   Authority holds the pseudonym-to-identity mapping.
-- :mod:`repro.baselines.brambilla` -- the Brambilla et al. P2P
-  blockchain PoL (figures 1.14-1.16), including the collusion
-  vulnerability the thesis critiques.
 
-The comparison benches and tests use these to quantify the thesis's
-architectural arguments: the single point of failure, the privacy cost
-of a mapping-holding authority, and the need for a physical proximity
-channel.
+The centralized-baseline ablation bench uses it to quantify the
+thesis's architectural arguments: the single point of failure and the
+privacy cost of a mapping-holding authority.
 """
 
 from repro.baselines.applaus import (
@@ -21,14 +17,6 @@ from repro.baselines.applaus import (
     PseudonymousUser,
     ServerUnavailable,
 )
-from repro.baselines.brambilla import (
-    BrambillaError,
-    BrambillaNetwork,
-    Peer,
-    PolBlock,
-    PolRecord,
-    PolRequest,
-)
 
 __all__ = [
     "ApplausSystem",
@@ -36,10 +24,4 @@ __all__ = [
     "CentralServer",
     "PseudonymousUser",
     "ServerUnavailable",
-    "BrambillaError",
-    "BrambillaNetwork",
-    "Peer",
-    "PolBlock",
-    "PolRecord",
-    "PolRequest",
 ]

@@ -84,10 +84,6 @@ class AnchoredBatch:
     def count(self) -> int:
         return len(self.records)
 
-    @property
-    def settled(self) -> bool:
-        return self.handle.done
-
 
 class BatchAggregator:
     """Buffers verifier-accepted records per location; one tx per flush.

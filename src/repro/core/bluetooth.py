@@ -52,12 +52,6 @@ class BluetoothChannel:
         """Power on a device at a position."""
         self.devices[device_id] = _Device(device_id=device_id, latitude=latitude, longitude=longitude)
 
-    def move(self, device_id: str, latitude: float, longitude: float) -> None:
-        """Update a device's physical position."""
-        device = self._device(device_id)
-        device.latitude = latitude
-        device.longitude = longitude
-
     def _device(self, device_id: str) -> _Device:
         device = self.devices.get(device_id)
         if device is None:

@@ -17,7 +17,7 @@ speed over long-term hardness.
 """
 
 from repro.crypto.hashing import sha256, sha256_hex, tagged_hash, hash_to_int
-from repro.crypto.keys import KeyPair, PublicKey, Signature, SignatureError
+from repro.crypto.keys import KeyPair, PublicKey, Signature
 from repro.crypto.merkle import MerkleTree, MerkleProof
 from repro.crypto.vrf import VRFKeyPair, VRFProof, VRFError
 
@@ -29,7 +29,6 @@ __all__ = [
     "KeyPair",
     "PublicKey",
     "Signature",
-    "SignatureError",
     "MerkleTree",
     "MerkleProof",
     "VRFKeyPair",

@@ -21,10 +21,6 @@ from repro.crypto.hashing import sha256, tagged_hash
 from repro.obs.prof import staged
 
 
-class SignatureError(Exception):
-    """Raised when a signature fails verification."""
-
-
 # -- in-process fast paths -----------------------------------------------------
 #
 # The simulation signs, encrypts, verifies and decrypts inside ONE

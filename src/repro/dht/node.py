@@ -36,11 +36,6 @@ class HypercubeNode:
         if not 0 <= self.node_id < (1 << self.r):
             raise ValueError(f"node id {self.node_id} out of range for r={self.r}")
 
-    @property
-    def bit_string(self) -> str:
-        """The node ID as an r-bit string."""
-        return format(self.node_id, f"0{self.r}b")
-
     def neighbours(self) -> list[int]:
         """IDs of the r adjacent nodes (one flipped bit each)."""
         return [self.node_id ^ (1 << bit) for bit in range(self.r)]

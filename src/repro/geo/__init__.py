@@ -1,11 +1,9 @@
 """Location encoding systems (thesis section 1.3.1).
 
-- :mod:`repro.geo.olc` -- a full Open Location Code codec (encode,
-  decode, validity, shorten/recover), the thesis's chosen encoding.
+- :mod:`repro.geo.olc` -- Open Location Code encoding, decoding and
+  validity, the thesis's chosen encoding.
 - :mod:`repro.geo.rbit` -- the OLC -> r-bit-string hypercube keyword
   encoding of figure 1.3 (Zichichi et al.).
-- :mod:`repro.geo.geohash` -- the Geohash baseline the thesis compares
-  against (including its many-codes-per-point drawback).
 - :mod:`repro.geo.distance` -- haversine distances for the proximity
   channel.
 """
@@ -16,13 +14,9 @@ from repro.geo.olc import (
     decode,
     encode,
     is_full,
-    is_short,
     is_valid,
-    recover_nearest,
-    shorten,
 )
-from repro.geo.rbit import olc_to_rbit, olc_to_segments, rbit_to_int
-from repro.geo.geohash import geohash_decode, geohash_encode
+from repro.geo.rbit import olc_to_rbit, rbit_to_int
 from repro.geo.distance import haversine_km
 
 __all__ = [
@@ -32,13 +26,7 @@ __all__ = [
     "decode",
     "is_valid",
     "is_full",
-    "is_short",
-    "shorten",
-    "recover_nearest",
     "olc_to_rbit",
-    "olc_to_segments",
     "rbit_to_int",
-    "geohash_encode",
-    "geohash_decode",
     "haversine_km",
 ]

@@ -1,4 +1,4 @@
-"""Open Location Code: a complete codec.
+"""Open Location Code: encoding, decoding and validity.
 
 OLC (plus codes) partitions the Earth into tiles addressed by strings
 over the 20-character alphabet ``23456789CFGHJMPQRVWX``.  The default
@@ -7,8 +7,8 @@ thesis uses to balance utility and privacy (section 2.6).
 
 This implementation follows the public specification: pair encoding for
 the first 10 digits (base 20, interleaved latitude/longitude), 4x5 grid
-refinement beyond, ``+`` after the 8th digit, zero padding for short
-area codes, and shorten/recover relative to a reference location.
+refinement beyond, ``+`` after the 8th digit and zero padding for
+short area codes.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ LATITUDE_MAX = 90.0
 LONGITUDE_MAX = 180.0
 
 _CHAR_INDEX = {char: index for index, char in enumerate(OLC_ALPHABET)}
-#: degree resolution of each successive *pair* of digits
-_PAIR_RESOLUTIONS = (20.0, 1.0, 0.05, 0.0025, 0.000125)
 
 
 class OlcError(ValueError):
@@ -45,16 +43,6 @@ class CodeArea:
     latitude_high: float
     longitude_high: float
     code_length: int
-
-    @property
-    def latitude_center(self) -> float:
-        """Latitude midpoint (clipped to the pole)."""
-        return min((self.latitude_low + self.latitude_high) / 2, LATITUDE_MAX)
-
-    @property
-    def longitude_center(self) -> float:
-        """Longitude midpoint."""
-        return (self.longitude_low + self.longitude_high) / 2
 
     @property
     def height_degrees(self) -> float:
@@ -205,57 +193,3 @@ def is_full(code: str) -> bool:
     if len(code) > 1 and code[1] in _CHAR_INDEX and _CHAR_INDEX[code[1]] * 20.0 > LONGITUDE_MAX * 2:
         return False
     return True
-
-
-def is_short(code: str) -> bool:
-    """A shortened code (separator before position 8)."""
-    return is_valid(code) and code.upper().index(SEPARATOR) < SEPARATOR_POSITION
-
-
-def shorten(code: str, latitude: float, longitude: float) -> str:
-    """Remove leading digits recoverable from a nearby reference point."""
-    if not is_full(code):
-        raise OlcError("can only shorten full codes")
-    if PADDING in code:
-        raise OlcError("cannot shorten padded codes")
-    code = code.upper()
-    area = decode(code)
-    range_degrees = max(
-        abs(area.latitude_center - _clip_latitude(latitude)),
-        abs(area.longitude_center - _normalize_longitude(longitude)),
-    )
-    # Starting from the most precise pair, find how many we can drop.
-    for pairs_removable in (4, 3, 2, 1):
-        pair_resolution = _PAIR_RESOLUTIONS[pairs_removable - 1]
-        if range_degrees < pair_resolution * 0.3:
-            return code[pairs_removable * 2 :]
-    return code
-
-
-def recover_nearest(short_code: str, latitude: float, longitude: float) -> str:
-    """Expand a short code to the nearest matching full code."""
-    if is_full(short_code):
-        return short_code.upper()
-    if not is_short(short_code):
-        raise OlcError(f"not a valid short code: {short_code!r}")
-    short_code = short_code.upper()
-    latitude = _clip_latitude(latitude)
-    longitude = _normalize_longitude(longitude)
-    padding_length = SEPARATOR_POSITION - short_code.index(SEPARATOR)
-    pair_resolution = 20.0 ** (2 - padding_length / 2)
-    half_resolution = pair_resolution / 2.0
-    reference = encode(latitude, longitude)
-    candidate = reference.replace(SEPARATOR, "")[:padding_length] + short_code
-    area = decode(candidate)
-    # Nudge by one cell if the reference is more than half a cell away.
-    center_lat = area.latitude_center
-    center_lng = area.longitude_center
-    if latitude + half_resolution < center_lat and center_lat - pair_resolution >= -LATITUDE_MAX:
-        center_lat -= pair_resolution
-    elif latitude - half_resolution > center_lat and center_lat + pair_resolution <= LATITUDE_MAX:
-        center_lat += pair_resolution
-    if longitude + half_resolution < center_lng:
-        center_lng -= pair_resolution
-    elif longitude - half_resolution > center_lng:
-        center_lng += pair_resolution
-    return encode(center_lat, center_lng, area.code_length)

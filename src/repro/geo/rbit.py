@@ -44,15 +44,6 @@ def _segments(code: str) -> tuple[str, ...]:
     return tuple(segments)
 
 
-def olc_to_segments(code: str) -> list[str]:
-    """Split an OLC into zero-padded positional segments (figure 1.3).
-
-    ``"6PH57VP3+PR"`` becomes ``["6P00000000", "00H5000000",
-    "00007V0000", "000000P300", "00000000PR"]``.
-    """
-    return list(_segments(code))
-
-
 @lru_cache(maxsize=65536)
 def olc_to_rbit(code: str, r: int) -> str:
     """Encode a full OLC to the r-bit node-ID string."""

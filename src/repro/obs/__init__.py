@@ -36,7 +36,6 @@ from repro.obs.export import (
     chrome_trace_json,
     to_chrome_trace,
     to_prometheus,
-    to_snapshot_json,
     write_chrome_trace,
     write_prometheus,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "chrome_trace_json",
     "to_chrome_trace",
     "to_prometheus",
-    "to_snapshot_json",
     "write_chrome_trace",
     "write_prometheus",
     "NULL_WATCHTOWER",

@@ -14,8 +14,7 @@ Two audiences:
   arrows), so one proof's journey reads as a connected chain across
   the prover, chain and verifier tracks.
 - **Prometheus text exposition** (``to_prometheus``) for scraping or
-  offline diffing, plus a JSON snapshot (``to_snapshot_json``) that
-  round-trips through ``json.loads`` for programmatic checks.
+  offline diffing.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "chrome_trace_json",
     "to_chrome_trace",
     "to_prometheus",
-    "to_snapshot_json",
     "write_chrome_trace",
     "write_prometheus",
 ]
@@ -207,11 +205,6 @@ def write_prometheus(recorder: "Recorder", path: str) -> None:
     """Write the Prometheus text exposition to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(to_prometheus(recorder))
-
-
-def to_snapshot_json(recorder: "Recorder") -> str:
-    """The recorder's snapshot as pretty-printed JSON."""
-    return json.dumps(recorder.snapshot(), indent=2, sort_keys=True)
 
 
 def _label_block(labels: tuple[tuple[str, str], ...], extra: tuple[str, str] | None = None) -> str:

@@ -35,7 +35,6 @@ from repro.reach.ast import (
     caller,
     const,
     glob,
-    interact,
     pay_amount,
 )
 from repro.reach.compiler import compile_program, CompiledContract
@@ -59,7 +58,6 @@ __all__ = [
     "caller",
     "const",
     "glob",
-    "interact",
     "pay_amount",
     "compile_program",
     "CompiledContract",

@@ -5,7 +5,9 @@ The interval domain carries ``[lo, hi]`` bounds with ``hi=None`` for
 propagation falls out of the same lattice.  Arithmetic mirrors the
 connector semantics both backends enforce (checked uint64: overflow,
 underflow and division by zero all abort the call), so transfer
-functions may assume results stay in ``[0, 2**64 - 1]``.
+functions may assume results stay in ``[0, 2**64 - 1]``.  Arguments
+hold there too: the runtime rejects a ``UInt`` argument outside it
+before any transaction is built.
 
 :class:`AbsVal` pairs an interval with an optional *symbolic identity*
 (``("global", name)``, ``("arg", i)``, ``("balance", version)``, sums

@@ -195,11 +195,6 @@ def arg(index: int) -> ArgRef:
     return ArgRef(index)
 
 
-def interact(participant: str, name: str) -> InteractRef:
-    """Reference a frontend-supplied value (deploy step only)."""
-    return InteractRef(participant, name)
-
-
 def balance() -> BalanceExpr:
     """The contract balance."""
     return BalanceExpr()

@@ -20,6 +20,7 @@ len(phases) + 1       contract halted
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.reach import ast as A
@@ -55,6 +56,13 @@ class CompiledContract:
     def name(self) -> str:
         """The contract name."""
         return self.program.name
+
+    @cached_property
+    def arg_types(self) -> dict[str, tuple[ReachType, ...]]:
+        """The declared argument types of ``publish0`` and each API method."""
+        types = {"publish0": tuple(param for _, param in self.program.publish_params)}
+        types.update((name, method.signature.domain) for name, _, method in self.program.all_methods())
+        return types
 
     def lint_report(self):
         """The static-analysis findings report (computed once, cached)."""

@@ -16,6 +16,11 @@ AVM attach   2: opt-in + the API call
 
 Views never transact: they evaluate the view IR against chain state
 locally ("their use does not cause any cost", section 4.1.2).
+
+Every publish and API argument is checked against its declared surface
+type before a transaction is built, so an ill-typed one raises
+:class:`~repro.reach.types.ReachTypeError` on every family and costs
+no fee.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.chain.service import ChainService
 from repro.obs.recorder import track_for
 from repro.reach.compiler import CompiledContract
 from repro.reach.ir import IRFunction
+from repro.reach.types import ReachTypeError
 
 #: extra grouped budget transactions per Algorand app call (opcode pooling)
 ALGO_BUDGET_TXNS = 1
@@ -342,9 +348,7 @@ class ReachClient:
         machine: each transaction is submitted from the previous one's
         confirmation callback.
         """
-        expected = len(compiled.program.publish_params)
-        if len(publish_args) != expected:
-            raise ReachRuntimeError(f"publish0 expects {expected} values, got {len(publish_args)}")
+        _check_args(compiled, "publish0", publish_args)
         lint = compiled.lint_report()
         if lint.has_errors:
             failures = "; ".join(
@@ -456,7 +460,7 @@ class ReachClient:
         pay: int = 0,
     ) -> OpHandle:
         """Non-blocking API call; the handle's value is the return value."""
-        plan = self._call_plan(deployed, method, args, sender, pay)
+        plan = self._call_plan(deployed, method, args, sender, pay, attach=False)
         return OpHandle(self.chain, plan, label=f"call:{method}", track=track_for(sender.address))
 
     def _call_plan(
@@ -466,10 +470,14 @@ class ReachClient:
         args: list[Any],
         sender: Account,
         pay: int,
+        attach: bool,
     ) -> OpPlan:
         function = deployed.compiled.ir.functions.get(method)
         if function is None:
             raise ReachRuntimeError(f"unknown method {method!r}")
+        _check_args(deployed.compiled, method, args)
+        if attach:
+            yield from self._attach_plan(deployed, sender)
         if self.family == "evm":
             tx = self.service.build(
                 sender,
@@ -503,20 +511,8 @@ class ReachClient:
         pay: int = 0,
     ) -> OpHandle:
         """The pipelined 2-transaction attach operation as one future."""
-        plan = self._attach_and_call_plan(deployed, method, args, sender, pay)
+        plan = self._call_plan(deployed, method, args, sender, pay, attach=True)
         return OpHandle(self.chain, plan, label=f"attach+call:{method}", track=track_for(sender.address))
-
-    def _attach_and_call_plan(
-        self,
-        deployed: DeployedContract,
-        method: str,
-        args: list[Any],
-        sender: Account,
-        pay: int,
-    ) -> OpPlan:
-        yield from self._attach_plan(deployed, sender)
-        value = yield from self._call_plan(deployed, method, args, sender, pay)
-        return value
 
     def attach_and_call_after(
         self,
@@ -548,7 +544,7 @@ class ReachClient:
                 f"cannot attach: the pending deploy failed ({settled.error})"
             )
         deployed = settled.value
-        value = yield from self._attach_and_call_plan(deployed, method, args, sender, 0)
+        value = yield from self._call_plan(deployed, method, args, sender, 0, attach=True)
         return value
 
     # -- views ------------------------------------------------------------------
@@ -574,6 +570,18 @@ class ReachClient:
 
         total = self.chain.balance_of(self.chain.app_address(int(deployed.ref)))
         return max(total - MIN_BALANCE, 0)
+
+
+def _check_args(compiled: CompiledContract, entry: str, args: list[Any]) -> None:
+    """Raise :class:`ReachTypeError` unless ``args`` inhabit ``entry``'s declared types."""
+    types = compiled.arg_types.get(entry, ())
+    if len(args) != len(types):
+        raise ReachTypeError(f"{entry} expects {len(types)} arguments, got {len(args)}")
+    for index, (reach_type, value) in enumerate(zip(types, args)):
+        try:
+            reach_type.check(value)
+        except ReachTypeError as error:
+            raise ReachTypeError(f"{entry} argument {index}: {error}") from None
 
 
 def _decode_avm_return(function: IRFunction, raw: Any) -> Any:

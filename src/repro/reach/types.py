@@ -19,8 +19,8 @@ class ReachTypeError(TypeError):
 class ReachType:
     """Base class for surface types."""
 
-    def check(self, value: Any) -> Any:
-        """Validate (and normalize) a runtime value; raise on mismatch."""
+    def check(self, value: Any) -> None:
+        """Raise :class:`ReachTypeError` unless ``value`` inhabits the type."""
         raise NotImplementedError
 
     def zero(self) -> Any:
@@ -32,12 +32,11 @@ class ReachType:
 class _UInt(ReachType):
     """An unsigned 64-bit integer (the AVM word size bounds it)."""
 
-    def check(self, value: Any) -> int:
+    def check(self, value: Any) -> None:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ReachTypeError(f"expected UInt, got {type(value).__name__}")
         if not 0 <= value < 2**64:
             raise ReachTypeError(f"UInt out of range: {value}")
-        return value
 
     def zero(self) -> int:
         return 0
@@ -52,14 +51,13 @@ class BytesN(ReachType):
 
     size: int
 
-    def check(self, value: Any) -> str:
-        if isinstance(value, bytes):
-            value = value.decode("utf-8", errors="replace")
-        if not isinstance(value, str):
+    def check(self, value: Any) -> None:
+        if isinstance(value, str):
+            value = value.encode()
+        if not isinstance(value, bytes):
             raise ReachTypeError(f"expected Bytes({self.size}), got {type(value).__name__}")
-        if len(value.encode()) > self.size:
-            raise ReachTypeError(f"value exceeds Bytes({self.size}) capacity")
-        return value
+        if len(value) > self.size:
+            raise ReachTypeError(f"{len(value)} bytes exceed Bytes({self.size})")
 
     def zero(self) -> str:
         return ""
@@ -72,10 +70,9 @@ class BytesN(ReachType):
 class _Address(ReachType):
     """A chain account address (format differs per connector)."""
 
-    def check(self, value: Any) -> str:
+    def check(self, value: Any) -> None:
         if not isinstance(value, str) or not value:
             raise ReachTypeError(f"expected Address, got {value!r}")
-        return value
 
     def zero(self) -> str:
         return ""

@@ -85,11 +85,6 @@ class _SlotCursor:
         self.index = 0
         self.label = label
 
-    @property
-    def remaining(self) -> int:
-        """Entries not yet fired (including the in-heap proxy's)."""
-        return len(self.entries) - self.index
-
     def _arm(self) -> None:
         entry = self.entries[self.index]
         event = ScheduledEvent(

@@ -105,7 +105,7 @@ class TestAnchoring:
         batch = submit_members(system, aggregator)
         aggregator.drain()
 
-        assert batch.settled
+        assert batch.handle.done
         anchored_hex = system._contract_at(outcome.olc).map_value("batch_map", batch.batch_id)
         assert anchored_hex == batch.root_hex
         root = bytes.fromhex(batch.root_hex)

@@ -50,6 +50,6 @@ class TestMessaging:
 
     def test_movement_changes_reachability(self, channel):
         assert not channel.in_range("alice", "carol")
-        channel.move("carol", 44.4940 + NEAR, 11.3420)
+        channel.register("carol", 44.4940 + NEAR, 11.3420)
         assert channel.in_range("alice", "carol")
         assert channel.messages_sent == 0

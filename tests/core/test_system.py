@@ -140,10 +140,10 @@ class TestFactory:
         app = CrowdsensingApp(system=system)
         app.file_report("anna", "walter", "A", "d1")
         # Deploying again for a different location reuses the registered code.
-        system.channel.move("bruno", LAT + 0.01, LNG + 0.01)
+        system.channel.register("bruno", LAT + 0.01, LNG + 0.01)
         system.provers["bruno"].latitude = LAT + 0.01
         system.provers["bruno"].longitude = LNG + 0.01
-        system.channel.move("wanda", LAT + 0.01, LNG + 0.01 + NEAR)
+        system.channel.register("wanda", LAT + 0.01, LNG + 0.01 + NEAR)
         system.witnesses["wanda"].latitude = LAT + 0.01
         system.witnesses["wanda"].longitude = LNG + 0.01 + NEAR
         app.file_report("bruno", "wanda", "B", "d2")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import group
-from repro.crypto.keys import KeyPair, PublicKey, Signature, SignatureError
+from repro.crypto.keys import KeyPair, PublicKey, Signature
 
 
 @pytest.fixture(scope="module")

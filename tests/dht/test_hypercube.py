@@ -15,10 +15,6 @@ def dht():
 
 
 class TestNode:
-    def test_bit_string(self):
-        node = HypercubeNode(node_id=10, r=4)
-        assert node.bit_string == "1010"
-
     def test_neighbours_differ_by_one_bit(self):
         node = HypercubeNode(node_id=10, r=4)
         for neighbour in node.neighbours():

@@ -1,31 +1,32 @@
-"""Tests for the r-bit hypercube encoding and the Geohash baseline."""
+"""Tests for the r-bit hypercube encoding and haversine distances."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo import geohash_decode, geohash_encode, haversine_km, olc_to_rbit, olc_to_segments, rbit_to_int
+from repro.geo import haversine_km, olc_to_rbit, rbit_to_int
+from repro.geo.rbit import _segments
 
 
 class TestSegments:
     def test_figure_1_3_segmentation(self):
-        segments = olc_to_segments("6PH57VP3+PR")
-        assert segments == [
+        segments = _segments("6PH57VP3+PR")
+        assert segments == (
             "6P00000000",
             "00H5000000",
             "00007V0000",
             "000000P300",
             "00000000PR",
-        ]
+        )
 
     def test_padded_code_segments(self):
-        segments = olc_to_segments("7FG49Q00+")
+        segments = _segments("7FG49Q00+")
         assert segments[0] == "7F00000000"
         assert all(len(segment) == 10 for segment in segments)
 
     def test_short_code_rejected(self):
         with pytest.raises(ValueError):
-            olc_to_segments("9QCJ+2V")
+            olc_to_rbit("9QCJ+2V", 6)
 
 
 class TestRbit:
@@ -69,42 +70,6 @@ class TestRbit:
         rbit = olc_to_rbit(encode(lat, lng), r)
         assert len(rbit) == r
         assert 0 <= rbit_to_int(rbit) < 2**r
-
-
-class TestGeohash:
-    def test_known_vector(self):
-        # The classic test point: (57.64911, 10.40744) -> u4pruydqqvj
-        assert geohash_encode(57.64911, 10.40744, 11) == "u4pruydqqvj"
-
-    def test_decode_contains_point(self):
-        lat_lo, lat_hi, lng_lo, lng_hi = geohash_decode("u4pruyd")
-        assert lat_lo <= 57.64911 <= lat_hi
-        assert lng_lo <= 10.40744 <= lng_hi
-
-    def test_prefix_property_the_thesis_drawback(self):
-        # Both "c216ne" and a longer refinement cover the same point: one
-        # location maps to multiple Geohash strings (section 1.3.1).
-        full = geohash_encode(45.37, -121.7, 7)
-        shorter = geohash_encode(45.37, -121.7, 6)
-        assert full.startswith(shorter)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            geohash_encode(0, 0, 0)
-        with pytest.raises(ValueError):
-            geohash_decode("")
-        with pytest.raises(ValueError):
-            geohash_decode("ilo")  # 'i' and 'l' are not in the alphabet
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(min_value=-90, max_value=90, allow_nan=False),
-        st.floats(min_value=-180, max_value=180, allow_nan=False),
-    )
-    def test_property_decode_box_contains_point(self, lat, lng):
-        lat_lo, lat_hi, lng_lo, lng_hi = geohash_decode(geohash_encode(lat, lng, 8))
-        assert lat_lo <= lat <= lat_hi
-        assert lng_lo <= lng <= lng_hi
 
 
 class TestHaversine:

@@ -8,14 +8,12 @@ batched runs validate, a missing mirror parent is an orphan, and spans
 still open at export time are counted and flagged.
 """
 
-import json
 
 import pytest
 
 from repro.bench.simulation import run_traced_journeys
 from repro.obs.analysis import reconstruct_journeys, validate_journeys
 from repro.obs.context import TraceContext
-from repro.obs.export import to_snapshot_json
 from repro.obs.recorder import Recorder
 from repro.simnet import SimClock
 
@@ -63,7 +61,7 @@ class TestBatchedJourneys:
 
     def test_no_spans_left_open_at_export(self, batched_run):
         report, recorder = batched_run
-        snapshot = json.loads(to_snapshot_json(recorder))
+        snapshot = recorder.snapshot()
         assert snapshot["spans"]["open"] == 0
 
 
@@ -122,7 +120,7 @@ class TestOpenSpanAccounting:
             "proof:submit", track="prover:p", cat="proof", parent=root.context
         )
         root.end()  # the batch never flushes; submit stays open
-        snapshot = json.loads(to_snapshot_json(recorder))
+        snapshot = recorder.snapshot()
         assert snapshot["spans"] == {
             "total": 2, "open": 1, "dropped": 0, "sampled_out": 0,
         }

@@ -7,7 +7,6 @@ from repro.obs.export import (
     chrome_trace_json,
     to_chrome_trace,
     to_prometheus,
-    to_snapshot_json,
     write_chrome_trace,
     write_prometheus,
 )
@@ -223,7 +222,7 @@ class TestPrometheus:
 
 class TestSnapshotJson:
     def test_round_trips(self):
-        snapshot = json.loads(to_snapshot_json(build_recorder()))
+        snapshot = json.loads(json.dumps(build_recorder().snapshot()))
         assert snapshot["counters"]['tx_total{chain="goerli",kind="call"}'] == 1
         assert snapshot["spans"] == {"total": 2, "open": 1, "dropped": 0, "sampled_out": 0}
         assert snapshot["sim_time"] == 42.0

@@ -7,7 +7,9 @@ from repro.chain.base import drive
 from repro.chain.ethereum import EthereumChain
 from repro.core.contract import build_pol_program, pol_record
 from repro.reach.compiler import compile_program
+from repro.reach import runtime
 from repro.reach.runtime import EVM_CALL_GAS_LIMIT, ReachCallError, ReachClient, ReachRuntimeError
+from repro.reach.types import ReachTypeError
 
 ETH = 10**18
 OLC = "8FPHC9C2+22"
@@ -130,21 +132,66 @@ class TestMassInterleaving:
         assert wall < serialized / 4
 
 
+class TestIllTypedArguments:
+    """ReachClient checks every argument against its declared type
+    before it builds a transaction: an ill-typed one raises the same
+    ReachTypeError on both families and costs no fee."""
+
+    @pytest.mark.parametrize("network", ["goerli", "algorand-testnet"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["ok", 2**70], "argument 1: UInt out of range"),
+            (["ok", -1], "argument 1: UInt out of range"),
+            (["ok", "12"], "argument 1: expected UInt, got str"),
+            (["ok", True], "argument 1: expected UInt, got bool"),
+            (["x" * 2_000, 2], "argument 0: 2000 bytes exceed Bytes"),
+            (["ok"], "expects 2 arguments, got 1"),
+        ],
+    )
+    def test_call_rejected_before_any_transaction(self, network, args, message):
+        chain = make_chain(network, seed=1)
+        client = ReachClient(chain)
+        funding = chain.profile.simulation_funding
+        creator, attacher = (chain.create_account(funding=funding) for _ in range(2))
+        deployed = client.deploy(compiled_contract(4), creator, [OLC, 1, record_for(creator, 1)])
+        before = chain.balance_of(attacher.address), chain.next_nonce_for(attacher.address)
+
+        call = client.attach_and_call_async(deployed, "attacherAPI.insert_data", args, sender=attacher)
+        with pytest.raises(ReachTypeError, match=message):
+            call.wait()
+        assert call.receipts == [] and chain.mempool_depth == 0
+        assert (chain.balance_of(attacher.address), chain.next_nonce_for(attacher.address)) == before
+
+    @pytest.mark.parametrize("network", ["goerli", "algorand-testnet"])
+    def test_deploy_rejected_before_any_transaction(self, network):
+        chain = make_chain(network, seed=1)
+        creator = chain.create_account(funding=chain.profile.simulation_funding)
+        before = chain.balance_of(creator.address), chain.next_nonce_for(creator.address)
+        with pytest.raises(ReachTypeError, match="publish0 argument 1: UInt out of range"):
+            ReachClient(chain).deploy(compiled_contract(4), creator, [OLC, 2**64, record_for(creator, 1)])
+        assert chain.mempool_depth == 0
+        assert (chain.balance_of(creator.address), chain.next_nonce_for(creator.address)) == before
+
+
 class TestUnencodableArguments:
     """An integer no VM word can hold fails its own call, not the chain.
 
     Storing the DID as a Map key encodes it as a 256-bit EVM word or a
     uint64 ``itob``; -1, 2**256 (EVM) and 2**64 (AVM) have no encoding.
-    The interpreters report that as a machine error, which the chain
-    turns into a failed receipt -- on the EVM an exceptional halt that
-    pays the whole gas limit -- and block production carries on.
+    ReachClient rejects such a value before it builds a transaction, so
+    the test switches that check off, as a client that skips it would.
+    The interpreters then report a machine error, which the chain turns
+    into a failed receipt -- on the EVM an exceptional halt that pays
+    the whole gas limit -- and block production carries on.
     """
 
     @pytest.mark.parametrize(
         "network, bad",
         [("goerli", -1), ("goerli", 2**256), ("algorand-testnet", -1), ("algorand-testnet", 2**64)],
     )
-    def test_bad_call_fails_and_the_next_one_confirms(self, network, bad):
+    def test_bad_call_fails_and_the_next_one_confirms(self, network, bad, monkeypatch):
+        monkeypatch.setattr(runtime, "_check_args", lambda *_: None)
         chain = make_chain(network, seed=1)
         client = ReachClient(chain)
         funding = chain.profile.simulation_funding

@@ -125,7 +125,7 @@ class TestDishonestMode:
         trusting = A.ApiMethod(
             "trusting",
             Fun([], None),
-            body=[A.Require(A.interact("Creator", "claims").eq(A.const(1)), "trusted claim")],
+            body=[A.Require(A.InteractRef("Creator", "claims").eq(A.const(1)), "trusted claim")],
         )
         object.__setattr__(program.phases[0].apis[0], "methods", (trusting,))
         report = verify_program(program)

@@ -52,7 +52,7 @@ def main() -> None:
               f"{filed.submission.operation.latency:.1f}s]")
 
     # The comune reviews both areas.
-    for olc in {filed.olc for filed in filings}:
+    for olc in sorted({filed.olc for filed in filings}):
         system.fund_contract("comune", olc, REWARD * 2)
         outcomes = app.review_location("comune", olc)
         print(f"review {olc}: {[str(o.value) for o in outcomes.values()]}")

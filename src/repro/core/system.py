@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.chain.base import Account, BaseChain, drain
+from repro.chain.base import Account, BaseChain, collector_paused, drain
 from repro.did.document import uint_did
 from repro.did.registry import DidRegistry
 from repro.dht.hypercube import HypercubeDHT
@@ -356,6 +356,7 @@ class ProofOfLocationSystem:
         prover.track_submission(submission)
         return submission
 
+    @collector_paused()
     def submit_many(self, submissions: list[tuple[str, ProofRequest, LocationProof]]) -> list[SubmissionOutcome]:
         """Pipeline many provers' submissions on the shared event queue.
 
@@ -436,6 +437,7 @@ class ProofOfLocationSystem:
         batch = aggregator.add(record, submit_span=span)
         return ProofFailure.OK, batch
 
+    @collector_paused()
     def light_verify_many(self, verifier_name: str, batches) -> list[ProofFailure]:
         """Light-verify batched records against their anchored roots.
 
@@ -496,6 +498,7 @@ class ProofOfLocationSystem:
         """
         return self.fund_contracts(verifier_name, {olc: amount})[olc]
 
+    @collector_paused()
     def fund_contracts(self, verifier_name: str, amounts: dict[str, int]) -> dict[str, OpResult]:
         """Fund many locations' contracts in one pipelined wave.
 
@@ -590,6 +593,7 @@ class ProofOfLocationSystem:
         except Exception:
             pass  # already gone (nothing to keep) or already replicated
 
+    @collector_paused()
     def verify_many(self, verifier_name: str, targets: list[tuple[str, int]]) -> list[ProofFailure]:
         """Verify and reward many records in one pipelined wave.
 

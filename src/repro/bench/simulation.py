@@ -403,6 +403,13 @@ def _run_facade_campaign(
     # before its members' batch can anchor against it.
     submissions = [request(index) for index in range(0, users, group if batch_size else 1)]
     outcomes = system.submit_many(submissions)
+    # The submission wave was the proofs' last reader: verification
+    # needs only each record's (olc, did).
+    targets = [
+        (outcome.olc, system.provers[name].did_uint)
+        for (name, _request, _proof), outcome in zip(submissions, outcomes)
+    ]
+    del submissions
 
     batches = []
     if batch_size:
@@ -428,13 +435,7 @@ def _run_facade_campaign(
     for outcome in outcomes:
         rewards[outcome.olc] = rewards.get(outcome.olc, 0) + JOURNEY_REWARD
     system.fund_contracts("verifier", rewards)
-    system.verify_many(
-        "verifier",
-        [
-            (outcome.olc, system.provers[name].did_uint)
-            for (name, _request, _proof), outcome in zip(submissions, outcomes)
-        ],
-    )
+    system.verify_many("verifier", targets)
     if batches:
         failures = [f for f in system.light_verify_many("verifier", batches) if f.name != "OK"]
         if failures:

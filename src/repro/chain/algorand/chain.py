@@ -192,7 +192,7 @@ class AlgorandChain(BaseChain):
         receipt.fee_paid = tx.flat_fee
         receipt.contract_address = str(app_id)
         receipt.return_value = result.return_value
-        receipt.logs = [("log", (entry,)) for entry in result.logs]
+        receipt.logs = tuple(result.logs)
         return receipt
 
     def _execute_call(self, tx: Transaction, block: Block, receipt: Receipt) -> Receipt:
@@ -230,7 +230,7 @@ class AlgorandChain(BaseChain):
         receipt.status = TxStatus.SUCCESS
         receipt.fee_paid = fee
         receipt.return_value = result.return_value
-        receipt.logs = [("log", (entry,)) for entry in result.logs]
+        receipt.logs = tuple(result.logs)
         return receipt
 
     @staticmethod

@@ -208,7 +208,7 @@ class EthereumChain(BaseChain):
         receipt.fee_paid = fee
         receipt.contract_address = address
         receipt.return_value = result.return_value
-        receipt.logs = result.logs
+        receipt.logs = tuple(result.logs)
         return receipt
 
     def _execute_call(self, tx: Transaction, block: Block, receipt: Receipt, gas_price: int) -> Receipt:
@@ -249,7 +249,7 @@ class EthereumChain(BaseChain):
         receipt.gas_used = result.gas_used
         receipt.fee_paid = fee
         receipt.return_value = result.return_value
-        receipt.logs = result.logs
+        receipt.logs = tuple(result.logs)
         return receipt
 
     def _apply_transfers(self, contract_address: str, transfers: list[tuple[str, int]]) -> None:

@@ -97,7 +97,7 @@ class CertificationAuthority:
         return delivered
 
 
-@dataclass
+@dataclass(slots=True)
 class UserBase:
     """Shared identity state of provers and witnesses."""
 
@@ -119,7 +119,7 @@ class UserBase:
         return self.name
 
 
-@dataclass
+@dataclass(slots=True)
 class Witness(UserBase):
     """Issues location proofs to authenticated, physically-near provers."""
 
@@ -205,15 +205,16 @@ class Witness(UserBase):
         return build_proof(request, self.keypair, timestamp=now)
 
 
-@dataclass
+@dataclass(slots=True)
 class Prover(UserBase):
     """Requests proofs from nearby witnesses and files reports."""
 
     rewards_received: int = 0
     # Pipelined submissions this prover has started but not yet seen
     # settle (PendingSubmission objects; typed loosely to keep the
-    # actor layer free of a system-facade import).
-    in_flight: list = field(default_factory=list)
+    # actor layer free of a system-facade import).  A tuple, so a
+    # prover with nothing in flight holds the shared empty one.
+    in_flight: tuple = ()
     submissions_settled: int = 0
     # Merkle inclusion paths for batched submissions, keyed by batch id
     # (MerkleProof objects; the prover's half of light verification --
@@ -226,12 +227,12 @@ class Prover(UserBase):
 
     def track_submission(self, pending) -> None:
         """Remember a submission the prover has in flight."""
-        self.in_flight.append(pending)
+        self.in_flight += (pending,)
 
     def settle_submissions(self) -> list:
         """Drop (and return) the submissions that have since settled."""
         settled = [pending for pending in self.in_flight if pending.done]
-        self.in_flight = [pending for pending in self.in_flight if not pending.done]
+        self.in_flight = tuple(pending for pending in self.in_flight if not pending.done)
         self.submissions_settled += len(settled)
         return settled
 

@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import ProofOfLocationSystem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchRecord:
     """One accepted proof record waiting for (or inside) a batch."""
 

@@ -21,12 +21,11 @@ class BluetoothError(Exception):
     """Target out of radio range or unknown device."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Device:
     device_id: str
     latitude: float
     longitude: float
-    inbox: list[tuple[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -35,6 +34,8 @@ class BluetoothChannel:
 
     range_m: float = DEFAULT_RANGE_M
     devices: dict[str, _Device] = field(default_factory=dict)
+    #: undelivered messages by recipient, made by the first send to it
+    inboxes: dict[str, list[tuple[str, Any]]] = field(default_factory=dict)
     messages_sent: int = 0
     #: radio-fault scale on the nominal range (1.0 = nominal); a range
     #: flap injector shrinks this to model interference/occlusion.
@@ -77,10 +78,9 @@ class BluetoothChannel:
                 f"({self.distance_m(sender, recipient):.0f} m > {self.effective_range_m:.0f} m)"
             )
         self.messages_sent += 1
-        self._device(recipient).inbox.append((sender, payload))
+        self.inboxes.setdefault(recipient, []).append((sender, payload))
 
     def receive(self, device_id: str) -> list[tuple[str, Any]]:
         """Drain a device's inbox."""
-        device = self._device(device_id)
-        messages, device.inbox = device.inbox, []
-        return messages
+        self._device(device_id)  # an unknown device raises
+        return self.inboxes.pop(device_id, [])

@@ -26,7 +26,7 @@ from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import KeyPair, PublicKey, Signature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofRequest:
     """What the prover broadcasts to a nearby witness (figure 2.5)."""
 
@@ -47,7 +47,7 @@ class ProofRequest:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationProof:
     """The signed certificate the witness returns."""
 

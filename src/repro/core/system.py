@@ -37,7 +37,7 @@ class PolSystemError(Exception):
     """A facade-level failure (unknown user, missing contract...)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SubmissionOutcome:
     """What a prover's submission produced."""
 
@@ -47,7 +47,7 @@ class SubmissionOutcome:
     olc: str
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingSubmission:
     """A pipelined submission (figure 2.3's flow as a future).
 
@@ -167,12 +167,12 @@ class ProofOfLocationSystem:
         self._did_uints[short_did] = document.id
         self.accounts[name] = account
         self.channel.register(name, latitude, longitude)
-        self.ipfs.add_node(name)
         return account, document.id, short_did
 
     def register_prover(self, name: str, latitude: float, longitude: float, funding: int) -> Prover:
         """Create a wallet, a DID and a radio for a new prover."""
         account, did, short_did = self._onboard(name, latitude, longitude, funding)
+        self.ipfs.add_node(name)  # provers upload reports; witnesses never do
         prover = Prover(
             name=name, keypair=account.keypair, did=did, did_uint=short_did,
             latitude=latitude, longitude=longitude,

@@ -30,17 +30,23 @@ from repro.obs.prof import staged
 # a KEM header produced by ``encrypt`` decrypts to the encryptor's
 # shared secret -- so every result is bit-identical to the full
 # algebraic path, which unknown (possibly forged) inputs still take.
-# Bounded: at the cap the memo is cleared, costing a few re-derivations.
+# Each entry is used up by its one read: a run verifies a signature it
+# made (or decrypts a header it made) once, so the hit removes the
+# entry and a repeat takes the algebraic path.  The caps only bound
+# entries that are never read: at the cap the memo is cleared.
 
 _SIGNED_CAP = 1 << 18
-#: signatures this process produced: (y, message, e, s).  Keyed on the
-#: message bytes themselves -- set hashing (siphash) is far cheaper than
-#: the SHA-256 digest this used to key on, and the caller already holds
-#: the message alive (it is the transaction's cached signing payload).
-_signed_here: set[tuple[int, bytes, int, int]] = set()
+#: signatures this process produced and nobody has verified yet:
+#: (y, message, e, s) -> True.  Keyed on the message bytes themselves --
+#: hashing them (siphash) is far cheaper than a SHA-256 digest -- so an
+#: entry holds its message alive until the verify that consumes it.  A
+#: dict, not a set: a set's table grows with the removals' leftovers,
+#: which depend on the hash seed; a dict's grows with insertions only.
+_signed_here: dict[tuple[int, bytes, int, int], bool] = {}
 
 _SHARED_CAP = 1 << 16
-#: DH shared secrets this process derived while encrypting: (y, c1) -> y**k
+#: DH shared secrets this process derived while encrypting and has not
+#: decrypted with yet: (y, c1) -> y**k
 _shared_here: dict[tuple[int, int], int] = {}
 
 _DLOG_CAP = 1 << 20
@@ -51,7 +57,7 @@ _DLOG_CAP = 1 << 20
 _dlog_here: dict[int, int] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A Schnorr signature ``(e, s)``."""
 
@@ -70,7 +76,7 @@ class Signature:
         return cls(e=int.from_bytes(data[:32], "big"), s=int.from_bytes(data[32:], "big"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicKey:
     """A subgroup element ``y = g**x`` plus verify/encrypt operations."""
 
@@ -116,7 +122,7 @@ class PublicKey:
         """
         if not (0 < signature.e < group.Q and 0 < signature.s < group.Q):
             return False
-        if (self.y, message, signature.e, signature.s) in _signed_here:
+        if _signed_here.pop((self.y, message, signature.e, signature.s), False):
             return True  # this process signed it; validity is by construction
         x = _dlog_here.get(self.y)
         if x is not None:
@@ -144,7 +150,7 @@ class PublicKey:
         return c1, _xor_stream(shared, plaintext)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     """A private key ``x`` bundled with its :class:`PublicKey`."""
 
@@ -187,7 +193,7 @@ class KeyPair:
         s = (k + self.x * e) % group.Q
         if len(_signed_here) >= _SIGNED_CAP:
             _signed_here.clear()
-        _signed_here.add((self.public.y, message, e, s))
+        _signed_here[(self.public.y, message, e, s)] = True
         return Signature(e=e, s=s)
 
     def decrypt(self, ciphertext: tuple[int, bytes]) -> bytes:
@@ -196,7 +202,7 @@ class KeyPair:
         # A header this process produced (encrypt, above) is g**k by
         # construction and its shared secret y**k == c1**x is already
         # known; wire-format headers take the full check + modexp.
-        shared = _shared_here.get((self.public.y, c1))
+        shared = _shared_here.pop((self.public.y, c1), None)
         if shared is None:
             if not group.is_group_element(c1):
                 raise ValueError("ciphertext header is not a valid group element")

@@ -29,7 +29,7 @@ _NODE_TAG = "repro/merkle-node"
 EMPTY_ROOT = tagged_hash(_NODE_TAG, b"")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MerkleProof:
     """An inclusion path: sibling hashes from leaf to root.
 

@@ -46,7 +46,7 @@ def uint_did(did: str) -> int:
     return int(specific[:13], 16)
 
 
-@dataclass
+@dataclass(slots=True)
 class DidDocument:
     """The resolvable description of a DID subject (figure 1.8)."""
 

@@ -18,7 +18,7 @@ class ContentNotAvailable(Exception):
     """No reachable node hosts this CID (the unhosted-data drawback)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class IpfsNode:
     """One peer: a block store."""
 
@@ -38,10 +38,14 @@ class IpfsNode:
 
 @dataclass
 class IpfsNetwork:
-    """The swarm: peers plus the provider index."""
+    """The swarm: peers plus the provider index.
+
+    A CID's provider record is a tuple of node ids in name order, the
+    order :meth:`get` tries them in.
+    """
 
     nodes: dict[str, IpfsNode] = field(default_factory=dict)
-    providers: dict[str, set[str]] = field(default_factory=dict)
+    providers: dict[str, tuple[str, ...]] = field(default_factory=dict)
     fetches: int = 0
 
     def add_node(self, node_id: str) -> IpfsNode:
@@ -55,31 +59,34 @@ class IpfsNetwork:
     def add(self, node_id: str, content: bytes) -> str:
         """Upload content from a peer and announce the provider record."""
         cid = self.nodes[node_id].put(content)
-        self.providers.setdefault(cid, set()).add(node_id)
+        self._announce(cid, node_id)
         return cid
 
     def get(self, cid: str) -> bytes:
         """Fetch by CID from the first provider holding valid content.
 
         Providers are tried in name order, so the outcome never depends
-        on set iteration order.  A provider that no longer holds the
-        block, or whose block fails its CID, leaves the provider record.
+        on hash order.  A provider that no longer holds the block, or
+        whose block fails its CID, leaves the provider record.
         Raises :class:`CidError` when no provider had valid content and
         at least one returned corrupted content, else
         :class:`ContentNotAvailable` -- the persistence gap the thesis
         notes.
         """
         self.fetches += 1
-        providers = self.providers.get(cid, set())
+        providers = self.providers.get(cid, ())
         corrupted: list[str] = []
-        for provider_id in sorted(providers):
+        for tried, provider_id in enumerate(providers):
             node = self.nodes.get(provider_id)
             content = node.get(cid) if node is not None else None
             if content is not None and verify_cid(content, cid):
+                if tried:
+                    self.providers[cid] = providers[tried:]
                 return content
-            providers.discard(provider_id)
             if content is not None:
                 corrupted.append(provider_id)
+        if providers:
+            self.providers[cid] = ()
         if corrupted:
             raise CidError(f"provider(s) {', '.join(corrupted)} returned corrupted content for {cid}")
         raise ContentNotAvailable(cid)
@@ -88,4 +95,9 @@ class IpfsNetwork:
         """Copy a block to another peer (how popular data survives)."""
         content = self.get(cid)
         self.nodes[to_node_id].put(content)
-        self.providers.setdefault(cid, set()).add(to_node_id)
+        self._announce(cid, to_node_id)
+
+    def _announce(self, cid: str, node_id: str) -> None:
+        providers = self.providers.get(cid, ())
+        if node_id not in providers:
+            self.providers[cid] = tuple(sorted((*providers, node_id)))

@@ -57,7 +57,7 @@ class ReachCallError(ReachRuntimeError):
         self.receipt = receipt
 
 
-@dataclass
+@dataclass(slots=True)
 class OpResult:
     """Aggregated outcome of one logical operation (1..n transactions)."""
 
@@ -68,25 +68,25 @@ class OpResult:
     def events(self) -> list[tuple[str, tuple]]:
         """Named events emitted across the operation, connector-decoded.
 
-        EVM logs are already ``(event, args)``; AVM app logs carry
-        ``evt:<name>/<argc>`` markers followed by the argument values.
+        EVM logs are already ``(event, args)``; AVM app logs are raw
+        bytes: ``evt:<name>/<argc>`` markers followed by the argument
+        values.
         """
         decoded: list[tuple[str, tuple]] = []
         for receipt in self.receipts:
-            entries = list(receipt.logs)
+            entries = receipt.logs
             index = 0
             while index < len(entries):
-                name, payload = entries[index]
-                if name != "log":
-                    decoded.append((name, payload))
+                entry = entries[index]
+                if not isinstance(entry, bytes):
+                    decoded.append(entry)
                     index += 1
                     continue
-                blob = payload[0] if payload else b""
-                text = blob.decode("utf-8", errors="replace") if isinstance(blob, bytes) else str(blob)
+                text = entry.decode("utf-8", errors="replace")
                 if text.startswith("evt:") and "/" in text:
                     event_name, _, argc_text = text[4:].rpartition("/")
                     argc = int(argc_text)
-                    args = tuple(entries[index + 1 + k][1][0] for k in range(argc) if index + 1 + k < len(entries))
+                    args = entries[index + 1:index + 1 + argc]
                     # TEAL logs pop the stack top-first: restore source order.
                     decoded.append((event_name, tuple(reversed(args))))
                     index += 1 + argc

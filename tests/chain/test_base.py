@@ -85,6 +85,43 @@ class TestTransfers:
         with pytest.raises(InvalidTransaction):
             chain.submit(tx)
 
+    def test_data_changed_in_place_after_signing_rejected(self, chain, alice, bob, service):
+        """No attribute is written, so only a payload built at admission
+        sees the change."""
+        tx = service.build(alice, "transfer", to=bob.address, value=1, data={"memo": [1]})
+        chain.sign(alice, tx)
+        tx.data["memo"].append(2)
+        with pytest.raises(InvalidTransaction, match="bad signature"):
+            chain.submit(tx)
+        assert chain.mempool_depth == 0
+
+    def test_txid_after_admission_is_the_txid_at_signing(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1, data={"memo": [1]})
+        chain.sign(alice, tx)
+        at_signing = tx.txid
+        assert chain.submit(tx) == at_signing
+        drive(chain.queue, lambda: chain.receipt(at_signing).confirmed_at is not None, chain=chain)
+        block = chain.blocks[chain.receipt(at_signing).block_number]
+        assert [t.txid for t in block.transactions] == [at_signing]
+        assert tx.txid == at_signing
+
+    def test_resubmitting_an_included_transaction_is_a_duplicate(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1, data={"memo": [1]})
+        receipt = service.submit(alice, tx).result()
+        assert (tx.data, tx.signature) == (None, None)  # read for the last time
+        with pytest.raises(InvalidTransaction, match="duplicate transaction"):
+            chain.submit(tx)
+        assert tx.txid == receipt.txid
+
+    def test_field_write_resets_the_txid(self, chain, alice, bob, service):
+        tx = service.build(alice, "transfer", to=bob.address, value=1)
+        chain.sign(alice, tx)
+        signed = tx.txid
+        tx.value = 2
+        assert tx.txid != signed
+        tx.value = 1
+        assert tx.txid == signed
+
     def test_insufficient_funds_rejected(self, chain, bob, alice, service):
         tx = service.build(bob, "transfer", to=alice.address, value=100 * ETH)
         chain.sign(bob, tx)

@@ -33,7 +33,7 @@ class TestSubmitAsync:
         request, proof = proof_for(system, "anna")
         pending = system.submit_async("anna", request, proof)
         assert not pending.done
-        assert system.provers["anna"].in_flight == [pending]
+        assert system.provers["anna"].in_flight == (pending,)
         with pytest.raises(PolSystemError):
             pending.outcome()  # still in flight
         pending.handle.wait()
@@ -47,7 +47,7 @@ class TestSubmitAsync:
         request, proof = proof_for(system, "anna")
         system.submit("anna", request, proof)
         prover = system.provers["anna"]
-        assert prover.in_flight == []
+        assert prover.in_flight == ()
         assert prover.submissions_settled == 1
 
 

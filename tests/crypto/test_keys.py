@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import group
+from repro.bench.simulation import run_traced_journeys
+from repro.crypto import group, keys
+from repro.crypto.fastexp import g_pow
 from repro.crypto.keys import KeyPair, PublicKey, Signature
 
 
@@ -119,3 +121,50 @@ class TestPublicKeySerialization:
         fp = keypair.public.fingerprint()
         assert fp == keypair.public.fingerprint()
         assert len(fp) == 40
+
+
+class TestMemosAreUsedUpByTheirRead:
+    """A memo entry serves one verify or decrypt; a repeat does the algebra."""
+
+    @pytest.fixture
+    def comb_calls(self, monkeypatch):
+        calls = []
+
+        def counted(exponent):
+            calls.append(exponent)
+            return g_pow(exponent)
+
+        monkeypatch.setattr(keys, "g_pow", counted)
+        return calls
+
+    def test_own_signature_verifies_twice(self, keypair, comb_calls):
+        signature = keypair.sign(b"verify me twice")
+        del comb_calls[:]
+        assert keypair.public.verify(b"verify me twice", signature)
+        assert comb_calls == []  # the memo's answer, used up
+        assert keypair.public.verify(b"verify me twice", signature)
+        assert len(comb_calls) == 1  # the algebra: one comb exponentiation
+
+    def test_message_changed_by_one_byte_fails_twice(self, keypair):
+        message = b"one byte apart"
+        signature = keypair.sign(message)
+        changed = message[:-1] + bytes([message[-1] ^ 1])
+        assert not keypair.public.verify(changed, signature)
+        assert not keypair.public.verify(changed, signature)
+        assert keypair.public.verify(message, signature)
+
+    def test_decrypting_twice_gives_the_same_plaintext(self, keypair):
+        ciphertext = keypair.public.encrypt(b"decrypt me twice")
+        assert (keypair.public.y, ciphertext[0]) in keys._shared_here
+        assert keypair.decrypt(ciphertext) == b"decrypt me twice"
+        assert (keypair.public.y, ciphertext[0]) not in keys._shared_here
+        assert keypair.decrypt(ciphertext) == b"decrypt me twice"
+
+    @pytest.mark.parametrize("batch_size", [None, 16], ids=["unbatched", "batch16"])
+    @pytest.mark.parametrize("network", ["goerli", "algorand-testnet"])
+    def test_a_facade_campaign_uses_up_both_memos(self, network, batch_size):
+        keys._signed_here.clear()
+        keys._shared_here.clear()
+        run_traced_journeys(network, 64, seed=1, batch_size=batch_size)
+        assert keys._signed_here == {}
+        assert keys._shared_here == {}

@@ -76,14 +76,14 @@ class TestNetwork:
         del network.nodes["alice"].blocks[cid]
         with pytest.raises(ContentNotAvailable):
             network.get(cid)
-        assert network.providers[cid] == set()
+        assert network.providers[cid] == ()
 
     def test_replication_keeps_content_alive(self, network):
         cid = network.add("alice", b"popular")
         network.replicate(cid, "bob")
         del network.nodes["alice"].blocks[cid]
         assert network.get(cid) == b"popular"
-        assert network.providers[cid] == {"bob"}
+        assert network.providers[cid] == ("bob",)
 
     def test_corrupted_provider_detected(self, network):
         cid = network.add("alice", b"original")
@@ -110,10 +110,10 @@ class TestNetwork:
             network.nodes[tampered].blocks[cid] = b"tampered"
             assert network.get(cid) == b"original"
             tried_first = tampered < min(set(names) - {tampered})
-            assert network.providers[cid] == set(names) - ({tampered} if tried_first else set())
+            assert network.providers[cid] == tuple(sorted(set(names) - ({tampered} if tried_first else set())))
 
     def test_provider_count(self, network):
         cid = network.add("alice", b"shared")
-        assert network.providers[cid] == {"alice"}
+        assert network.providers[cid] == ("alice",)
         network.replicate(cid, "bob")
-        assert network.providers[cid] == {"alice", "bob"}
+        assert network.providers[cid] == ("alice", "bob")

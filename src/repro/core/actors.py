@@ -19,7 +19,7 @@ from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.did.auth import AuthError, ChallengeResponseAuth
 from repro.did.registry import DidRegistry
-from repro.geo.olc import encode as olc_encode
+from repro.geo.olc import decode as olc_decode, encode as olc_encode
 from repro.core.bluetooth import BluetoothChannel
 from repro.core.proof import (
     LocationProof,
@@ -169,14 +169,13 @@ class Witness(UserBase):
         challenge-response exchange (the decryption happens with the
         prover's key, never the witness's).
         """
-        if not channel.in_range(self.device_id, prover_device):
+        distance = channel.reach_m(self.device_id, prover_device)
+        if distance is None:
             raise WitnessRefusal(f"prover {prover_device!r} is not within Bluetooth range")
         # Bluetooth attests the prover is near *me*; the claimed area
         # must therefore be near my own position.
-        if channel.distance_m(self.device_id, prover_device) > channel.range_m:
+        if distance > channel.range_m:
             raise WitnessRefusal("proximity check failed")
-        from repro.geo.olc import decode as olc_decode
-
         area = olc_decode(request.olc)
         margin = max(area.height_degrees, 0.002)  # tolerate adjacent cells
         if not (

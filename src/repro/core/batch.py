@@ -61,7 +61,7 @@ class BatchRecord:
         return self.record.encode()
 
 
-@dataclass
+@dataclass(slots=True)
 class _Buffered:
     """A buffered record plus its journey bookkeeping."""
 

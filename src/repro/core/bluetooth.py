@@ -21,19 +21,14 @@ class BluetoothError(Exception):
     """Target out of radio range or unknown device."""
 
 
-@dataclass(slots=True)
-class _Device:
-    device_id: str
-    latitude: float
-    longitude: float
-
-
 @dataclass
 class BluetoothChannel:
     """A shared radio medium over simulated geography."""
 
     range_m: float = DEFAULT_RANGE_M
-    devices: dict[str, _Device] = field(default_factory=dict)
+    #: device id -> (latitude, longitude); a tuple of floats, which the
+    #: cyclic collector stops tracking
+    devices: dict[str, tuple[float, float]] = field(default_factory=dict)
     #: undelivered messages by recipient, made by the first send to it
     inboxes: dict[str, list[tuple[str, Any]]] = field(default_factory=dict)
     messages_sent: int = 0
@@ -51,22 +46,28 @@ class BluetoothChannel:
 
     def register(self, device_id: str, latitude: float, longitude: float) -> None:
         """Power on a device at a position."""
-        self.devices[device_id] = _Device(device_id=device_id, latitude=latitude, longitude=longitude)
+        self.devices[device_id] = (latitude, longitude)
 
-    def _device(self, device_id: str) -> _Device:
-        device = self.devices.get(device_id)
-        if device is None:
+    def _position(self, device_id: str) -> tuple[float, float]:
+        position = self.devices.get(device_id)
+        if position is None:
             raise BluetoothError(f"unknown device {device_id!r}")
-        return device
+        return position
 
     def distance_m(self, a: str, b: str) -> float:
         """Physical distance between two devices in metres."""
-        da, db = self._device(a), self._device(b)
-        return haversine_km(da.latitude, da.longitude, db.latitude, db.longitude) * 1000.0
+        return haversine_km(*self._position(a), *self._position(b)) * 1000.0
+
+    def reach_m(self, a: str, b: str) -> float | None:
+        """The distance between two devices that can currently talk, else None."""
+        if a == b:
+            return None
+        distance = self.distance_m(a, b)
+        return distance if distance <= self.effective_range_m else None
 
     def in_range(self, a: str, b: str) -> bool:
         """Whether two devices can currently talk."""
-        return a != b and self.distance_m(a, b) <= self.effective_range_m
+        return self.reach_m(a, b) is not None
 
     def send(self, sender: str, recipient: str, payload: Any) -> None:
         """Deliver a message if (and only if) the peers are in range."""
@@ -82,5 +83,5 @@ class BluetoothChannel:
 
     def receive(self, device_id: str) -> list[tuple[str, Any]]:
         """Drain a device's inbox."""
-        self._device(device_id)  # an unknown device raises
+        self._position(device_id)  # an unknown device raises
         return self.inboxes.pop(device_id, [])

@@ -38,13 +38,18 @@ class ProofRequest:
 
     def digest(self) -> bytes:
         """``H(DID || location || nonce || CID)``."""
-        return tagged_hash(
-            "repro/location-proof",
-            self.did.to_bytes(8, "big"),
-            self.olc.upper().encode(),
-            self.nonce.to_bytes(8, "big"),
-            self.cid.encode(),
-        )
+        return proof_digest(self.did, self.olc, self.nonce, self.cid)
+
+
+def proof_digest(did: int, olc: str, nonce: int, cid: str) -> bytes:
+    """``H(DID || location || nonce || CID)``, the hash a witness signs."""
+    return tagged_hash(
+        "repro/location-proof",
+        did.to_bytes(8, "big"),
+        olc.upper().encode(),
+        nonce.to_bytes(8, "big"),
+        cid.encode(),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +166,7 @@ def verify_record(
         return ProofFailure.UNKNOWN_WITNESS
     if prover_public is not None and signer == prover_public:
         return ProofFailure.SELF_SIGNED
-    expected = ProofRequest(did=did, olc=olc, nonce=nonce, cid=cid).digest()
+    expected = proof_digest(did, olc, nonce, cid)
     if expected != hashed:
         return ProofFailure.HASH_MISMATCH
     return ProofFailure.OK
@@ -189,7 +194,7 @@ def verify_proof(
         return ProofFailure.UNKNOWN_WITNESS
     if not proof.witness_public.verify(proof.hashed_proof, proof.signature):
         return ProofFailure.BAD_SIGNATURE
-    expected = ProofRequest(did=did, olc=olc, nonce=nonce, cid=cid).digest()
+    expected = proof_digest(did, olc, nonce, cid)
     if expected != proof.hashed_proof:
         return ProofFailure.HASH_MISMATCH
     return ProofFailure.OK

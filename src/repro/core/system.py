@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.chain.base import Account, BaseChain, collector_paused, drain
-from repro.did.document import uint_did
 from repro.did.registry import DidRegistry
 from repro.dht.hypercube import HypercubeDHT
 from repro.obs.monitor import NULL_WATCHTOWER
@@ -27,6 +26,7 @@ from repro.ipfs.network import IpfsNetwork
 from repro.reach.compiler import CompiledContract, compile_program
 from repro.reach.runtime import DeployedContract, OpHandle, OpResult, ReachClient
 from repro.core.actors import CertificationAuthority, Prover, Verifier, Witness
+from repro.core.batch import BatchRecord
 from repro.core.bluetooth import BluetoothChannel
 from repro.core.contract import build_pol_program, parse_pol_record, pol_record
 from repro.core.factory import ContractFactory
@@ -106,7 +106,6 @@ class ProofOfLocationSystem:
     provers: dict[str, Prover] = field(default_factory=dict)
     witnesses: dict[str, Witness] = field(default_factory=dict)
     verifiers: dict[str, Verifier] = field(default_factory=dict)
-    _did_uints: dict[int, str] = field(default_factory=dict)
     #: 8-character OLC cell prefix -> public keys of the witnesses
     #: registered there.  Purely an ordering hint for the verifier's
     #: witness-list scan (the CA list stays authoritative): records from
@@ -160,14 +159,10 @@ class ProofOfLocationSystem:
         if name in self.accounts:
             raise PolSystemError(f"user {name!r} already registered")
         account = self.chain.create_account(seed=f"user/{name}".encode(), funding=funding)
-        document = self.registry.create(account.keypair)
-        short_did = uint_did(document.id)
-        if short_did in self._did_uints:
-            raise PolSystemError(f"UInt DID collision for {name!r}; re-register with a new wallet")
-        self._did_uints[short_did] = document.id
+        document = self.registry.create(account.keypair)  # refuses a UInt DID collision
         self.accounts[name] = account
         self.channel.register(name, latitude, longitude)
-        return account, document.id, short_did
+        return account, document.id, document.uint
 
     def register_prover(self, name: str, latitude: float, longitude: float, funding: int) -> Prover:
         """Create a wallet, a DID and a radio for a new prover."""
@@ -214,24 +209,32 @@ class ProofOfLocationSystem:
         prover = self.provers[prover_name]
         witness = self.witnesses[witness_name]
         recorder = self.chain.recorder
+        if not recorder.enabled:
+            return self._obtain_proof(prover, witness, report_content)
         with recorder.span(
             "proof:request", track=f"prover:{prover_name}", cat="proof", witness=witness_name
         ) as span:
-            cid = self.ipfs.add(prover_name, report_content)
-            nonce = witness.issue_nonce()
-            request = prover.make_request(nonce, cid, timestamp=self.chain.queue.clock.now)
-            proof = witness.handle_request(
-                request,
-                prover_device=prover.device_id,
-                channel=self.channel,
-                registry=self.registry,
-                prover_keypair=prover.keypair,
-                now=self.chain.queue.clock.now,
-            )
-        if recorder.enabled:
-            # This span roots the proof's journey; the submit call joins
-            # it via the (prover, nonce) key.
-            self._journey_roots[(prover_name, request.nonce)] = span.context
+            request, proof, cid = self._obtain_proof(prover, witness, report_content)
+        # This span roots the proof's journey; the submit call joins it
+        # via the (prover, nonce) key.
+        self._journey_roots[(prover_name, request.nonce)] = span.context
+        return request, proof, cid
+
+    def _obtain_proof(
+        self, prover: Prover, witness: Witness, report_content: bytes
+    ) -> tuple[ProofRequest, LocationProof, str]:
+        cid = self.ipfs.add(prover.name, report_content)
+        nonce = witness.issue_nonce()
+        now = self.chain.queue.clock.now
+        request = prover.make_request(nonce, cid, timestamp=now)
+        proof = witness.handle_request(
+            request,
+            prover_device=prover.device_id,
+            channel=self.channel,
+            registry=self.registry,
+            prover_keypair=prover.keypair,
+            now=now,
+        )
         return request, proof, cid
 
     # -- figure 2.3: hypercube lookup + deploy-or-attach -------------------------------
@@ -387,27 +390,24 @@ class ProofOfLocationSystem:
         :class:`~repro.core.batch.AnchoredBatch` when this record filled
         a buffer, None otherwise.
         """
-        from repro.core.batch import BatchRecord
-
         prover = self.provers[prover_name]
-        account = self.accounts[prover_name]
         recorder = self.chain.recorder
-        root = (
-            self._journey_roots.pop((prover_name, request.nonce), None)
-            if recorder.enabled
-            else None
-        )
-        span = recorder.span(
-            "proof:submit", track=f"prover:{prover_name}", cat="proof",
-            olc=request.olc, parent=root, batched=True,
-        )
+        if recorder.enabled:
+            root = self._journey_roots.pop((prover_name, request.nonce), None)
+            span = recorder.span(
+                "proof:submit", track=f"prover:{prover_name}", cat="proof",
+                olc=request.olc, parent=root, batched=True,
+            )
+        else:
+            span = None
         prover_public = self.registry.resolve(prover.did).public_key
         outcome = aggregator.verifier.check_record(
             proof, prover.did_uint, request.olc, request.nonce, request.cid,
             prover_public=prover_public,
         )
         if outcome is not ProofFailure.OK:
-            span.end(error=outcome.name)
+            if span is not None:
+                span.end(error=outcome.name)
             return outcome, None
         record = BatchRecord(
             prover_name=prover_name,
@@ -416,12 +416,12 @@ class ProofOfLocationSystem:
             record=pol_record(
                 proof.hashed_proof_hex,
                 proof.signature_hex,
-                account.address,
+                self.accounts[prover_name].address,
                 request.nonce,
                 request.cid,
             ),
         )
-        if recorder.enabled:
+        if span is not None:
             self._journey_records[(request.olc, prover.did_uint)] = (
                 root if root is not None else span.context
             )
@@ -432,7 +432,7 @@ class ProofOfLocationSystem:
             # member's retained inclusion path verifies against the
             # anchored root.
             watchtower.track_proof(
-                (request.olc, prover.did_uint), getattr(span, "trace_id", ""),
+                (request.olc, prover.did_uint), span.trace_id if span is not None else "",
             )
         batch = aggregator.add(record, submit_span=span)
         return ProofFailure.OK, batch
@@ -542,7 +542,7 @@ class ProofOfLocationSystem:
             raise PolSystemError(f"no record for DID {did_uint} in contract {deployed.ref}")
         fields = parse_pol_record(raw)
         prover_public = None
-        prover_did = self._did_uints.get(did_uint)
+        prover_did = self.registry.did_for_uint(did_uint)
         if prover_did is not None:
             prover_public = self.registry.resolve(prover_did).public_key
         outcome = verifier.check_stored_record(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hmac
 import secrets
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto import group
 from repro.crypto.fastexp import g_pow
@@ -45,9 +46,10 @@ _SIGNED_CAP = 1 << 18
 _signed_here: dict[tuple[int, bytes, int, int], bool] = {}
 
 _SHARED_CAP = 1 << 16
-#: DH shared secrets this process derived while encrypting and has not
-#: decrypted with yet: (y, c1) -> y**k
-_shared_here: dict[tuple[int, int], int] = {}
+#: stream keys this process derived while encrypting and has not
+#: decrypted with yet: (y, c1) -> KDF(y**k), so a decrypt of one's own
+#: header runs neither the exponentiation nor the KDF again
+_shared_here: dict[tuple[int, int], bytes] = {}
 
 _DLOG_CAP = 1 << 20
 #: discrete logs of keys this process generated: y -> x with y == g**x.
@@ -102,7 +104,7 @@ class PublicKey:
 
     def fingerprint(self) -> str:
         """Short stable identifier used in address derivation and logs."""
-        return sha256(self.to_bytes()).hex()[:40]
+        return _fingerprint(self.y)
 
     def to_bytes(self) -> bytes:
         """Serialize as a fixed-width big-endian integer."""
@@ -144,10 +146,11 @@ class PublicKey:
         c1 = g_pow(k)
         x = _dlog_here.get(self.y)
         shared = g_pow((x * k) % group.Q) if x is not None else pow(self.y, k, group.P)
+        key = _stream_key(shared)
         if len(_shared_here) >= _SHARED_CAP:
             _shared_here.clear()
-        _shared_here[(self.y, c1)] = shared
-        return c1, _xor_stream(shared, plaintext)
+        _shared_here[(self.y, c1)] = key
+        return c1, _xor_stream(key, plaintext)
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,14 +203,25 @@ class KeyPair:
         """Decrypt a hashed-ElGamal ciphertext produced by :meth:`PublicKey.encrypt`."""
         c1, c2 = ciphertext
         # A header this process produced (encrypt, above) is g**k by
-        # construction and its shared secret y**k == c1**x is already
-        # known; wire-format headers take the full check + modexp.
-        shared = _shared_here.pop((self.public.y, c1), None)
-        if shared is None:
+        # construction and the stream key of its shared secret
+        # y**k == c1**x is already known; wire-format headers take the
+        # full check + modexp + KDF.
+        key = _shared_here.pop((self.public.y, c1), None)
+        if key is None:
             if not group.is_group_element(c1):
                 raise ValueError("ciphertext header is not a valid group element")
-            shared = pow(c1, self.x, group.P)
-        return _xor_stream(shared, c2)
+            key = _stream_key(pow(c1, self.x, group.P))
+        return _xor_stream(key, c2)
+
+
+@lru_cache(maxsize=1)
+def _fingerprint(y: int) -> str:
+    """:meth:`PublicKey.fingerprint` of ``y``.
+
+    Onboarding asks for one key's fingerprint twice in a row (its chain
+    address, then its DID), so the last answer is kept.
+    """
+    return sha256(y.to_bytes(128, "big")).hex()[:40]
 
 
 def _challenge(r: int, y: int, message: bytes) -> int:
@@ -230,14 +244,26 @@ def _deterministic_nonce(x: int, message: bytes) -> int:
     return k if k != 0 else 1
 
 
-def _xor_stream(shared: int, data: bytes) -> bytes:
-    """XOR ``data`` with a SHA-256 counter stream keyed by ``shared``."""
+def _stream_key(shared: int) -> bytes:
+    """The XOR stream's key: a KDF of the DH shared secret."""
+    return tagged_hash("repro/elgamal-kdf", shared.to_bytes(128, "big"))
+
+
+#: the counter of the stream's first block (the counter is the block's
+#: byte offset)
+_FIRST_BLOCK = bytes(8)
+
+
+def _xor_stream(key: bytes, data: bytes) -> bytes:
+    """XOR ``data`` with a SHA-256 counter stream keyed by ``key``."""
     size = len(data)
     if size == 0:
         return b""
-    key = tagged_hash("repro/elgamal-kdf", shared.to_bytes(128, "big"))
-    stream = b"".join(
-        sha256(key, block.to_bytes(8, "big")) for block in range(0, size, 32)
-    )[:size]
+    if size <= 32:  # one block: a DID challenge is 32 bytes
+        stream = sha256(key, _FIRST_BLOCK)[:size]
+    else:
+        stream = b"".join(
+            sha256(key, block.to_bytes(8, "big")) for block in range(0, size, 32)
+        )[:size]
     # byte-wise XOR as one big-int XOR (identical output, no Python loop)
     return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(size, "big")

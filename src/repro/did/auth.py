@@ -20,7 +20,7 @@ class AuthError(Exception):
     """Challenge issuance or verification failure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Challenge:
     """An outstanding challenge (witness side)."""
 

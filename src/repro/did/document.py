@@ -9,7 +9,7 @@ verification method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.keys import PublicKey
 
@@ -40,7 +40,7 @@ def uint_did(did: str) -> int:
     DID.  However, we do this only for testing purposes" (section
     4.1.1) -- the projection is the leading 53 bits of the
     method-specific id, collision-checked at registration by the
-    system facade.
+    registry.
     """
     specific = parse_did(did)
     return int(specific[:13], 16)
@@ -52,6 +52,9 @@ class DidDocument:
 
     id: str
     public_key: PublicKey
+    #: the UInt projection of ``id`` (:func:`uint_did`), which also
+    #: validates it: a document's DID is parsed once, when it is made
+    uint: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        parse_did(self.id)
+        self.uint = uint_did(self.id)

@@ -13,8 +13,8 @@ short area codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 OLC_ALPHABET = "23456789CFGHJMPQRVWX"
 SEPARATOR = "+"
@@ -34,8 +34,7 @@ class OlcError(ValueError):
     """Malformed Open Location Code input."""
 
 
-@dataclass(frozen=True)
-class CodeArea:
+class CodeArea(NamedTuple):
     """The rectangle a code decodes to."""
 
     latitude_low: float
@@ -116,6 +115,18 @@ def encode(latitude: float, longitude: float, code_length: int = PAIR_CODE_LENGT
 
 def decode(code: str) -> CodeArea:
     """Decode a full code to its :class:`CodeArea`."""
+    return CodeArea._make(_decode(code))
+
+
+@lru_cache(maxsize=65536)
+def _decode(code: str) -> tuple[float, float, float, float, int]:
+    """The numbers of :func:`decode`'s area, as a plain tuple.
+
+    Memoized like :func:`encode`: a witness decodes every claimed code,
+    and a campaign claims the same few thousand cells over and over.  A
+    plain tuple of numbers is one the cyclic collector stops tracking,
+    so the memo adds nothing to its passes.
+    """
     if not is_full(code):
         raise OlcError(f"cannot decode a non-full code: {code!r}")
     clean = code.replace(SEPARATOR, "").rstrip(PADDING).upper()
@@ -141,12 +152,12 @@ def decode(code: str) -> CodeArea:
         lat_units += (digit // GRID_COLUMNS) * lat_place
         lng_units += (digit % GRID_COLUMNS) * lng_place
         index += 1
-    return CodeArea(
-        latitude_low=lat_units / _FINAL_LAT_PRECISION - LATITUDE_MAX,
-        longitude_low=lng_units / _FINAL_LNG_PRECISION - LONGITUDE_MAX,
-        latitude_high=(lat_units + lat_place) / _FINAL_LAT_PRECISION - LATITUDE_MAX,
-        longitude_high=(lng_units + lng_place) / _FINAL_LNG_PRECISION - LONGITUDE_MAX,
-        code_length=len(clean),
+    return (
+        lat_units / _FINAL_LAT_PRECISION - LATITUDE_MAX,
+        lng_units / _FINAL_LNG_PRECISION - LONGITUDE_MAX,
+        (lat_units + lat_place) / _FINAL_LAT_PRECISION - LATITUDE_MAX,
+        (lng_units + lng_place) / _FINAL_LNG_PRECISION - LONGITUDE_MAX,
+        len(clean),
     )
 
 

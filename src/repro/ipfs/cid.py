@@ -9,7 +9,6 @@ multibase prefix over base32(version || raw-codec || sha2-256 multihash).
 from __future__ import annotations
 
 import base64
-from functools import lru_cache
 
 from repro.crypto.hashing import sha256
 
@@ -22,22 +21,62 @@ class CidError(ValueError):
     """A malformed or mismatching CID."""
 
 
-@lru_cache(maxsize=131072)
-def _cid_of(content: bytes) -> str:
-    digest = sha256(content)
-    payload = _VERSION + _RAW_CODEC + _SHA256_CODE + digest
-    return "b" + base64.b32encode(payload).decode().lower().rstrip("=")
+#: base32 digit value -> lower-case RFC 4648 character, as a byte table
+_BASE32 = bytes.maketrans(bytes(range(32)), b"abcdefghijklmnopqrstuvwxyz234567")
+#: payload length -> (5-bit groups, spreading steps); see :func:`base32`
+_SPREADS: dict[int, tuple[int, tuple[tuple[int, int, int], ...]]] = {}
+
+
+def _spread_steps(padded: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Masks that move 5-bit group j (from the low end) up to bit 8j.
+
+    Group j must rise by 3j bits.  Step b, from the top bit of j down,
+    lifts the groups whose j has bit b set by 3 * 2**b; a group never
+    overtakes its neighbour, so one (keep, move, shift) mask pair per
+    step does it for every group at once.
+    """
+    groups = padded * 8 // 5
+    steps = []
+    for bit in reversed(range((groups - 1).bit_length())):
+        keep = move = 0
+        for j in range(groups):
+            at = 5 * j + 3 * (j >> (bit + 1) << (bit + 1))
+            if j >> bit & 1:
+                move |= 31 << at
+            else:
+                keep |= 31 << at
+        steps.append((keep, move, 3 << bit))
+    return groups, tuple(steps)
+
+
+def base32(data: bytes) -> str:
+    """Unpadded lower-case RFC 4648 base32, as CIDv1's ``b`` multibase.
+
+    Equal to ``base64.b32encode(data).decode().lower().rstrip("=")``
+    without its per-chunk Python loop: the data, zero-filled to whole
+    5-byte chunks, is one integer whose 5-bit groups are spread to one
+    byte each by a few mask-and-shift steps, then mapped to characters
+    by a byte table.
+    """
+    size = len(data)
+    if not size:
+        return ""
+    fill = -size % 5
+    spread = _SPREADS.get(size)
+    if spread is None:
+        spread = _SPREADS[size] = _spread_steps(size + fill)
+    groups, steps = spread
+    value = int.from_bytes(data, "big") << (8 * fill)
+    for keep, move, shift in steps:
+        value = (value & keep) | ((value & move) << shift)
+    return value.to_bytes(groups, "big").translate(_BASE32).decode()[: (size * 8 + 4) // 5]
 
 
 def compute_cid(content: bytes) -> str:
-    """The CID of a block of content.
-
-    Cached by content: every pin/replicate/verify of the same block
-    re-derives the same address (self-certifying names are pure).
-    """
+    """The CID of a block of content."""
     if not isinstance(content, bytes):
         raise CidError("content must be bytes")
-    return _cid_of(content)
+    return "b" + base32(_VERSION + _RAW_CODEC + _SHA256_CODE + sha256(content))
 
 
 def verify_cid(content: bytes, cid: str) -> bool:

@@ -25,9 +25,14 @@ class IpfsNode:
     node_id: str
     blocks: dict[str, bytes] = field(default_factory=dict)
 
-    def put(self, content: bytes) -> str:
-        """Store a block locally; returns its CID."""
-        cid = compute_cid(content)
+    def put(self, content: bytes, cid: str | None = None) -> str:
+        """Store a block locally; returns its CID.
+
+        ``cid`` is the block's CID when the caller has just verified it
+        (a replica of a fetched block), so it is not derived again.
+        """
+        if cid is None:
+            cid = compute_cid(content)
         self.blocks[cid] = content
         return cid
 
@@ -94,7 +99,7 @@ class IpfsNetwork:
     def replicate(self, cid: str, to_node_id: str) -> None:
         """Copy a block to another peer (how popular data survives)."""
         content = self.get(cid)
-        self.nodes[to_node_id].put(content)
+        self.nodes[to_node_id].put(content, cid)
         self._announce(cid, to_node_id)
 
     def _announce(self, cid: str, node_id: str) -> None:

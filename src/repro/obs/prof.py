@@ -165,6 +165,38 @@ def staged(stage: str) -> Callable[[_F], _F]:
     return decorate
 
 
+class _Node:
+    """One stack path of the calling-context tree: its stage and totals."""
+
+    __slots__ = ("stage", "parent", "children", "wall_ns", "sim_s", "calls", "flat_calls")
+
+    def __init__(self, stage: str, parent: "_Node | None") -> None:
+        self.stage = stage
+        self.parent = parent
+        self.children: dict[str, _Node] = {}
+        self.wall_ns = 0
+        self.sim_s = 0.0
+        self.calls = 0
+        self.flat_calls = 0
+
+    def path(self) -> tuple[str, ...]:
+        stages = []
+        node: _Node | None = self
+        while node is not None and node.parent is not None:
+            stages.append(node.stage)
+            node = node.parent
+        return tuple(reversed(stages))
+
+
+class _NoClock:
+    """The sim clock of a profiler no queue has bound: time stands still."""
+
+    now = 0.0
+
+
+_NO_CLOCK = _NoClock()
+
+
 class Profiler(NullProfiler):
     """Self-time stage accounting for one kernel run.
 
@@ -174,22 +206,21 @@ class Profiler(NullProfiler):
     consumed; at exit the difference is the stage's self time, so stage
     self-times tile the profiled window exactly (plus the explicit
     ``obs.profiler`` overhead and the unattributed remainder).
+
+    Totals accrue on the frame's node in a calling-context tree, one
+    node per stack path, found by one dict read at enter; per-stage
+    totals and path totals are summed from the tree when read.
     """
 
     enabled = True
 
     def __init__(self, clock: Any | None = None):
-        self.clock = clock
-        #: frames: [stage, wall_start, wall_child, sim_start, sim_child, path]
+        self.clock = clock if clock is not None else _NO_CLOCK
+        #: frames: [node, wall_start, wall_child, sim_start, sim_child]
         self._stack: list[list[Any]] = []
-        self._wall_ns: dict[str, int] = {}
-        self._sim_s: dict[str, float] = {}
-        self._calls: dict[str, int] = {}
-        #: stack-path totals: path tuple -> self wall ns
-        self._paths: dict[tuple[str, ...], int] = {}
+        self._root = _Node("", None)
         self._overhead_ns = 0
         self._overhead_calls = 0
-        self._flat_calls: dict[str, int] = {}
         self._started_ns: int | None = None
         self._started_sim: float = 0.0
         self._total_ns = 0
@@ -199,12 +230,8 @@ class Profiler(NullProfiler):
 
     def bind_clock(self, clock: Any) -> None:
         """Adopt ``clock`` for sim-time attribution (first binding wins)."""
-        if self.clock is None:
+        if self.clock is _NO_CLOCK:
             self.clock = clock
-
-    def _sim_now(self) -> float:
-        clock = self.clock
-        return clock.now if clock is not None else 0.0
 
     # -- profiled window ------------------------------------------------------
 
@@ -212,14 +239,14 @@ class Profiler(NullProfiler):
         """Open the profiled window (idempotent; total = start..stop)."""
         if self._started_ns is None:
             self._started_ns = perf_counter_ns()
-            self._started_sim = self._sim_now()
+            self._started_sim = self.clock.now
 
     def stop(self) -> None:
         """Close the profiled window, folding it into the totals."""
         if self._started_ns is None:
             return
         self._total_ns += perf_counter_ns() - self._started_ns
-        self._total_sim += self._sim_now() - self._started_sim
+        self._total_sim += self.clock.now - self._started_sim
         self._started_ns = None
 
     # -- stage accounting -----------------------------------------------------
@@ -228,34 +255,35 @@ class Profiler(NullProfiler):
         """Open ``stage``; nested stages subtract from its self time."""
         t0 = perf_counter_ns()
         stack = self._stack
-        path = (stack[-1][5] + (stage,)) if stack else (stage,)
-        sim = self._sim_now()
+        parent = stack[-1][0] if stack else self._root
+        node = parent.children.get(stage)
+        if node is None:
+            node = parent.children[stage] = _Node(stage, parent)
+        sim = self.clock.now
         t1 = perf_counter_ns()
         bookkeeping = t1 - t0
         self._overhead_ns += bookkeeping
-        self._overhead_calls += 1
         if stack:
             stack[-1][2] += bookkeeping  # parent must not absorb our cost
-        stack.append([stage, t1, 0, sim, 0.0, path])
+        stack.append([node, t1, 0, sim, 0.0])
 
     def exit(self) -> None:
         """Close the innermost stage, attributing its self time."""
         t0 = perf_counter_ns()
-        stage, wall_start, wall_child, sim_start, sim_child, path = self._stack.pop()
+        stack = self._stack
+        node, wall_start, wall_child, sim_start, sim_child = stack.pop()
         wall_elapsed = t0 - wall_start
-        self_ns = wall_elapsed - wall_child
-        self._wall_ns[stage] = self._wall_ns.get(stage, 0) + self_ns
-        self._paths[path] = self._paths.get(path, 0) + self_ns
-        self._calls[stage] = self._calls.get(stage, 0) + 1
-        sim_elapsed = self._sim_now() - sim_start
+        node.wall_ns += wall_elapsed - wall_child
+        node.calls += 1
+        sim_elapsed = self.clock.now - sim_start
         if sim_elapsed:
-            self._sim_s[stage] = self._sim_s.get(stage, 0.0) + sim_elapsed - sim_child
+            node.sim_s += sim_elapsed - sim_child
         t1 = perf_counter_ns()
         bookkeeping = t1 - t0
         self._overhead_ns += bookkeeping
-        self._overhead_calls += 1
-        if self._stack:
-            parent = self._stack[-1]
+        self._overhead_calls += 2  # this exit and its enter
+        if stack:
+            parent = stack[-1]
             parent[2] += wall_elapsed + bookkeeping
             parent[4] += sim_elapsed
 
@@ -267,11 +295,25 @@ class Profiler(NullProfiler):
         the caller's self time excludes it -- exactly the "distinct
         stage, not the caller's" rule the overhead stage follows.
         """
-        self._wall_ns[stage] = self._wall_ns.get(stage, 0) + wall_ns
-        self._paths[(stage,)] = self._paths.get((stage,), 0) + wall_ns
-        self._flat_calls[stage] = self._flat_calls.get(stage, 0) + 1
+        root = self._root
+        node = root.children.get(stage)
+        if node is None:
+            node = root.children[stage] = _Node(stage, root)
+        node.wall_ns += wall_ns
+        node.flat_calls += 1
         if self._stack:
             self._stack[-1][2] += wall_ns
+
+    def _nodes(self) -> list[_Node]:
+        """Every node that closed a stage or took a flat cost."""
+        found = []
+        pending = list(self._root.children.values())
+        while pending:
+            node = pending.pop()
+            if node.calls or node.flat_calls:
+                found.append(node)
+            pending.extend(node.children.values())
+        return found
 
     # -- results --------------------------------------------------------------
 
@@ -288,28 +330,36 @@ class Profiler(NullProfiler):
         if self._started_ns is not None:  # profile() of a still-open window
             now = perf_counter_ns()
             total_ns = self._total_ns + (now - self._started_ns)
-            total_sim = self._total_sim + (self._sim_now() - self._started_sim)
+            total_sim = self._total_sim + (self.clock.now - self._started_sim)
         else:
             total_ns = self._total_ns
             total_sim = self._total_sim
         handicap = os.environ.get(HANDICAP_ENV, "")
+        totals: dict[str, list[Any]] = {}
+        for node in self._nodes():
+            row = totals.setdefault(node.stage, [0, 0.0, 0])
+            row[0] += node.wall_ns
+            row[1] += node.sim_s
+            row[2] += node.calls + node.flat_calls
         stages: dict[str, dict[str, Any]] = {}
         accounted_ns = 0
-        for stage in sorted(set(self._wall_ns) | set(self._sim_s)):
-            wall_ns = self._wall_ns.get(stage, 0)
+        for stage in sorted(totals):
+            wall_ns, sim_s, calls = totals[stage]
             accounted_ns += wall_ns
             wall_s = wall_ns / 1e9
             if handicap:
                 wall_s = _apply_handicap(handicap, stage, wall_s)
             stages[stage] = {
                 "wall_seconds": round(wall_s, 6),
-                "sim_seconds": round(self._sim_s.get(stage, 0.0), 6),
-                "calls": self._calls.get(stage, 0) + self._flat_calls.get(stage, 0),
+                "sim_seconds": round(sim_s, 6),
+                "calls": calls,
             }
+        # an open frame's enter has been paid but not counted by an exit
+        overhead_calls = self._overhead_calls + len(self._stack)
         stages["obs.profiler"] = {
             "wall_seconds": round(self._overhead_ns / 1e9, 6),
             "sim_seconds": 0.0,
-            "calls": self._overhead_calls,
+            "calls": overhead_calls,
         }
         accounted_ns += self._overhead_ns
         unattributed_ns = max(total_ns - accounted_ns, 0)
@@ -326,7 +376,7 @@ class Profiler(NullProfiler):
 
     def path_totals(self) -> dict[tuple[str, ...], int]:
         """Self wall ns per stack path (the flamegraph's raw material)."""
-        return dict(self._paths)
+        return {node.path(): node.wall_ns for node in self._nodes()}
 
 
 def _apply_handicap(spec: str, stage: str, wall_s: float) -> float:

@@ -117,3 +117,37 @@ class TestNetwork:
         assert network.providers[cid] == ("alice",)
         network.replicate(cid, "bob")
         assert network.providers[cid] == ("alice", "bob")
+
+
+class TestTableBase32:
+    """The CID encoder equals the standard library's base32, byte for byte."""
+
+    @staticmethod
+    def reference(data: bytes) -> str:
+        import base64
+
+        return base64.b32encode(data).decode().lower().rstrip("=")
+
+    def test_every_length_up_to_100_bytes(self):
+        import random
+
+        from repro.ipfs.cid import base32
+
+        rng = random.Random(2023)
+        for size in range(101):
+            for _ in range(25):
+                data = rng.randbytes(size)
+                assert base32(data) == self.reference(data), size
+            for data in (bytes(size), b"\xff" * size):
+                assert base32(data) == self.reference(data), size
+
+    def test_cid_body(self):
+        from repro.crypto.hashing import sha256
+        from repro.ipfs.cid import base32, compute_cid, parse_cid
+
+        for content in (b"", b"report", bytes(range(256))):
+            body = b"\x01\x55\x12\x20" + sha256(content)
+            assert len(body) == 36
+            cid = compute_cid(content)
+            assert cid == "b" + self.reference(body) == "b" + base32(body)
+            assert parse_cid(cid) == sha256(content)

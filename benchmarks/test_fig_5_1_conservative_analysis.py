@@ -1,7 +1,7 @@
 """Figure 5.1: the conservative analysis of the smart contract.
 
 The thesis ran Reach's analyzer on the PoL contract and reported the
-verification outcome, resource units, and the connector gas figures of
+verification outcome (here the lint gate's banner), resource units, and the connector gas figures of
 section 5.1.1 (deploy = 1,440,385 gas; attach = 82,437 gas on both EVM
 networks).  This bench compiles the contract, renders the static cost
 intervals of ``repro.reach.absint.cost``, then *measures* the actual
@@ -53,8 +53,8 @@ def test_fig_5_1_conservative_analysis(benchmark):
     ]
     write_output("fig_5_1_conservative_analysis.txt", "\n".join(lines))
 
-    # The verifier found no failures (the thesis's "No failures!" banner).
-    assert "no failures" in analysis
+    # The lint gate found no failures (the thesis's "No failures!" banner).
+    assert "theorems; No failures!" in analysis
     # The static ceilings contain the measured gas: deploy is the create
     # plus publish0 (the ceremony bench/bounds.py checks receipts
     # against), attach the insert_data call.

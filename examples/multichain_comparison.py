@@ -1,7 +1,7 @@
 """The headline experiment: ONE contract source, THREE blockchains.
 
 Compiles the Proof-of-Location contract once with the
-blockchain-agnostic compiler (static verification included), then runs
+blockchain-agnostic compiler and checks it with the lint gate, then runs
 the thesis's 16-user workload against the calibrated Goerli, Polygon
 Mumbai and Algorand testnet simulators -- a miniature chapter 5.
 
@@ -19,9 +19,9 @@ USERS = 16
 
 
 def main() -> None:
-    # Compile once: verification + EVM artifact + TEAL artifact.
+    # Compile once: EVM artifact + TEAL artifact, checked by the lint gate.
     compiled = compile_program(build_pol_program(max_users=USERS_PER_CONTRACT, reward=1_000))
-    print(compiled.verification.summary())
+    print(compiled.lint_report().banner())
     print(f"\nEVM artifact:  {compiled.evm_code.byte_size()} bytes, "
           f"{len(compiled.evm_code.instrs)} instructions")
     print(f"TEAL artifact: {len(compiled.teal_source.splitlines())} lines of TEAL\n")

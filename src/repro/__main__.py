@@ -440,7 +440,7 @@ def _cmd_compare(args) -> int:
 def _cmd_verify_contract(args) -> int:
     from repro.core.contract import build_pol_program
     from repro.reach.absint.cost import analyze_costs
-    from repro.reach.compiler import compile_program
+    from repro.reach.compiler import CompileError, compile_program
     from repro.reach.parser import ParseError, parse_contract_file
 
     if getattr(args, "source", None):
@@ -451,8 +451,14 @@ def _cmd_verify_contract(args) -> int:
             return 2
     else:
         program = build_pol_program()
-    compiled = compile_program(program, check=False)
-    print(compiled.verification.summary())
+    try:
+        compiled = compile_program(program)
+    except CompileError as exc:
+        where = "" if exc.span is None else f" (line {exc.span[0]}, col {exc.span[1]})"
+        print(f"cannot compile {program.name}{where}: {exc}", file=sys.stderr)
+        return 1
+    lint = compiled.lint_report()
+    print(lint.banner())
     print()
     print(analyze_costs(compiled).conservative_analysis(compiled))
     print()
@@ -461,17 +467,19 @@ def _cmd_verify_contract(args) -> int:
         f"({len(compiled.evm_code.instrs)} instructions), "
         f"TEAL {len(compiled.teal_source.splitlines())} lines"
     )
-    return 0 if compiled.verification.ok else 1
+    return lint.exit_code
 
 
 def _cmd_lint(args) -> int:
-    """Static-analysis gate: abstract interpretation + equivalence + verifier.
+    """Static-analysis gate: abstract interpretation, equivalence and
+    model checking over each compiled contract.
 
     Exit codes: 0 clean (info-only findings allowed), 1 any error- or
     warning-severity finding, 2 usage or internal failure (bad path,
     ``--mc-depth`` below 1, a mutation index the artifact does not have,
-    analyzer crash).  Parse and verification failures are *findings*,
-    not crashes, so a broken contract exits 1 with a readable report.
+    analyzer crash).  Parse and compile errors are *findings* at the
+    offending declaration, not crashes, so a broken contract exits 1
+    with a readable report.
     """
     import json as json_mod
     from dataclasses import replace
@@ -507,22 +515,18 @@ def _cmd_lint(args) -> int:
         name = str(path)
         try:
             try:
-                program = parse_contract_file(name)
-            except ParseError as exc:
+                compiled = compile_program(parse_contract_file(name))
+            except (ParseError, CompileError) as exc:
+                theorem = "PARSE-ERROR" if isinstance(exc, ParseError) else "COMPILE-ERROR"
                 span = getattr(exc, "span", None)
                 report = LintReport(
                     contract=path.stem,
                     source=name,
-                    findings=[
-                        Finding("error", "PARSE-ERROR", str(exc), source=name, span=span)
-                    ],
+                    findings=[Finding("error", theorem, str(exc), source=name, span=span)],
                 )
                 reports.append(report)
                 worst = max(worst, 1)
                 continue
-            # check=False: verification/equivalence failures must surface
-            # as findings with exit 1, not abort the whole lint run.
-            compiled = compile_program(program, check=False)
             # A mutation index the artifact lacks is a usage error: exit 1
             # would read as "the seeded mutation was caught".
             try:
@@ -541,7 +545,7 @@ def _cmd_lint(args) -> int:
                 print(f"lint: {name}: {exc}", file=sys.stderr)
                 return 2
             report = lint_compiled(compiled, source=name, mc_depth=args.mc_depth)
-        except (CompileError, ValueError) as exc:
+        except ValueError as exc:
             report = LintReport(
                 contract=path.stem,
                 source=name,

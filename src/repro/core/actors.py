@@ -191,9 +191,9 @@ class Witness(UserBase):
             raise WitnessRefusal("nonce was not issued by this witness")
         if self.auth is None:
             self.auth = ChallengeResponseAuth(registry=registry)
-        challenge = self.auth.issue_challenge(_did_of(registry, request.did), now=now)
-        response = ChallengeResponseAuth.respond(challenge.ciphertext, prover_keypair)
         try:
+            challenge = self.auth.issue_challenge(_did_of(registry, request.did), now=now)
+            response = ChallengeResponseAuth.respond(challenge.ciphertext, prover_keypair)
             if not self.auth.check_response(challenge.challenge_id, response, now=now):
                 raise WitnessRefusal("DID authentication failed")
         except AuthError as exc:

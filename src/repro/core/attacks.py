@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.keys import KeyPair
-from repro.did.auth import AuthError
 from repro.core.actors import WitnessRefusal
 from repro.core.bluetooth import BluetoothError
 from repro.core.proof import ProofFailure, ProofRequest, build_proof
@@ -171,7 +170,7 @@ def stolen_did_attack(system: ProofOfLocationSystem, victim_name: str, witness_n
             registry=system.registry,
             prover_keypair=attacker_keypair,
         )
-    except (WitnessRefusal, AuthError) as refusal:
+    except WitnessRefusal as refusal:
         return AttackOutcome("stolen-did", False, str(refusal))
     return AttackOutcome("stolen-did", True, "witness authenticated the wrong key")
 

@@ -12,9 +12,11 @@ reproduces that pipeline end to end:
 - :mod:`repro.reach.compiler` -- lowers a program to a flat IR.
 - :mod:`repro.reach.backends.evm` -- IR to EVM instructions.
 - :mod:`repro.reach.backends.teal` -- IR to TEAL source text.
-- :mod:`repro.reach.verifier` -- the static "theorem" checks Reach runs
-  at compile time (token linearity, guarded transfers, honest /
-  dishonest modes -- figures 2.11 and 5.1).
+- :mod:`repro.reach.absint` -- the one static checker: the lint gate
+  every deploy path reads (balance safety, cost bounds, cross-backend
+  equivalence, model-checked token conservation and phase progress),
+  whose report renders the ``Checked N theorems`` banner of figures
+  2.11 and 5.1.
 - :mod:`repro.reach.runtime` -- deploy/attach/API-call adapters for the
   chain simulators, reproducing the per-network transaction counts the
   evaluation measured.  :class:`ReachClient` is the one client surface:
@@ -39,7 +41,6 @@ from repro.reach.ast import (
 )
 from repro.reach.compiler import compile_program, CompiledContract
 from repro.reach.parser import parse_contract, parse_contract_file, ParseError
-from repro.reach.verifier import verify_program, VerificationReport
 from repro.reach.runtime import ReachClient, DeployedContract
 
 __all__ = [
@@ -64,8 +65,6 @@ __all__ = [
     "parse_contract",
     "parse_contract_file",
     "ParseError",
-    "verify_program",
-    "VerificationReport",
     "ReachClient",
     "DeployedContract",
 ]

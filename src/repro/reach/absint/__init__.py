@@ -1,6 +1,6 @@
 """Abstract interpretation over the compiled contract IR.
 
-The static verifier's semantic layer: a worklist fixpoint engine over
+The one static checker: a worklist fixpoint engine over
 basic-block CFGs (:mod:`engine`, :mod:`cfg`) with constant-propagation
 and interval domains (:mod:`domains`), and three analyses on top:
 
@@ -9,8 +9,7 @@ and interval domains (:mod:`domains`), and three analyses on top:
   intervals, tight enough for the bench layer to assert measured
   receipts against;
 - :mod:`balance` -- interval tracking of the contract balance proving
-  every ``transfer`` is funded by a dominating guard (the semantic
-  upgrade of the verifier's syntactic ``_guards_cover_amount``);
+  every ``transfer`` is funded by a dominating guard;
 - :mod:`equiv` -- differential execution of the emitted EVM code and
   TEAL over shared IR-derived vectors, diffing observable effects;
 - :mod:`modelcheck` -- bounded explicit-state protocol model checking:
@@ -19,7 +18,8 @@ and interval domains (:mod:`domains`), and three analyses on top:
   ``MC-SAFETY-*``/``MC-LIVE-*`` theorems or minimizing an ``MC-CEX``.
 
 :mod:`lint` aggregates everything into the findings report behind the
-``repro lint`` CLI and the runtime's deploy gate.
+``repro lint`` CLI, the runtime's deploy gate and the ``Checked N
+theorems`` banner.
 """
 
 from repro.reach.absint.balance import BalanceReport, analyze_balance

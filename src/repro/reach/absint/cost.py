@@ -115,14 +115,12 @@ class CostReport:
 
     def conservative_analysis(self, compiled: CompiledContract) -> str:
         """The figure-5.1 report for the contract these bounds were computed
-        from: verification outcome, artifact sizes, and per entry point its
+        from: the lint gate's banner, artifact sizes, and per entry point its
         IR units and the cost intervals."""
-        failures = len(compiled.verification.failures)
         ceiling = self.deploy_ceiling
         lines = [
             f"Conservative analysis of contract {compiled.name!r}",
-            f"  verification: checked {len(compiled.verification.theorems)} theorems; "
-            + (f"{failures} failures" if failures else "no failures"),
+            f"  verification: {compiled.lint_report().banner()}",
             f"  EVM artifact: {compiled.evm_code.byte_size()} bytes "
             f"(deploy ceiling {'unbounded' if ceiling is None else ceiling} gas: constructor + publish0)",
             f"  TEAL artifact: {assemble(compiled.teal_source).byte_size()} bytes",

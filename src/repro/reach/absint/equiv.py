@@ -12,10 +12,11 @@ outgoing value transfers, emitted events or the return value, all
 canonically encoded so connector representation differences (ints vs.
 ``itob`` bytes, boxes vs. hashed storage slots) never count.
 
-Any disagreement is a compile error (:class:`BackendDivergence`): the
-two backends would put real users in different states for the same
-call.  Results are cached by artifact content, so recompiling the same
-contract costs one dictionary lookup.
+Any disagreement is an ``EQ-DIVERGE`` error in the lint report, which
+every deploy path refuses: the two backends would put real users in
+different states for the same call.  Results are cached by artifact
+content, so re-linting a recompiled contract costs one dictionary
+lookup.
 
 :func:`drop_teal_store` and :func:`neutralize_evm_sstore` build
 seeded-fault artifacts for testing that the check actually catches

@@ -1,14 +1,23 @@
 """The findings report behind ``repro lint`` and the deploy gate.
 
-Aggregates every static-analysis layer over one compiled contract:
+The one static checker: its report is the only verdict on whether a
+compiled contract may be deployed, and the source of Reach's
+``Checked N theorems; No failures!`` banner (thesis figures 2.11 and
+5.1).  It aggregates every analysis layer over one compiled contract:
 
-- failed verifier theorems (``VER-*``, errors);
 - unprovable transfers and leaky halts from the balance analysis
   (``ABSINT-BAL-*``);
 - AVM budget problems from the cost analysis (``COST-*``);
 - cross-backend divergences (``EQ-DIVERGE``, errors);
 - protocol theorems and lockstep divergences from the model checker
-  (``MC-*``).
+  (``MC-*``): token conservation (``MC-SAFETY-FUNDS``) and phase
+  progress (``MC-LIVE-VERIFY``) among them.
+
+Well-formedness (a creator, a publish step, ``UInt`` Map keys,
+``Bytes(n)`` Map values, ``pays`` naming a ``UInt`` parameter) is not a
+finding here: ``compile_program`` refuses such a program with a
+:class:`~repro.reach.compiler.CompileError`, and ``repro lint`` reports
+it as ``COMPILE-ERROR`` at the declaration's span.
 
 Exit-code contract (pinned by tests and CI):
 
@@ -74,10 +83,22 @@ class LintReport:
         return any(finding.severity == "error" for finding in self.findings)
 
     @property
+    def failures(self) -> list[Finding]:
+        """The error- and warning-severity findings."""
+        return [finding for finding in self.findings if finding.severity != "info"]
+
+    @property
     def exit_code(self) -> int:
         """0 clean/info-only, 1 errors or warnings (2 is the CLI's)."""
-        severe = any(f.severity in ("error", "warning") for f in self.findings)
-        return 1 if severe else 0
+        return 1 if self.failures else 0
+
+    def banner(self) -> str:
+        """Reach's verdict line, one theorem per finding, then each failure."""
+        failures = self.failures
+        verdict = f"{len(failures)} failures:" if failures else "No failures!"
+        lines = [f"Checked {len(self.findings)} theorems; {verdict}"]
+        lines.extend(f"  {finding.render()}" for finding in failures)
+        return "\n".join(lines)
 
     def render(self) -> str:
         """Human-readable report: findings, then the cost table."""
@@ -111,24 +132,7 @@ def lint_compiled(compiled, source: str = "", mc_depth: int | None = None) -> Li
     source = source or compiled.name
     findings: list[Finding] = []
 
-    # 1. verifier theorems (deduplicated across the three modes)
-    seen: set[tuple[str, str]] = set()
-    for theorem in compiled.verification.failures:
-        key = (theorem.name, theorem.detail)
-        if key in seen:
-            continue
-        seen.add(key)
-        findings.append(
-            Finding(
-                severity="error",
-                theorem=getattr(theorem, "tid", "") or "VER-THEOREM",
-                message=f"{theorem.name} [{theorem.mode}]: {theorem.detail}",
-                source=source,
-                span=getattr(theorem, "span", None),
-            )
-        )
-
-    # 2. balance safety
+    # 1. balance safety
     balance = analyze_balance(compiled)
     for item in balance.findings:
         theorem = "ABSINT-BAL-TRANSFER" if item.severity == "error" else "ABSINT-BAL-HALT"
@@ -142,7 +146,7 @@ def lint_compiled(compiled, source: str = "", mc_depth: int | None = None) -> Li
             )
         )
 
-    # 3. cost bounds
+    # 2. cost bounds
     costs = analyze_costs(compiled)
     runtime_pool = 1 + ALGO_BUDGET_TXNS  # the call itself plus grouped budget txns
     for entry in costs.entries.values():
@@ -171,7 +175,7 @@ def lint_compiled(compiled, source: str = "", mc_depth: int | None = None) -> Li
                 )
             )
 
-    # 3b. the batching amortization theorem: one insert_batch anchoring
+    # 2b. the batching amortization theorem: one insert_batch anchoring
     # N proofs must beat N individual inserts for every N >= 2.
     from repro.reach.absint.cost import batch_amortization
 
@@ -209,7 +213,7 @@ def lint_compiled(compiled, source: str = "", mc_depth: int | None = None) -> Li
                 )
             )
 
-    # 4. cross-backend equivalence
+    # 3. cross-backend equivalence
     for divergence in check_equivalence(compiled):
         findings.append(
             Finding(
@@ -220,7 +224,7 @@ def lint_compiled(compiled, source: str = "", mc_depth: int | None = None) -> Li
             )
         )
 
-    # 5. protocol model checking: bounded adversarial-interleaving
+    # 4. protocol model checking: bounded adversarial-interleaving
     # exploration of both emitted artifacts.  Proved safety/liveness
     # theorems report as [info]; every refuted theorem is an [error]
     # MC-CEX whose data payload carries the replayable schedule.

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.reach.types import Address, Fun, ReachType, UInt
+from repro.reach.types import Fun, ReachType, UInt
 
 #: a source location: (line, column), 1-based, from the ``.rsh`` frontend
 Span = tuple[int, int]
@@ -26,9 +26,8 @@ def set_span(node: Any, span: Span | None) -> Any:
     """Attach a source span to an AST node (parser bookkeeping).
 
     Spans live outside the dataclass fields on purpose: two nodes that
-    denote the same expression must stay equal (the verifier matches
-    transfer amounts against guard summands structurally), so the span
-    must not participate in ``__eq__``/``__hash__``.
+    denote the same expression must stay equal wherever they appear, so
+    the span must not participate in ``__eq__``/``__hash__``.
     """
     if span is not None:
         object.__setattr__(node, "span", span)
@@ -116,14 +115,6 @@ class ArgRef(Expr):
 
 
 @dataclass(frozen=True)
-class InteractRef(Expr):
-    """A value supplied by a participant's frontend (``interact.x``)."""
-
-    participant: str
-    name: str
-
-
-@dataclass(frozen=True)
 class BalanceExpr(Expr):
     """``balance()`` -- the contract's native-token balance."""
 
@@ -136,11 +127,6 @@ class CallerExpr(Expr):
 @dataclass(frozen=True)
 class PayAmountExpr(Expr):
     """The native tokens attached to the current call (its pay amount)."""
-
-
-@dataclass(frozen=True)
-class NowExpr(Expr):
-    """The consensus time (block timestamp / round time)."""
 
 
 @dataclass(frozen=True)
@@ -315,13 +301,17 @@ class Map:
 
     Keys must be ``UInt`` -- the same connector restriction the thesis
     hit ("Algorand does not support indexing of Map with key type
-    differs from UInt", section 4.1.1).  The verifier enforces it.
+    differs from UInt", section 4.1.1).  Values must be ``Bytes(n)``,
+    whose non-zero encoding tells a present entry from an absent one.
+    ``compile_program`` enforces both.
     """
 
     name: str
     key_type: ReachType = UInt
     value_type: ReachType | None = None
     slot: int = 0  # assigned by Program.map()
+
+    span = None  # class-level Span default; the parser attaches real ones
 
     def get_or(self, key: Expr, default: Expr) -> MapGetOr:
         """``fromSome(map[key], default)``."""
@@ -421,7 +411,7 @@ class View:
 
 @dataclass
 class Program:
-    """A whole contract: the unit the compiler and verifier consume."""
+    """A whole contract: the unit the compiler and the lint gate consume."""
 
     name: str
     creator: Participant

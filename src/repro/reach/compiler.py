@@ -1,10 +1,11 @@
 """Lowering: AST -> IR, plus the top-level ``compile_program`` pipeline.
 
-``compile_program`` runs the static verifier first (Reach refuses to
-emit code for unverified programs), lowers the AST to IR, then invokes
-both connector backends so one source yields an EVM artifact *and* a
-TEAL artifact -- the thesis's "single source code, generating the code
-for each of the blockchains".
+``compile_program`` checks the program is well formed, lowers the AST
+to IR, then invokes both connector backends so one source yields an
+EVM artifact *and* a TEAL artifact -- the thesis's "single source code,
+generating the code for each of the blockchains".  Whether the
+artifacts are safe to deploy is the lint gate's verdict
+(:meth:`CompiledContract.lint_report`), which every deploy path reads.
 
 On-chain phase protocol (slot ``_phase``):
 
@@ -25,20 +26,19 @@ from typing import Any
 
 from repro.reach import ast as A
 from repro.reach.ir import IRContract, IRFunction, IROp, with_span
-from repro.reach.types import BytesN, Fun, ReachType, UInt, _Address, _UInt
+from repro.reach.types import BytesN, ReachType, _Address, _UInt
 
 
 class CompileError(Exception):
-    """The program cannot be lowered (type or structure problem)."""
+    """The program cannot be lowered (type or structure problem).
 
+    ``span`` is the (line, col) of the offending declaration when the
+    program came from ``.rsh`` source, else None.
+    """
 
-class BackendDivergence(CompileError):
-    """The EVM and TEAL artifacts disagree on observable effects."""
-
-    def __init__(self, divergences: list):
-        self.divergences = divergences
-        lines = "\n".join(f"  - {d}" for d in divergences)
-        super().__init__(f"cross-backend equivalence check failed:\n{lines}")
+    def __init__(self, message: str, span: A.Span | None = None):
+        super().__init__(message)
+        self.span = span
 
 
 @dataclass
@@ -49,7 +49,6 @@ class CompiledContract:
     ir: IRContract
     evm_code: Any  # EvmCode
     teal_source: str
-    verification: Any  # VerificationReport
     _lint: Any = field(default=None, repr=False, compare=False)
 
     @property
@@ -65,7 +64,8 @@ class CompiledContract:
         return types
 
     def lint_report(self):
-        """The static-analysis findings report (computed once, cached)."""
+        """The static-analysis findings report (computed once, cached):
+        the one verdict on whether the contract may be deployed."""
         if self._lint is None:
             from repro.reach.absint.lint import lint_compiled
 
@@ -126,17 +126,9 @@ class _FunctionLowerer:
         if isinstance(node, A.PayAmountExpr):
             self.emit("VALUE")
             return "uint"
-        if isinstance(node, A.NowExpr):
-            self.emit("NOW")
-            return "uint"
         if isinstance(node, A.BalanceExpr):
             self.emit("BALANCE")
             return "uint"
-        if isinstance(node, A.InteractRef):
-            raise CompileError(
-                f"interact.{node.name} is only available as a publish parameter; "
-                "reference it with arg(i) inside the publish body"
-            )
         if isinstance(node, A.BinOp):
             left_kind = self.expr(node.left)
             right_kind = self.expr(node.right)
@@ -394,7 +386,7 @@ class _Lowering:
 
 
 def lower_to_ir(program: A.Program) -> IRContract:
-    """Lower a verified program to IR."""
+    """Lower a well-formed program to IR."""
     _validate_structure(program)
     return _Lowering(program).lower()
 
@@ -408,36 +400,35 @@ def _validate_structure(program: A.Program) -> None:
         if not isinstance(mapping.key_type, _UInt):
             raise CompileError(
                 f"Map {mapping.name!r}: key type must be UInt -- the Algorand connector "
-                "does not support other key types (thesis section 4.1.1)"
+                "does not support other key types (thesis section 4.1.1)",
+                mapping.span,
+            )
+        if not isinstance(mapping.value_type, BytesN):
+            raise CompileError(
+                f"Map {mapping.name!r}: value type must be Bytes(n) -- EVM storage "
+                "needs a non-zero encoding to tell a present entry from an absent one",
+                mapping.span,
+            )
+    for qualified, _, method in program.all_methods():
+        domain = method.signature.domain
+        if method.pay is not None and not (
+            0 <= method.pay < len(domain) and isinstance(domain[method.pay], _UInt)
+        ):
+            raise CompileError(
+                f"{qualified}: pays argument {method.pay} must be a declared UInt parameter",
+                method.span,
             )
 
 
-def compile_program(program: A.Program, check: bool = True) -> CompiledContract:
-    """Verify, lower, and generate code for both connectors."""
+def compile_program(program: A.Program) -> CompiledContract:
+    """Lower and generate code for both connectors."""
     from repro.reach.backends.evm import generate_evm
     from repro.reach.backends.teal import generate_teal
-    from repro.reach.verifier import VerificationFailure, verify_program
 
-    report = verify_program(program)
-    if check and not report.ok:
-        raise VerificationFailure(report)
     ir = lower_to_ir(program)
-    evm_code = generate_evm(ir)
-    teal_source = generate_teal(ir)
-    compiled = CompiledContract(
+    return CompiledContract(
         program=program,
         ir=ir,
-        evm_code=evm_code,
-        teal_source=teal_source,
-        verification=report,
+        evm_code=generate_evm(ir),
+        teal_source=generate_teal(ir),
     )
-    if check:
-        # Differential check: both artifacts must agree on observable
-        # effects for the shared IR-derived vectors (cached per artifact
-        # pair, so recompiling the same contract costs one dict lookup).
-        from repro.reach.absint.equiv import check_equivalence
-
-        divergences = check_equivalence(compiled)
-        if divergences:
-            raise BackendDivergence(divergences)
-    return compiled

@@ -195,14 +195,15 @@ class _Parser:
         self.globals.add(name)
 
     def _map_decl(self) -> None:
-        self._expect("map")
+        keyword = self._expect("map")
         name = self._ident()
         self._expect(":")
         key_type = self._type()
         self._expect("=>")
         value_type = self._type()
         self._expect(";")
-        self.maps[name] = self.program.map(name, key_type=key_type, value_type=value_type)
+        declared = self.program.map(name, key_type=key_type, value_type=value_type)
+        self.maps[name] = A.set_span(declared, keyword.span)
 
     def _type(self) -> ReachType:
         token = self._next()

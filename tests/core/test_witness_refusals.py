@@ -40,14 +40,15 @@ def request_of(system, prover_name, nonce=None, olc=None):
 
 
 def refusal(system, request, device, keypair=None):
-    prover = next(p for p in system.provers.values() if p.did_uint == request.did)
+    if keypair is None:
+        keypair = next(p for p in system.provers.values() if p.did_uint == request.did).keypair
     with pytest.raises(WitnessRefusal) as caught:
         system.witnesses["walter"].handle_request(
             request,
             prover_device=device,
             channel=system.channel,
             registry=system.registry,
-            prover_keypair=keypair or prover.keypair,
+            prover_keypair=keypair,
         )
     assert type(caught.value) is WitnessRefusal
     return str(caught.value)
@@ -113,6 +114,17 @@ def test_failed_did_authentication_keeps_the_nonce(system):
     request = request_of(system, "anna")
     imposter = KeyPair.from_seed(b"imposter")
     assert refusal(system, request, "anna", keypair=imposter) == "DID authentication failed"
+    assert request.nonce in system.witnesses["walter"].issued_nonces
+
+
+def test_unregistered_did_fails_authentication(system):
+    request = ProofRequest(
+        did=12345, olc=system.provers["anna"].olc,
+        nonce=system.witnesses["walter"].issue_nonce(), cid="bafkreitest",
+    )
+    assert refusal(system, request, "anna", keypair=system.provers["anna"].keypair) == (
+        "DID authentication failed: no DID registered for UInt id 12345"
+    )
     assert request.nonce in system.witnesses["walter"].issued_nonces
 
 

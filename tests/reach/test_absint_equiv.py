@@ -20,7 +20,7 @@ from repro.reach.absint.equiv import (
     neutralize_evm_sstore,
 )
 from repro.reach.absint.lint import lint_compiled
-from repro.reach.compiler import BackendDivergence, compile_program
+from repro.reach.compiler import compile_program
 from repro.reach.parser import parse_contract_file
 
 REPO = Path(__file__).resolve().parents[2]
@@ -45,9 +45,10 @@ class TestBackendsAgree:
         assert check_equivalence(crowdfunding) == []
 
     def test_compile_with_check_enforces_equivalence(self):
-        # check=True ran the equivalence gate and did not raise
-        compiled = compile_program(build_pol_program(), check=True)
-        assert compiled.verification.ok
+        # the lint gate every deploy path reads runs the equivalence check
+        report = compile_program(build_pol_program()).lint_report()
+        assert not any(f.theorem == "EQ-DIVERGE" for f in report.findings)
+        assert not report.has_errors
 
 
 class TestSeededMutationsAreCaught:
@@ -91,13 +92,6 @@ class TestSeededMutationsAreCaught:
             drop_teal_store(pol.teal_source, 10_000)
         with pytest.raises(ValueError):
             neutralize_evm_sstore(pol.evm_code, 10_000)
-
-
-class TestDivergenceErrors:
-    def test_backend_divergence_carries_the_diffs(self):
-        error = BackendDivergence(["constructor [create]: global 'x' differs"])
-        assert error.divergences
-        assert "differs" in str(error)
 
 
 class TestGoldenDivergences:

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.chain.algorand.teal import assemble
+from repro.chain.ethereum import EthereumChain
 from repro.core.contract import build_pol_program
 from repro.reach import ast as A
 from repro.reach.compiler import CompileError, compile_program, lower_to_ir
+from repro.reach.runtime import ReachClient, ReachRuntimeError
 from repro.reach.types import Bytes, Fun, UInt
 
 
@@ -109,15 +111,16 @@ class TestBackends:
 
 class TestVerificationGate:
     def test_verified_program_compiles(self, compiled):
-        assert compiled.verification.ok
-        assert "No failures!" in compiled.verification.summary()
+        assert compiled.lint_report().banner().endswith("theorems; No failures!")
 
     def test_unverified_program_refused(self):
-        from repro.reach.verifier import VerificationFailure
-
         program = build_pol_program()
         # Break token linearity: remove the draining timeout of the last phase.
         bad = program.phases[-1]
         object.__setattr__(bad, "timeout", (60.0, ()))
-        with pytest.raises(VerificationFailure):
-            compile_program(program)
+        compiled = compile_program(program)
+        chain = EthereumChain(profile="eth-devnet", seed=7, validator_count=4)
+        creator = chain.create_account(seed=b"creator", funding=10**18)
+        with pytest.raises(ReachRuntimeError, match="MC-SAFETY-FUNDS refuted"):
+            ReachClient(chain).deploy(compiled, creator, ["7H369F4W+Q9", 1, "r" * 16])
+        assert chain.next_nonce_for(creator.address) == 0

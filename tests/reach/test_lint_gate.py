@@ -72,6 +72,27 @@ class TestExitCodes:
         assert main(["lint", str(bad)]) == 1
         assert "PARSE-ERROR" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "old, new, declaration",
+        [
+            ("Bytes(64);\n", "Bytes(64);\n    map counts : UInt => UInt;\n", "map counts"),
+            ("amount: UInt) returns", "amount: Bytes(8)) returns", "pledge("),
+        ],
+        ids=["uint-map-value", "bytes-pay"],
+    )
+    def test_ill_formed_declaration_is_an_error_at_its_line(
+        self, tmp_path, capsys, old, new, declaration
+    ):
+        broken = tmp_path / "crowdfunding.rsh"
+        broken.write_text(Path(CROWDFUNDING).read_text().replace(old, new, 1))
+        line, col = next(
+            (number, text.index(declaration) + 1)
+            for number, text in enumerate(broken.read_text().splitlines(), start=1)
+            if declaration in text
+        )
+        assert main(["lint", str(broken)]) == 1
+        assert f"  [error] COMPILE-ERROR {broken}:{line}:{col}: " in capsys.readouterr().out
+
     def test_empty_directory_exits_two(self, tmp_path):
         assert main(["lint", str(tmp_path)]) == 2
 

@@ -2,7 +2,7 @@
 
 The flagship test parses ``contracts/proof_of_location.rsh`` and checks
 it is *behaviourally identical* to the Python-built program: same
-verification outcome, same compiled entry points, and the same
+lint verdict, same compiled entry points, and the same
 execution trace over a full scenario.
 """
 
@@ -44,7 +44,7 @@ class TestGrammar:
     def test_mini_contract_parses_and_compiles(self):
         program = parse_contract(MINI)
         compiled = compile_program(program)
-        assert compiled.verification.ok
+        assert compiled.lint_report().failures == []
         assert "counterAPI.bump" in compiled.evm_code.methods
 
     def test_comments_and_whitespace(self):
@@ -95,7 +95,7 @@ class TestCrowdfundingRshFile:
         path = RSH_PATH.parent / "crowdfunding.rsh"
         program = parse_contract_file(str(path))
         compiled = compile_program(program)
-        assert compiled.verification.ok
+        assert compiled.lint_report().failures == []
         chain = EthereumChain(profile="eth-devnet", seed=202, validator_count=4)
         client = ReachClient(chain)
         owner = chain.create_account(seed=b"owner", funding=10**19)
@@ -115,7 +115,7 @@ class TestPolRshFile:
 
     def test_parses_and_verifies(self, parsed):
         compiled = compile_program(parsed)
-        assert compiled.verification.ok
+        assert compiled.lint_report().failures == []
 
     def test_same_entry_points_as_python_build(self, parsed):
         from_rsh = set(compile_program(parsed).ir.functions)

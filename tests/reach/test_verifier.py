@@ -1,16 +1,29 @@
-"""Tests for the static verifier's theorems and the conservative analysis."""
+"""The static checks Reach runs before deploy, and the conservative analysis.
+
+One checker decides whether a contract may be deployed: a program that
+is not well formed never compiles (:class:`CompileError`), and every
+other check is a lint finding that makes ``ReachClient.deploy`` refuse
+before any transaction.  Each check has one home:
+
+- creator, publish step, Map key/value types and ``pays`` declarations:
+  ``compile_program``;
+- transfer fundability: the balance analysis (``ABSINT-BAL-TRANSFER``);
+- token linearity: ``MC-SAFETY-FUNDS``;
+- phase progress: ``MC-LIVE-VERIFY``.
+"""
 
 import pytest
 
+from repro.chain.ethereum import EthereumChain
 from repro.core.contract import build_pol_program
 from repro.reach import ast as A
 from repro.reach.absint.cost import analyze_costs
-from repro.reach.compiler import compile_program
+from repro.reach.compiler import CompileError, compile_program
+from repro.reach.runtime import ReachClient, ReachRuntimeError
 from repro.reach.types import Bytes, Fun, UInt
-from repro.reach.verifier import MODES, verify_program
 
 
-def minimal_program(**overrides):
+def minimal_program():
     """A tiny valid program used as a mutation base."""
     program = A.Program(name="mini", creator=A.Participant("Creator", {}))
     counter = program.declare_global("count", 1)
@@ -24,85 +37,109 @@ def minimal_program(**overrides):
     return program
 
 
+def with_methods(program, *methods):
+    object.__setattr__(program.phases[0].apis[0], "methods", methods)
+    return program
+
+
+def lint(program):
+    return compile_program(program).lint_report()
+
+
+def refuted(report) -> set[str]:
+    """The model-checker theorems a report's counterexamples refute."""
+    return {f.message.split()[0] for f in report.findings if f.theorem == "MC-CEX"}
+
+
+def assert_deploy_refused(program, publish_args):
+    """``ReachClient.deploy`` refuses the program before any transaction."""
+    chain = EthereumChain(profile="eth-devnet", seed=7, validator_count=4)
+    creator = chain.create_account(seed=b"creator", funding=10**18)
+    with pytest.raises(ReachRuntimeError, match="refusing to deploy"):
+        ReachClient(chain).deploy(compile_program(program), creator, publish_args)
+    assert chain.next_nonce_for(creator.address) == 0
+
+
 class TestTheoremCoverage:
     def test_pol_contract_verifies(self):
-        report = verify_program(build_pol_program())
-        assert report.ok
-        assert len(report.theorems) > 30
-
-    def test_runs_all_three_modes(self):
-        report = verify_program(build_pol_program())
-        assert {theorem.mode for theorem in report.theorems} == set(MODES)
+        report = lint(build_pol_program())
+        assert report.failures == []
+        assert {f.theorem for f in report.findings} >= {"MC-SAFETY-FUNDS", "MC-LIVE-VERIFY"}
 
     def test_summary_banner(self):
-        report = verify_program(build_pol_program())
-        summary = report.summary()
-        assert "Verifying when ALL participants are honest" in summary
-        assert "No failures!" in summary
+        report = lint(build_pol_program())
+        assert report.banner() == f"Checked {len(report.findings)} theorems; No failures!"
 
     def test_minimal_program_verifies(self):
-        assert verify_program(minimal_program()).ok
+        assert lint(minimal_program()).failures == []
 
 
 class TestTokenLinearity:
     def test_paid_contract_without_drain_fails(self):
-        program = minimal_program()
         paid = A.ApiMethod("fund", Fun([UInt], UInt), pay=0, body=[A.Return(A.arg(0))])
-        object.__setattr__(program.phases[0].apis[0], "methods", (paid,))
-        report = verify_program(program)
-        assert not report.ok
-        assert any("token linearity" in theorem.name for theorem in report.failures)
+        program = with_methods(minimal_program(), paid)
+        report = lint(program)
+        assert "MC-SAFETY-FUNDS" in refuted(report)
+        assert report.banner().startswith(f"Checked {len(report.findings)} theorems; 1 failures:")
+        assert_deploy_refused(program, [1])
 
     def test_paid_contract_with_draining_timeout_passes(self):
-        program = minimal_program()
         paid = A.ApiMethod("fund", Fun([UInt], UInt), pay=0, body=[A.Return(A.arg(0))])
+        program = with_methods(minimal_program(), paid)
         drain = (60.0, (A.Transfer(A.glob("_creator"), A.balance()),))
-        object.__setattr__(program.phases[0].apis[0], "methods", (paid,))
         object.__setattr__(program.phases[0], "timeout", drain)
-        assert verify_program(program).ok
+        assert lint(program).failures == []
 
     def test_unpaid_contract_trivially_linear(self):
-        report = verify_program(minimal_program())
-        assert any("no incoming tokens" in theorem.name for theorem in report.theorems)
+        report = lint(minimal_program())
+        assert any(f.theorem == "MC-SAFETY-FUNDS" and f.severity == "info" for f in report.findings)
 
 
 class TestGuardedTransfers:
     def test_unguarded_fixed_transfer_fails(self):
-        program = minimal_program()
         bad = A.ApiMethod("leak", Fun([], None), body=[A.Transfer(A.caller(), A.const(100))])
-        object.__setattr__(program.phases[0].apis[0], "methods", (bad,))
-        report = verify_program(program)
-        assert any("fundable" in theorem.name and not theorem.ok for theorem in report.theorems)
+        program = with_methods(minimal_program(), bad)
+        transfers = [f for f in lint(program).failures if f.theorem == "ABSINT-BAL-TRANSFER"]
+        assert len(transfers) == 1 and transfers[0].message.startswith("api.leak:")
+        assert_deploy_refused(program, [1])
 
     def test_guarded_transfer_passes(self):
-        program = minimal_program()
         guarded = A.ApiMethod(
             "payout",
             Fun([], None),
             body=[A.If(A.balance() >= A.const(100), then=[A.Transfer(A.caller(), A.const(100))])],
         )
-        object.__setattr__(program.phases[0].apis[0], "methods", (guarded,))
-        assert all(t.ok for t in verify_program(program).theorems if "fundable" in t.name)
+        assert lint(with_methods(minimal_program(), guarded)).failures == []
 
     def test_balance_drain_always_fundable(self):
-        program = minimal_program()
         drain = A.ApiMethod("drain", Fun([], None), body=[A.Transfer(A.caller(), A.balance())])
-        object.__setattr__(program.phases[0].apis[0], "methods", (drain,))
-        assert all(t.ok for t in verify_program(program).theorems if "fundable" in t.name)
+        assert lint(with_methods(minimal_program(), drain)).failures == []
 
 
 class TestMapTheorems:
     def test_bytes_key_map_fails(self):
         program = minimal_program()
         program.map("bad", key_type=Bytes(32), value_type=Bytes(64))
-        report = verify_program(program)
-        assert any("key type is UInt" in theorem.name and not theorem.ok for theorem in report.theorems)
+        with pytest.raises(CompileError, match="Map 'bad': key type must be UInt"):
+            compile_program(program)
 
     def test_uint_value_map_fails_presence_encoding(self):
         program = minimal_program()
         program.map("counted", key_type=UInt, value_type=UInt)
-        report = verify_program(program)
-        assert any("presence encoding" in theorem.name and not theorem.ok for theorem in report.theorems)
+        with pytest.raises(CompileError, match=r"Map 'counted': value type must be Bytes\(n\)"):
+            compile_program(program)
+
+
+class TestPayDeclarations:
+    @pytest.mark.parametrize(
+        "signature, pay",
+        [(Fun([UInt], UInt), 1), (Fun([UInt], UInt), -1), (Fun([Bytes(8)], UInt), 0)],
+        ids=["past-arity", "negative", "bytes-param"],
+    )
+    def test_pay_must_name_a_uint_parameter(self, signature, pay):
+        paid = A.ApiMethod("fund", signature, pay=pay, body=[A.Return(A.const(0))])
+        with pytest.raises(CompileError, match="api.fund: pays argument"):
+            compile_program(with_methods(minimal_program(), paid))
 
 
 class TestPhaseProgress:
@@ -112,25 +149,12 @@ class TestPhaseProgress:
         program.publish(params=[], body=[])
         noop = A.ApiMethod("noop", Fun([], None), body=[])
         program.phase("forever", A.glob("flag") > A.const(0), [A.ApiGroup("api", [noop])])
-        report = verify_program(program)
-        assert any("can end" in theorem.name and not theorem.ok for theorem in report.theorems)
+        assert "MC-LIVE-VERIFY" in refuted(lint(program))
+        assert_deploy_refused(program, [])
 
     def test_timeout_makes_phase_endable(self):
-        assert verify_program(minimal_program()).ok
-
-
-class TestDishonestMode:
-    def test_require_on_interact_fails_dishonest_mode(self):
-        program = minimal_program()
-        trusting = A.ApiMethod(
-            "trusting",
-            Fun([], None),
-            body=[A.Require(A.InteractRef("Creator", "claims").eq(A.const(1)), "trusted claim")],
-        )
-        object.__setattr__(program.phases[0].apis[0], "methods", (trusting,))
-        report = verify_program(program)
-        failures = [t for t in report.failures if t.mode == "NO participants honest"]
-        assert failures
+        report = lint(minimal_program())
+        assert any(f.theorem == "MC-LIVE-VERIFY" and f.severity == "info" for f in report.findings)
 
 
 class TestConservativeAnalysis:
@@ -163,5 +187,5 @@ class TestConservativeAnalysis:
 
     def test_render_mentions_theorems(self, compiled, costs):
         text = costs.conservative_analysis(compiled)
-        assert "theorems" in text
+        assert f"  verification: {compiled.lint_report().banner()}\n" in text
         assert "entry point" in text

@@ -4,8 +4,8 @@ The checker's state digests deliberately ignore gas, opcode counts and
 error strings, so a sweep can stay byte-identical while an interpreter
 drifts underneath it.  This test closes that gap: it records every
 ``EVM.execute`` / ``AVM.execute`` outcome of the PoL and crowdfunding
-sweeps at a reduced depth, plus the per-vector equivalence check that
-compiling them runs -- inputs, status, error text, gas or opcode count,
+sweeps at a reduced depth, plus the per-vector equivalence check the
+lint gate runs beside them -- inputs, status, error text, gas or opcode count,
 writes, deletes, transfers, logs and return value -- and pins a SHA-256
 over the sorted set of distinct (inputs, outcome) records.
 
@@ -119,6 +119,7 @@ def transcript():
         _recording(monkeypatch, records)
         for name in CONTRACTS:
             compiled = compile_program(parse_contract((REPO / "contracts" / name).read_text()))
+            assert equiv.check_equivalence(compiled) == []
             report = check_protocol(compiled, MCConfig(depth=DEPTH))
             assert report.ok, report.render()
     return sorted(records)

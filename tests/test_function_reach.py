@@ -5,11 +5,13 @@ same roots: the CLI entry point, the chapter-5 benchmarks, the
 repository benchmark and the shipped examples, plus every module they
 reach.  A definition passes when one of those files calls or reads its
 name outside its own body: as a name, an attribute, an import alias or
-an identifier-like string constant.  Three mentions do not count, as
+an identifier-like string constant.  Four mentions do not count, as
 none of them calls or reads anything: a string in ``__all__``, an
-import in a package ``__init__`` (a re-export), and, for a method, a
-bare name (a local variable that happens to share the method's name;
-a method is reached only as an attribute or through a string).  The
+import in a package ``__init__`` (a re-export), a name inside the
+second argument of ``isinstance`` (a type test that no value of a
+never-built class can pass), and, for a method, a bare name (a local
+variable that happens to share the method's name; a method is reached
+only as an attribute or through a string).  The
 scan is by name, not by type, so it passes anything some run could
 call; what it flags, no run can.
 
@@ -76,13 +78,21 @@ def mentions(tree: ast.Module, package_init: bool):
     marks a plain variable name, which never reaches a method.
 
     Strings in ``__all__`` are not mentions, and neither are the
-    imports of a package ``__init__``: both only re-export a name."""
+    imports of a package ``__init__``: both only re-export a name.
+    Nor are the names in ``isinstance``'s second argument: testing for
+    a class builds none of it."""
     exports = {id(node) for statement in tree.body
                if isinstance(statement, ast.Assign)
                and any(isinstance(target, ast.Name) and target.id == "__all__"
                        for target in statement.targets)
                for node in ast.walk(statement.value)}
+    type_tests = {id(node) for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                  and call.func.id == "isinstance" and len(call.args) == 2
+                  for node in ast.walk(call.args[1])}
     for node in ast.walk(tree):
+        if id(node) in type_tests:
+            continue
         if isinstance(node, ast.Name):
             yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
@@ -145,8 +155,11 @@ class Box:
         ("pkg/__init__.py", "from m import helper, Box\nBox().size()", ["m.helper"]),
         ("run.py", "from m import Box\n__all__ = ['helper']\nBox().size()", ["m.helper"]),
         ("run.py", "from m import helper, Box\nhelper(); size = Box; print(size)", ["m.Box.size"]),
+        ("run.py", "import m\nm.helper(); print(isinstance(m.helper, (int, m.Box)))",
+         ["m.Box", "m.Box.size"]),
     ],
-    ids=["called", "method-by-string", "init-re-export", "all-string", "method-as-local"],
+    ids=["called", "method-by-string", "init-re-export", "all-string", "method-as-local",
+         "isinstance-only"],
 )
 def test_only_a_call_or_read_counts_as_a_use(user_path, user, flagged):
     used = uses([(pathlib.Path(user_path), user)])

@@ -513,14 +513,17 @@ def _cmd_lint(args) -> int:
     worst = 0
     for path in sources:
         name = str(path)
+        contract = path.stem  # until the file parses and declares its name
         try:
             try:
-                compiled = compile_program(parse_contract_file(name))
+                program = parse_contract_file(name)
+                contract = program.name
+                compiled = compile_program(program)
             except (ParseError, CompileError) as exc:
                 theorem = "PARSE-ERROR" if isinstance(exc, ParseError) else "COMPILE-ERROR"
                 span = getattr(exc, "span", None)
                 report = LintReport(
-                    contract=path.stem,
+                    contract=contract,
                     source=name,
                     findings=[Finding("error", theorem, str(exc), source=name, span=span)],
                 )
@@ -547,7 +550,7 @@ def _cmd_lint(args) -> int:
             report = lint_compiled(compiled, source=name, mc_depth=args.mc_depth)
         except ValueError as exc:
             report = LintReport(
-                contract=path.stem,
+                contract=contract,
                 source=name,
                 findings=[Finding("error", "LINT-INTERNAL", str(exc), source=name)],
             )

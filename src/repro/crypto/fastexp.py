@@ -19,11 +19,12 @@ for ``G`` (keys, signatures, ElGamal) and :func:`h_pow` for ``H``.
 Every hash-to-group element is ``H ** e`` for a public exponent ``e``,
 so the VRF's exponentiations of round-message elements -- Algorand
 sortition, every participant every round -- are ``H`` comb lookups
-too.  Wider windows were measured and rejected: past 8 bits the table
-stops fitting in cache and lookup misses eat the saved
-multiplications.  Arbitrary bases (per-witness keys in signature
-verification, a VRF proof's ``gamma``) still go through builtin
-``pow``.
+too.  The window stays 8 bits wide: a 10-bit table (16 x 1023 entries
+per base) would save 4 of a call's ~20 multiplications but cost about
+4 MB more for the two bases, and a native call's measured cost was its
+Python boundary and cache misses, not its multiplications (see
+``_combext.c``).  Arbitrary bases (per-witness keys in signature
+verification, a VRF proof's ``gamma``) still go through builtin ``pow``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from repro.obs.prof import staged
 __all__ = ["FixedBaseComb", "g_pow", "h_pow"]
 
 #: default window width in bits; 8 trades a small one-time table build
-#: (21 teeth x 255 modmuls) for a fifth of the multiplications of
-#: square-and-multiply -- it amortizes within the first millisecond of
-#: any run.
+#: (21 teeth x 255 modmuls, about 0.9 MB per base in the native comb)
+#: for a tenth of the modmuls of square-and-multiply; wider tables grow
+#: by 4x per two bits for a few saved multiplications.
 WINDOW_BITS = 8
 
 class FixedBaseComb:

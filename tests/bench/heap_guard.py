@@ -3,10 +3,12 @@
 A seeded :func:`run_traced_journeys` campaign (seed 1, every tenth
 journey traced) runs in a fresh interpreter under ``tracemalloc``,
 after a one-group warm-up campaign.  Right after its last wave
-(``verify_many``, or ``light_verify_many`` when batched) the guard runs
-``gc.collect()`` and counts the tracked objects and traced bytes the
-campaign added.  Divided by the provers, that is the heap each prover leaves
-behind while everything a later read needs is still reachable.
+(``verify_many``, or ``light_verify_many`` when batched) the guard
+collects until the tracked-object count stops changing (see
+:func:`_settled_objects`) and counts the tracked objects and traced
+bytes the campaign added.  Divided by the provers, that is the heap
+each prover leaves behind while everything a later read needs is still
+reachable.
 
 :data:`PINNED` holds the counts of the current retention policy (see
 DESIGN.md, "Retention policy"); a campaign that keeps more fails.
@@ -26,14 +28,14 @@ ROOT = Path(__file__).resolve().parents[2]
 #: (network, users, batch size) -> (tracked objects, traced bytes) per
 #: prover after the last wave, rounded up
 PINNED = {
-    ("goerli", 256, None): (31.973, 9017),
-    ("goerli", 256, 16): (20.918, 5336),
-    ("algorand-testnet", 256, None): (32.352, 9368),
-    ("algorand-testnet", 256, 16): (21.848, 5736),
-    ("goerli", 1000, None): (25.427, 8329),
-    ("goerli", 992, 16): (15.171, 4556),
-    ("algorand-testnet", 1000, None): (25.968, 8593),
-    ("algorand-testnet", 992, 16): (15.568, 4772),
+    ("goerli", 256, None): (28.477, 9017),
+    ("goerli", 256, 16): (19.262, 5336),
+    ("algorand-testnet", 256, None): (30.856, 9368),
+    ("algorand-testnet", 256, 16): (20.559, 5736),
+    ("goerli", 1000, None): (23.134, 8329),
+    ("goerli", 992, 16): (13.878, 4556),
+    ("algorand-testnet", 1000, None): (24.675, 8593),
+    ("algorand-testnet", 992, 16): (14.462, 4772),
 }
 
 #: traced bytes per prover two runs may differ by.  Object counts repeat
@@ -42,13 +44,30 @@ PINNED = {
 BYTES_JITTER = 1.0
 
 
+def _settled_objects() -> int:
+    """Tracked objects once ``gc.collect()`` stops changing their count.
+
+    A collection untracks a tuple only if its members are already
+    untracked, so a tuple of tuples drops out one pass after its members
+    do; a single pass would count it or not depending on what came
+    before.
+    """
+    import gc
+
+    objects = -1
+    while True:
+        gc.collect()
+        settled, objects = objects, len(gc.get_objects())
+        if objects == settled:
+            return objects
+
+
 def count(network: str, users: int, batch_size: int | None) -> dict[str, float]:
     """Run the warm-up and the measured campaign here; per-prover counts.
 
     Needs a fresh interpreter (see :func:`measure`): it starts
     ``tracemalloc`` and patches the last wave to count after it.
     """
-    import gc
     import tracemalloc
 
     from repro.bench.simulation import run_traced_journeys
@@ -60,8 +79,7 @@ def count(network: str, users: int, batch_size: int | None) -> dict[str, float]:
 
     def counted(*args, **kwargs):
         result = wave(*args, **kwargs)
-        gc.collect()
-        last[:] = [len(gc.get_objects()), tracemalloc.get_traced_memory()[0]]
+        last[:] = [_settled_objects(), tracemalloc.get_traced_memory()[0]]
         return result
 
     setattr(ProofOfLocationSystem, final, counted)
@@ -69,8 +87,7 @@ def count(network: str, users: int, batch_size: int | None) -> dict[str, float]:
     # One location group first loads what every campaign shares (lazy
     # imports, the native comb, compile caches), so the count is per prover.
     run_traced_journeys(network, batch_size or 4, seed=2, sample_every=10, batch_size=batch_size)
-    gc.collect()
-    objects, traced = len(gc.get_objects()), tracemalloc.get_traced_memory()[0]
+    objects, traced = _settled_objects(), tracemalloc.get_traced_memory()[0]
     run_traced_journeys(network, users, seed=1, sample_every=10, batch_size=batch_size)
     return {"objects": (last[0] - objects) / users, "bytes": (last[1] - traced) / users}
 

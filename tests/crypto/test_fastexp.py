@@ -6,6 +6,9 @@ divergence would corrupt every signature, key and VRF credential in a
 run.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +17,10 @@ from repro.crypto import fastexp, group
 from repro.crypto.fastexp import FixedBaseComb, g_pow, h_pow
 from repro.crypto.native import load_native_comb
 
-# deterministic spread: boundaries plus a multiplicative orbit in Z_Q
-EXPONENTS = [0, 1, 2, 255, 256, 257, group.Q - 1, group.Q // 2] + [
+# deterministic spread: boundaries plus a multiplicative orbit in Z_Q.
+# 0, 256 and 2**160 have a zero lowest window (the native comb starts
+# its accumulator there); 2**168 - 1 has every window 0xff.
+EXPONENTS = [0, 1, 2, 255, 256, 257, 1 << 160, (1 << 168) - 1, group.Q - 1, group.Q // 2] + [
     pow(1000003, i, group.Q) for i in range(1, 6)
 ]
 
@@ -49,27 +54,85 @@ class TestFixedBaseComb:
 
 
 class TestNativeComb:
-    """The OpenSSL-backed comb, when the host toolchain can build it.
+    """The OpenSSL-backed comb on ``G``, when the host toolchain can build it.
 
     Skipped (not failed) where no compiler or headers exist -- the
     kernel falls back to the Python comb there, which the tests above
-    already pin.
+    already pin.  CI fails instead if the combs it serves are not
+    native.
     """
+
+    base = group.G
 
     @pytest.fixture(scope="class")
     def native(self):
-        comb = load_native_comb(group.G, group.P)
+        comb = load_native_comb(self.base, group.P)
         if comb is None:
             pytest.skip("native comb unavailable on this host")
         return comb
 
     @pytest.mark.parametrize("exponent", EXPONENTS)
     def test_matches_builtin_pow(self, native, exponent):
-        assert native.pow(exponent) == pow(group.G, exponent, group.P)
+        assert native.pow(exponent) == pow(self.base, exponent, group.P)
 
     def test_negative_exponent_rejected(self, native):
         with pytest.raises(ValueError):
             native.pow(-1)
+
+    def test_exponent_beyond_comb_width_rejected(self, native):
+        with pytest.raises(ValueError):
+            native.pow(1 << 168)
+
+    @pytest.mark.parametrize("exponent", [1.0, "1", None])
+    def test_non_int_exponent_rejected(self, native, exponent):
+        with pytest.raises(TypeError):
+            native.pow(exponent)
+
+
+class TestNativeCombH(TestNativeComb):
+    """The same kernel checks on the ``H`` comb."""
+
+    base = group.H
+
+
+@pytest.fixture(scope="module")
+def native_combs():
+    combs = [load_native_comb(base, group.P) for base in (group.G, group.H)]
+    if None in combs:
+        pytest.skip("native comb unavailable on this host")
+    return dict(zip((group.G, group.H), combs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 168) - 1))
+def test_native_combs_match_builtin_pow(native_combs, exponent):
+    for base, comb in native_combs.items():
+        assert comb.pow(exponent) == pow(base, exponent, group.P)
+
+
+def test_shared_combs_from_threads():
+    """Four threads, each calling g_pow and h_pow on the shared combs.
+
+    The native comb takes no lock: each call holds the GIL throughout,
+    so calls on one comb's BN_CTX cannot interleave.  A tiny switch
+    interval makes the threads swap between calls; every result is
+    checked.
+    """
+    distinct = [pow(1000003, i, group.Q) for i in range(1, 101)]
+    exponents = distinct * 20
+    expected = [(pow(group.G, e, group.P), pow(group.H, e, group.P)) for e in distinct] * 20
+
+    def run(order):
+        return [(g_pow(e), h_pow(e)) for e in exponents[::order]][::order]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, (1, -1, 1, -1), timeout=120))
+    finally:
+        sys.setswitchinterval(previous)
+    assert results == [expected] * 4
 
 
 class _FakeNativeComb:

@@ -93,6 +93,21 @@ class TestExitCodes:
         assert main(["lint", str(broken)]) == 1
         assert f"  [error] COMPILE-ERROR {broken}:{line}:{col}: " in capsys.readouterr().out
 
+    def test_error_report_is_titled_by_the_declared_name(self, tmp_path, capsys):
+        # A compile error is reported under the contract's declared name,
+        # not the file's; a file that does not parse has only its stem.
+        renamed = tmp_path / "uint-map.rsh"
+        renamed.write_text(
+            Path(CROWDFUNDING).read_text().replace("Bytes(64);\n", "Bytes(64);\n    map counts : UInt => UInt;\n", 1)
+        )
+        unparsable = tmp_path / "broken.rsh"
+        unparsable.write_text('contract "declared" { this is not the syntax }\n')
+        assert main(["lint", str(renamed), str(unparsable)]) == 1
+        out = capsys.readouterr().out
+        assert f"Lint report for contract 'crowdfunding' ({renamed})" in out
+        assert "COMPILE-ERROR" in out and "'uint-map'" not in out
+        assert f"Lint report for contract 'broken' ({unparsable})" in out
+
     def test_empty_directory_exits_two(self, tmp_path):
         assert main(["lint", str(tmp_path)]) == 2
 

@@ -96,24 +96,42 @@ class FixedBaseComb:
         return result
 
 
+def _probes(base: int) -> list[tuple[int, int]]:
+    """The ``(exponent, base ** exponent % P)`` pairs a native comb must
+    match before it serves: boundaries, half the subgroup order and a
+    multiplicative orbit in Z_Q.
+
+    The expected values come from builtin ``pow`` -- the ground truth --
+    but cheaply, because ``base`` generates the order-``Q`` subgroup:
+    the orbit's ``1000003 ** i`` chains as a 20-bit ``pow`` of the
+    previous value, ``Q - 1`` is the base's inverse, and only ``Q // 2``
+    takes one full-width ``pow``.  (A base of another order fails the
+    check, and the Python comb serves.)
+    """
+    p, q = group.P, group.Q
+    probes = [(0, 1), (1, base % p), (2, base * base % p), (q - 1, pow(base, -1, p)), (q // 2, pow(base, q // 2, p))]
+    exponent, expected = 1, base % p
+    for _ in range(8):
+        exponent, expected = exponent * 1000003 % q, pow(expected, 1000003, p)
+        probes.append((exponent, expected))
+    return probes
+
+
 def _make_comb(base: int) -> FixedBaseComb:
     """The comb for one shared generator: the OpenSSL-backed extension
     when the host can build and load it (see :mod:`repro.crypto.native`),
     else the pure-Python table.  The native comb is only trusted after
-    it matches builtin ``pow`` -- the ground truth -- on a spread of
-    exponents; the Python table (21 x 255 modmuls) is built only when
-    it is the comb that will serve.  Both paths compute the identical
-    function, so which one serves a given process is unobservable in
-    results.
+    it matches builtin ``pow`` on every one of :func:`_probes`; the
+    Python table (21 x 255 modmuls) is built only when it is the comb
+    that will serve.  Both paths compute the identical function, so
+    which one serves a given process is unobservable in results.
     """
     from repro.crypto.native import load_native_comb
 
     native = load_native_comb(base, group.P)
     if native is not None:
-        probes = [0, 1, 2, group.Q - 1, group.Q // 2]
-        probes += [pow(1000003, i, group.Q) for i in range(1, 9)]
         try:
-            if all(native.pow(e) == pow(base, e, group.P) for e in probes):
+            if all(native.pow(exponent) == expected for exponent, expected in _probes(base)):
                 return native  # type: ignore[return-value]
         except RuntimeError:
             pass

@@ -79,14 +79,28 @@ def scalar_names(ir: IRContract) -> list[str]:
     return [*ir.globals_init.keys(), "_phase", "_deadline", "_creator"]
 
 
+class _Unset:
+    """The value of a state cell whose store holds no entry."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "UNSET"
+
+
+#: a cell with no stored entry (unequal to every stored value)
+UNSET: Any = _Unset()
+
+
 class StateLayout:
     """One contract's observable state cells, with every key built once.
 
     ``names`` are the scalar globals in digest order and ``entries`` the
-    ``(slot, key)`` Map cells an analysis tracks.  The EVM storage keys,
-    AVM global-state keys and box names of each cell -- and the prefix
-    each contributes to the state digest -- are computed here, so a
-    caller stepping thousands of VM calls never re-hashes a key.
+    ``(slot, key)`` Map cells an analysis tracks.  A state holds one
+    cell per name, then one per entry, in that order.  The EVM storage
+    keys, AVM global-state keys and box names of each cell -- and the
+    prefix each contributes to the state digest -- are computed here,
+    so a caller stepping thousands of VM calls never re-hashes a key.
     """
 
     def __init__(self, names: Iterable[str], entries: Iterable[tuple[int, int]]) -> None:
@@ -94,30 +108,19 @@ class StateLayout:
         self.entries = tuple(entries)
         #: ``g:<name>``: the EVM storage key and the AVM global key alike
         self.global_keys = tuple(b"g:" + name.encode() for name in self.names)
-        self.global_key_of = dict(zip(self.names, self.global_keys))
         self.evm_keys = tuple(evm_map_key(slot, key) for slot, key in self.entries)
         self.box_keys = tuple(avm_box_key(slot, key) for slot, key in self.entries)
-        self.evm_key_of = dict(zip(self.entries, self.evm_keys))
-        self.box_key_of = dict(zip(self.entries, self.box_keys))
-        self._scalar_prefix = {name: b"s:" + name.encode() + b"=" for name in self.names}
-        self._map_prefix = {entry: b"m:%d:%d=" % entry for entry in self.entries}
+        #: the cell of each scalar and of each Map entry
+        self.scalar_cell = {name: cell for cell, name in enumerate(self.names)}
+        self.entry_cell = {entry: cell for cell, entry in enumerate(self.entries, len(self.names))}
+        self._prefixes = tuple(b"s:" + name.encode() + b"=" for name in self.names) + tuple(
+            b"m:%d:%d=" % entry for entry in self.entries
+        )
 
-    def digest(
-        self,
-        scalars: Iterable[tuple[str, Any]],
-        maps: Iterable[tuple[tuple[int, int], Any]],
-        balance: int,
-        now: int,
-    ) -> bytes:
-        """One canonical hash over the full observable contract state.
-
-        ``scalars`` and ``maps`` hold raw stored values (:func:`canon`
-        flattens them) and must be iterated in a deterministic order;
-        every Map entry given is a present one.
-        """
-        scalar_prefix = self._scalar_prefix
-        map_prefix = self._map_prefix
-        fields = [scalar_prefix[name] + canon(value) for name, value in scalars]
-        fields += [map_prefix[entry] + canon(value) for entry, value in maps]
+    def digest(self, cells: Iterable[Any], balance: int, now: int) -> bytes:
+        """One canonical hash over the full observable contract state:
+        its set cells' raw stored values (:func:`canon` flattens them),
+        balance and clock."""
+        fields = [prefix + canon(value) for prefix, value in zip(self._prefixes, cells) if value is not UNSET]
         fields.append(b"b:%d;t:%d" % (balance, now))
         return sha256(b";".join(fields))

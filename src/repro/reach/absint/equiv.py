@@ -104,9 +104,8 @@ def _vectors_for(function: IRFunction, ir: IRContract) -> list[_Vector]:
             scalars = {**globals_base, "_phase": phase}
         keys = sorted({key for key in args if isinstance(key, int)} | set(_SEEDED_KEYS))
         layout = StateLayout(scalar_names(ir), [(slot, key) for slot in slots for key in keys])
-        seeded = [((slot, key), _SEEDED_VALUE) for slot in slots for key in _SEEDED_KEYS] if seed_maps else []
-        stored = tuple((name, scalars[name]) for name in layout.names if name in scalars)
-        state = MCState(stored, tuple(seeded), balance, timestamp)
+        seeded = {(slot, key): _SEEDED_VALUE for slot in slots for key in _SEEDED_KEYS} if seed_maps else {}
+        state = MCState.of(layout, scalars, seeded, balance, timestamp)
         name = f"{function.name} [{label}]"
         call = ActionTemplate(name, function.name, caller, args, value, function.phase, kind="api")
         return _Vector(layout=layout, state=state, call=call)

@@ -3,10 +3,11 @@
 The differential layers do not interpret the IR abstractly -- they run
 the *emitted artifacts* on the same EVM and AVM implementations
 production traffic uses, so a finding about them is a finding about the
-code that ships.  Each model wraps one backend behind a tiny interface:
-:meth:`~BackendModel.step` applies one :class:`ActionTemplate` to a
-state and reports accept/reject plus the successor, the transfers, and
-the raw logs and return value.
+code that ships.  Each model wraps one backend: :meth:`~BackendModel.outcomes`
+gives each :class:`ActionTemplate`'s outcome from one state -- accept or
+reject, the edits to the state's cells, the transfers, and the raw logs
+and return value -- and :meth:`~BackendModel.result` turns one into the
+step's result and successor.
 
 :class:`Lockstep` drives both models at once, and it is the only way
 either analysis runs an artifact: the protocol model checker
@@ -20,32 +21,35 @@ protocol state the same digest on both backends).  Only when that
 comparison fails does it canonicalise both outcomes in full and name
 every difference: that message list is the divergence.
 
-States are immutable snapshots (:class:`MCState`); each call gets fresh
-VM stores built from the snapshot, so a caller can fan a state out over
-every enabled action.  A checking run steps about ten thousand (state,
+States are immutable snapshots (:class:`MCState`): one flat tuple of
+cells over a :class:`~repro.reach.absint.encode.StateLayout`, plus the
+balance and the clock.  A checking run steps about ten thousand (state,
 action) pairs per backend, but most of them repeat a VM call already
-made: a call sees only its action, the clock, the balance and the few
-store values it reads, and those recur across states that differ
-elsewhere.  Each model therefore keeps an exact read-footprint memo
-(:class:`BackendModel`) and runs its VM once per footprint -- 913 of
-the 10,091 steps per backend of the 4-seat PoL sweep.  The rest is
-built once too: the caller assembles the TEAL artifact once (both VMs
-then cache their decoded program on the artifact), every storage key,
-box name and digest prefix comes precomputed from the model's
-:class:`~repro.reach.absint.encode.StateLayout`, and a state's digest
-is computed once.  The memo lives on the models of one sweep; the
-reports the analyses cache hold none of it.
+made: a call sees only its action and the few cells it reads -- the
+balance and the clock among them only when it uses them -- and those
+recur across states that differ elsewhere.  Each model therefore keeps
+an exact read-footprint memo (:class:`BackendModel`) and runs its VM
+once per footprint: 248 of the 10,251 steps per backend of the 4-seat
+PoL sweep.  A memoized outcome holds its effects as cell edits, so a
+successor is a copy of its state's cells with a few replaced; a pair of
+outcomes is compared once (:meth:`Lockstep._agree`); and VM stores are
+built only for a state that misses the memo, once for all its calls.
+The rest is built once too: the caller assembles the TEAL artifact once
+(both VMs then cache their decoded program on the artifact), every
+storage key, box name and digest prefix comes precomputed from the
+layout, and a state's digest is computed once.  The memo lives on the
+models of one sweep; the reports the analyses cache hold none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.chain.algorand.avm import AVM, MAX_BUDGET_POOL, Application, AvmError, AvmPanic, CallContext
 from repro.chain.algorand.teal import TealProgram, TealSyntaxError, assemble
 from repro.chain.ethereum.evm import EVM, EvmCode, EvmContract, VMError, VMRevert
-from repro.reach.absint.encode import StateLayout, canon, is_absent, scalar_names, uint_of
+from repro.reach.absint.encode import UNSET, StateLayout, canon, is_absent, scalar_names, uint_of
 from repro.reach.compiler import CompiledContract
 
 #: the deploying participant
@@ -81,43 +85,54 @@ DEPLOY = ActionTemplate(name="deploy", fn="constructor", caller=CREATOR, args=()
 class MCState(NamedTuple):
     """One immutable protocol state, in backend-native representation.
 
-    ``scalars`` holds every runtime global in layout order (none before
-    deploy); ``maps`` holds only *present* entries, in layout order.
-    ``balance`` and ``now`` live outside the VM stores: the VMs treat
-    both as per-call inputs, so the caller owns them.  (A named tuple
+    ``cells`` holds the layout's scalar globals, then its tracked Map
+    cells, each as its backend stores it, and ``UNSET`` where the store
+    holds no entry: every global before deploy, and an absent Map entry
+    (a set Map cell is never zero or empty).  ``balance`` and ``now``
+    live outside the VM stores: the VMs treat both as per-call inputs,
+    so the caller owns them.  (A named tuple of one flat tuple of cells
     rather than a frozen dataclass: a checking run builds tens of
-    thousands.)
+    thousands, and hashes each one whose digest it looks up.)
     """
 
-    scalars: tuple[tuple[str, object], ...]
-    maps: tuple[tuple[tuple[int, int], object], ...]
+    cells: tuple[Any, ...]
     balance: int
     now: int
+    layout: StateLayout
 
-    def scalar(self, name: str) -> object:
-        for key, value in self.scalars:
-            if key == name:
-                return value
-        return 0
+    @classmethod
+    def of(
+        cls,
+        layout: StateLayout,
+        scalars: Mapping[str, Any],
+        maps: Mapping[tuple[int, int], Any],
+        balance: int,
+        now: int,
+    ) -> "MCState":
+        """The state whose set cells are ``scalars`` and ``maps``."""
+        cells = [scalars.get(name, UNSET) for name in layout.names]
+        cells += [maps.get(entry, UNSET) for entry in layout.entries]
+        return cls(tuple(cells), balance, now, layout)
+
+    def map_cells(self) -> Iterator[tuple[tuple[int, int], Any]]:
+        """Each tracked Map cell as ``((slot, key), value or UNSET)``, in layout order."""
+        return zip(self.layout.entries, self.cells[len(self.layout.names) :])
 
     def phase(self) -> int:
-        return uint_of(self.scalar("_phase"))
+        value = self.cells[self.layout.scalar_cell["_phase"]]
+        return 0 if value is UNSET else uint_of(value)
 
     def deadline(self) -> int:
-        return uint_of(self.scalar("_deadline"))
+        value = self.cells[self.layout.scalar_cell["_deadline"]]
+        return 0 if value is UNSET else uint_of(value)
 
     def map_value(self, slot: int, key: int) -> object | None:
-        for entry_key, value in self.maps:
-            if entry_key == (slot, key):
-                return value
-        return None
+        cell = self.layout.entry_cell.get((slot, key))
+        value: object = UNSET if cell is None else self.cells[cell]
+        return None if value is UNSET else value
 
     def with_clock(self, now: int) -> "MCState":
-        return MCState(self.scalars, self.maps, self.balance, now)
-
-
-#: the empty store the constructor runs against
-GENESIS = MCState(scalars=(), maps=(), balance=0, now=GENESIS_NOW)
+        return MCState(self.cells, self.balance, now, self.layout)
 
 
 class StepResult(NamedTuple):
@@ -135,49 +150,78 @@ class StepResult(NamedTuple):
         return sum(amount for _to, amount in self.transfers)
 
 
-#: a store read that found no entry (unequal to every stored value)
-_ABSENT = object()
-
-
-#: a call's reads: ``(store index, key) -> value or _ABSENT``, in first-read order
-_ReadLog = dict[tuple[int, bytes], Any]
+#: a call's reads: ``cell index -> value or UNSET``, in first-read order
+_ReadLog = dict[int, Any]
 
 
 class _Recording(dict[bytes, Any]):
-    """A copy of one VM store that logs each key's first read into the
-    call's read log.
+    """One VM store of a state that logs each cell's first read into the
+    current call's read log.
 
     The VMs read their stores only through ``get``, ``in`` and ``[]``;
-    each is a function of ``dict.get(key, _ABSENT)``, so replaying that
-    one lookup per logged key reproduces what the VM saw.  A repeated
+    each is a function of ``dict.get(key, UNSET)``, so replaying that
+    one lookup per logged cell reproduces what the VM saw.  A repeated
     read adds nothing: the VMs buffer their writes, so a store does not
-    change during a call.
+    change during a call, and one state's stores serve all its calls.
+    A key outside the layout is never stored, so reading it tells the
+    call nothing and is not logged.
     """
 
-    __slots__ = ("index", "log")
+    __slots__ = ("cell_of", "log")
 
-    def __init__(self, data: Mapping[bytes, Any], index: int, log: _ReadLog) -> None:
+    def __init__(self, data: Mapping[bytes, Any], cell_of: Mapping[bytes, int]) -> None:
         super().__init__(data)
-        self.index = index
-        self.log = log
+        self.cell_of = cell_of
+        self.log: _ReadLog = {}
 
     def _read(self, key: Any) -> Any:
-        value = dict.get(self, key, _ABSENT)
-        self.log.setdefault((self.index, key), value)
+        value = dict.get(self, key, UNSET)
+        cell = self.cell_of.get(key)
+        if cell is not None:
+            self.log.setdefault(cell, value)
         return value
 
     def get(self, key: bytes, default: Any = None) -> Any:
         value = self._read(key)
-        return default if value is _ABSENT else value
+        return default if value is UNSET else value
 
     def __contains__(self, key: object) -> bool:
-        return self._read(key) is not _ABSENT
+        return self._read(key) is not UNSET
 
     def __getitem__(self, key: bytes) -> Any:
         value = self._read(key)
-        if value is _ABSENT:
+        if value is UNSET:
             raise KeyError(key)
         return value
+
+
+class _Input:
+    """The balance or the clock as a recorded call sees it: logged as a
+    read of its cell when the VM first uses it.
+
+    Both VMs read the clock only as ``int(timestamp)`` (EVM
+    ``TIMESTAMP``, AVM ``global LatestTimestamp``) and the balance only
+    as ``balance + value`` (EVM ``SELFBALANCE`` and the ``TRANSFER``
+    check, AVM ``balance`` and the inner-payment check), so those are
+    the only two operations defined: any other use fails loudly instead
+    of going unlogged.  The chains' own calls pass plain numbers and
+    never meet this class.
+    """
+
+    __slots__ = ("value", "cell", "log")
+
+    def __init__(self, value: int, cell: int, log: _ReadLog) -> None:
+        self.value = value
+        self.cell = cell
+        self.log = log
+
+    def __int__(self) -> int:
+        self.log.setdefault(self.cell, self.value)
+        return self.value
+
+    def __add__(self, other: int) -> int:
+        self.log.setdefault(self.cell, self.value)
+        return self.value + other
 
 
 #: one store's (writes, deletes) of a call, as (key, value) pairs and keys
@@ -185,176 +229,224 @@ _StoreEffects = tuple[tuple[tuple[bytes, Any], ...], tuple[bytes, ...]]
 
 
 class _Outcome(NamedTuple):
-    """What one VM call did, independent of the stores it ran on."""
+    """What one VM call did, its effects as cell edits: independent of
+    the state it ran on beyond the cells it read."""
 
     status: str  # "ok" | "rejected" | "machine-error"
     error: str = ""
-    effects: tuple[_StoreEffects, ...] = ()  # per store, in store order
+    edits: tuple[tuple[int, Any], ...] = ()  # (cell, new value or UNSET), by cell
     transfers: tuple[tuple[str, int], ...] = ()
+    paid: int = 0  # the transfers' sum
     logs: tuple[Any, ...] = ()
     ret: Any = None
 
 
 class _Read:
-    """A memo trie node: the store read a call makes next.  Hashed by
-    identity, so ``(node, value found)`` names the edge it leads along."""
+    """A memo trie node: the cell a call reads next, and where each
+    value found there leads (another read, or the outcome)."""
 
-    __slots__ = ("store", "key")
+    __slots__ = ("cell", "next")
 
-    def __init__(self, store: int, key: bytes) -> None:
-        self.store = store
-        self.key = key
+    def __init__(self, cell: int) -> None:
+        self.cell = cell
+        self.next: dict[Any, _Read | _Outcome] = {}
 
 
 class BackendModel:
     """Shared state plumbing and the read-footprint memo; subclasses
-    supply the stores and the VM call.
+    supply the VM call.
 
-    The memo is exact.  A call's inputs are the action template, the
-    clock, the balance and what it reads from the stores; everything
-    else the VM sees (code, gas limit, block number, round, addresses,
-    budget pool) is constant.  The VMs are deterministic, so which key a
-    call reads next depends only on those first three and the values it
-    has read so far.  Keyed by ``(template, now, balance)``, a trie of
-    read sequences therefore names the outcome of any state whose stores
-    hold the same values along one of its paths, without running the VM.
-    (Stored values are ints, bytes and strs, so equal values are
-    interchangeable.)
+    The memo is exact.  A call's inputs are the action template and the
+    cells it reads, counting the balance and the clock as two more cells
+    read only when the call uses them (:class:`_Input`): most calls
+    reject, or finish, without either.  Everything else the VM sees
+    (code, gas limit, block number, round, addresses, budget pool) is
+    constant.  The VMs are deterministic, so which cell a call reads
+    next depends only on the template and the values it has read so
+    far.  Keyed by template, a trie of read sequences therefore names
+    the outcome of any state whose cells hold the same values along one
+    of its paths, without running the VM.  (Stored values are ints,
+    bytes and strs, so equal values are interchangeable.)  Equal
+    outcomes are stored once.
 
-    The trie is one dict from a position -- the prefix, or ``(read node,
-    value found)`` -- to what comes next: a read node or an outcome.
-    Equal outcomes are stored once: a sweep has about a hundred distinct
-    ones per backend among a thousand leaves.
+    An outcome holds its effects as cell edits, so a successor is its
+    state's cells with those replaced: no store is built, copied or read
+    back for a call the memo answers, and a state's stores are built
+    once, on its first miss, for all its calls.
     """
 
-    def __init__(self, layout: StateLayout, cell_keys: tuple[bytes, ...]):
+    def __init__(self, layout: StateLayout, store_keys: tuple[tuple[bytes, ...], ...]):
         self.layout = layout
-        self.cell_keys = cell_keys  # the backend's keys for ``layout.entries``, in order
-        self._memo: dict[tuple[Any, ...], _Read | _Outcome] = {}
+        #: each VM store's keys; laid end to end they are the cells' keys
+        self.store_keys = store_keys
+        self.cell_of: list[dict[bytes, int]] = []  # per store, the cell of each key
+        first = 0
+        for keys in store_keys:
+            self.cell_of.append({key: cell for cell, key in enumerate(keys, first)})
+            first += len(keys)
+        self.balance_cell = first
+        self.clock_cell = first + 1
+        # Roots by template identity: a frozen dataclass hashes all its
+        # fields on every lookup.  ``_templates`` keeps each keyed
+        # template alive, so its id names no other object meanwhile.
+        self._roots: dict[int, _Read | _Outcome] = {}
+        self._templates: list[ActionTemplate] = []
         self._outcomes: dict[_Outcome, _Outcome] = {}
+        self._stored: tuple[MCState | None, tuple[_Recording, ...]] = (None, ())
 
-    # -- subclass surface ----------------------------------------------------
-
-    def _stores(self, state: MCState) -> tuple[dict[bytes, Any], ...]:
-        """Fresh VM stores holding ``state``: scalars first, Map cells last."""
+    def _run(
+        self, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...], clock: Any, balance: Any
+    ) -> _Outcome:
+        """Run the VM on ``stores`` (without changing them); ``clock`` and
+        ``balance`` are plain numbers or :class:`_Input` cells."""
         raise NotImplementedError
 
-    def _run(self, state: MCState, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...]) -> _Outcome:
-        """Run the VM on ``stores`` (without changing them)."""
-        raise NotImplementedError
-
-    # -- common --------------------------------------------------------------
-
-    def step(self, state: MCState, template: ActionTemplate) -> StepResult:
-        if template.kind == "clock":
-            deadline = state.deadline()
-            if state.now > deadline:
-                return StepResult(status="rejected", state=state, error="clock already past deadline")
-            return StepResult(status="ok", state=state.with_clock(deadline + 1))
-        return self._execute(state, template)
-
-    def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
-        stores = self._stores(state)
-        outcome = self._recall(state, template, stores)
-        if outcome.status != "ok":
-            return StepResult(status=outcome.status, state=state, error=outcome.error)
-        for store, (writes, deletes) in zip(stores, outcome.effects):
-            store.update(writes)
-            for dead in deletes:
-                store.pop(dead, None)
-        return self._accepted(state, template, stores[0], stores[-1], outcome)
+    def outcomes(self, state: MCState, templates: Sequence[ActionTemplate]) -> list[_Outcome | None]:
+        """Each template's outcome from ``state`` (None for the clock
+        advance, which no VM runs)."""
+        cells = state.cells + (state.balance, state.now)
+        outcome = self._outcome
+        return [None if template.kind == "clock" else outcome(state, template, cells) for template in templates]
 
     @staticmethod
-    def _prefix(state: MCState, template: ActionTemplate) -> tuple[ActionTemplate, int, int]:
-        """The memo key: every VM input that is not a store read."""
-        return (template, state.now, state.balance)
+    def tick(state: MCState) -> StepResult:
+        """The clock advance: past the deadline, unless it already is."""
+        deadline = state.deadline()
+        if state.now > deadline:
+            return StepResult("rejected", state, error="clock already past deadline")
+        return StepResult("ok", state.with_clock(deadline + 1))
 
-    def _recall(self, state: MCState, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...]) -> _Outcome:
-        """The call's outcome: from the memo when the stores hold what an
-        earlier call with the same prefix read, else from a recorded run."""
-        prefix = self._prefix(state, template)
-        memo = self._memo
-        node = memo.get(prefix)
+    @staticmethod
+    def base(state: MCState) -> tuple[Any, ...]:
+        """The cells a successor of ``state`` starts from: its own, with
+        every unset global read back as 0."""
+        cells = state.cells
+        globals_ = cells[: len(state.layout.names)]
+        if UNSET in globals_:
+            return tuple([0 if value is UNSET else value for value in globals_]) + cells[len(globals_) :]
+        return cells
+
+    @staticmethod
+    def result(state: MCState, template: ActionTemplate, base: tuple[Any, ...], outcome: _Outcome) -> StepResult:
+        """The step of ``template`` from ``state`` that ended in
+        ``outcome``; an accepted one's successor is ``base`` (see
+        :meth:`base`) with the outcome's cells replaced."""
+        step: StepResult
+        if outcome.status != "ok":
+            step = _new(StepResult, (outcome.status, state, (), outcome.error, (), None))
+            return step
+        cells = base
+        if outcome.edits:
+            patched = list(base)
+            for cell, value in outcome.edits:
+                patched[cell] = value
+            cells = tuple(patched)
+        balance = state.balance + template.value - outcome.paid
+        successor: MCState = _new(MCState, (cells, balance, state.now, state.layout))
+        step = _new(StepResult, ("ok", successor, outcome.transfers, "", outcome.logs, outcome.ret))
+        return step
+
+    def _stores(self, state: MCState) -> tuple[dict[bytes, Any], ...]:
+        """Fresh VM stores holding ``state``'s set cells."""
+        stores = []
+        first = 0
+        for keys in self.store_keys:
+            cells = state.cells[first : first + len(keys)]
+            stores.append({key: value for key, value in zip(keys, cells) if value is not UNSET})
+            first += len(keys)
+        return tuple(stores)
+
+    def _outcome(self, state: MCState, template: ActionTemplate, cells: Sequence[Any]) -> _Outcome:
+        """The call's outcome: from the memo when ``cells`` (the state's,
+        then its balance and clock) hold what an earlier call of
+        ``template`` read, else from a recorded run."""
+        node = self._roots.get(id(template))
         try:
             while isinstance(node, _Read):
-                node = memo.get((node, stores[node.store].get(node.key, _ABSENT)))
-        except TypeError:  # an unhashable stored value: run without the memo
-            return self._run(state, template, stores)
-        if node is not None:
-            return node
+                node = node.next.get(cells[node.cell])
+        except TypeError:  # an unhashable stored value: run, and do not remember
+            node = None
+        if node is None:
+            return self._record(state, template)
+        return node
+
+    def _record(self, state: MCState, template: ActionTemplate) -> _Outcome:
+        """Run the VM on ``state``'s stores, logging the cells it reads,
+        and remember the outcome under that read sequence."""
+        if self._stored[0] is not state:
+            stores = tuple(_Recording(store, cell_of) for store, cell_of in zip(self._stores(state), self.cell_of))
+            self._stored = (state, stores)
+        stores = self._stored[1]
         log: _ReadLog = {}
-        outcome = self._run(state, template, tuple(_Recording(store, index, log) for index, store in enumerate(stores)))
-        self._remember(prefix, log, outcome)
+        for store in stores:
+            store.log = log
+        clock, balance = self._inputs(state, log)
+        outcome = self._run(template, stores, clock, balance)
+        self._remember(template, log, outcome)
         return outcome
 
-    def _remember(self, prefix: tuple[ActionTemplate, int, int], log: _ReadLog, outcome: _Outcome) -> None:
+    def _inputs(self, state: MCState, log: _ReadLog) -> tuple[_Input, _Input]:
+        """The clock and the balance of a recorded call, each logged when read."""
+        return _Input(state.now, self.clock_cell, log), _Input(state.balance, self.balance_cell, log)
+
+    def _remember(self, template: ActionTemplate, log: _ReadLog, outcome: _Outcome) -> None:
         """Insert one run's read sequence, ending at its outcome."""
         try:
             hash(tuple(log.values()))
             outcome = self._outcomes.setdefault(outcome, outcome)
         except TypeError:
             return  # an unhashable value cannot key the trie
-        memo = self._memo
-        slot: tuple[Any, ...] = prefix
-        for (store, key), value in log.items():
-            node = memo.get(slot)
+        slots: dict[Any, _Read | _Outcome] = self._roots
+        slot: Any = id(template)
+        if slot not in slots:
+            self._templates.append(template)
+        for cell, value in log.items():
+            node = slots.get(slot)
             if node is None:
-                node = memo[slot] = _Read(store, key)
-            elif not isinstance(node, _Read) or (node.store, node.key) != (store, key):
-                raise RuntimeError(f"the read memo key misses an input of {prefix[0].name}")
-            slot = (node, value)
-        memo[slot] = outcome
+                node = slots[slot] = _Read(cell)
+            elif not isinstance(node, _Read) or node.cell != cell:
+                raise RuntimeError(f"the read memo misses an input of {template.name}")
+            slots, slot = node.next, value
+        slots[slot] = outcome
 
-    def _globals_of(self, state: MCState) -> dict[bytes, object]:
-        """The state's scalars keyed as both VMs store them."""
-        key_of = self.layout.global_key_of
-        return {key_of[name]: value for name, value in state.scalars}
-
-    def _accepted(
-        self,
-        state: MCState,
-        template: ActionTemplate,
-        globals_: Mapping[bytes, object],
-        cells: Mapping[bytes, object],
-        outcome: _Outcome,
-    ) -> StepResult:
-        """The accepted call's result, its successor read back out of the
-        VM's post-call stores (absent, zero and empty cells are not part
-        of the state)."""
-        layout = self.layout
-        scalars = tuple([(name, globals_.get(key, 0)) for name, key in zip(layout.names, layout.global_keys)])
-        maps = []
-        for entry, key in zip(layout.entries, self.cell_keys):
-            value = cells.get(key)
-            if value is not None and not is_absent(value):
-                maps.append((entry, value))
-        transfers = outcome.transfers
+    def _accepted_outcome(
+        self, effects: Sequence[_StoreEffects], transfers: tuple[tuple[str, int], ...], logs: tuple[Any, ...], ret: Any
+    ) -> _Outcome:
+        """An accepted call's outcome: each store's writes, then its
+        deletes, as cell edits (keys outside the layout are not state).
+        A deleted global reads back as 0; a zero or empty Map value is
+        the EVM's encoding of an absent entry."""
+        scalars = len(self.layout.names)
+        edits: dict[int, Any] = {}
+        for cell_of, (writes, deletes) in zip(self.cell_of, effects):
+            for key, value in writes:
+                cell = cell_of.get(key)
+                if cell is not None:
+                    edits[cell] = value if cell < scalars or not is_absent(value) else UNSET
+            for key in deletes:
+                cell = cell_of.get(key)
+                if cell is not None:
+                    edits[cell] = 0 if cell < scalars else UNSET
         paid = sum(amount for _to, amount in transfers)
-        successor = MCState(
-            scalars=scalars,
-            maps=tuple(maps),
-            balance=state.balance + template.value - paid,
-            now=state.now,
-        )
-        return StepResult(status="ok", state=successor, transfers=transfers, logs=outcome.logs, ret=outcome.ret)
+        return _Outcome("ok", "", tuple(sorted(edits.items())), transfers, paid, logs, ret)
+
+
+#: ``_new(cls, fields)``: a named tuple from all its fields, without the
+#: Python-level ``__new__`` frame the class's constructor runs
+_new: Any = tuple.__new__
 
 
 class EvmModel(BackendModel):
     """The Ethereum side: emitted EVM code on the gas-metered VM."""
 
     def __init__(self, code: EvmCode, layout: StateLayout):
-        super().__init__(layout, layout.evm_keys)
+        super().__init__(layout, (layout.global_keys + layout.evm_keys,))
         self.code = code
         self.vm = EVM()
 
-    def _stores(self, state: MCState) -> tuple[dict[bytes, Any], ...]:
-        storage = self._globals_of(state)
-        evm_key_of = self.layout.evm_key_of
-        for entry, value in state.maps:
-            storage[evm_key_of[entry]] = value
-        return (storage,)
-
-    def _run(self, state: MCState, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...]) -> _Outcome:
+    def _run(
+        self, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...], clock: Any, balance: Any
+    ) -> _Outcome:
         contract = EvmContract(address=_APP_ADDRESS, code=self.code, storage=stores[0], creator=CREATOR)
         creating = template.fn == "constructor"
         try:
@@ -366,20 +458,19 @@ class EvmModel(BackendModel):
                 value=template.value,
                 gas_limit=_GAS_LIMIT,
                 block_number=1,
-                timestamp=float(state.now),
-                self_balance=state.balance,
+                timestamp=clock,
+                self_balance=balance,
                 intrinsic=0,
             )
         except VMRevert as revert:
             return _Outcome("rejected", str(revert))
         except VMError as error:
             return _Outcome("machine-error", str(error))
-        return _Outcome(
-            "ok",
-            effects=((tuple(result.storage_writes.items()), ()),),
-            transfers=tuple(result.transfers),
-            logs=tuple(result.logs),
-            ret=result.return_value,
+        return self._accepted_outcome(
+            ((tuple(result.storage_writes.items()), ()),),
+            tuple(result.transfers),
+            tuple(result.logs),
+            result.return_value,
         )
 
 
@@ -391,16 +482,13 @@ class AvmModel(BackendModel):
     """
 
     def __init__(self, program: TealProgram | TealSyntaxError, layout: StateLayout):
-        super().__init__(layout, layout.box_keys)
+        super().__init__(layout, (layout.global_keys, layout.box_keys))
         self.program = program
         self.vm = AVM()
 
-    def _stores(self, state: MCState) -> tuple[dict[bytes, Any], ...]:
-        box_key_of = self.layout.box_key_of
-        boxes: dict[bytes, Any] = {box_key_of[entry]: value for entry, value in state.maps}
-        return (self._globals_of(state), boxes)
-
-    def _run(self, state: MCState, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...]) -> _Outcome:
+    def _run(
+        self, template: ActionTemplate, stores: tuple[dict[bytes, Any], ...], clock: Any, balance: Any
+    ) -> _Outcome:
         if isinstance(self.program, TealSyntaxError):
             return _Outcome("machine-error", str(self.program))
         global_state, boxes = stores
@@ -419,9 +507,9 @@ class AvmModel(BackendModel):
             app_args=[template.fn, *template.args] if app_id else [],
             amount=template.value,
             round=1,
-            timestamp=float(state.now),
+            timestamp=clock,
             app_address=_APP_ADDRESS,
-            app_balance=state.balance,
+            app_balance=balance,
             budget_pool=MAX_BUDGET_POOL,
         )
         try:
@@ -430,15 +518,14 @@ class AvmModel(BackendModel):
             return _Outcome("rejected", str(panic))
         except AvmError as error:
             return _Outcome("machine-error", str(error))
-        return _Outcome(
-            "ok",
-            effects=(
+        return self._accepted_outcome(
+            (
                 (tuple(result.global_writes.items()), tuple(result.global_deletes)),
                 (tuple(result.box_writes.items()), tuple(result.box_deletes)),
             ),
-            transfers=tuple(result.inner_payments),
-            logs=tuple(result.logs),
-            ret=result.return_value,
+            tuple(result.inner_payments),
+            tuple(result.logs),
+            result.return_value,
         )
 
 
@@ -474,13 +561,14 @@ def _parse_avm_logs(logs: tuple[bytes, ...]) -> tuple[tuple[Any, ...], bytes | N
     return tuple(events), ret_log
 
 
-def _events_and_ret(backend: str, result: StepResult, ret_kind: str | None) -> tuple[tuple[Any, ...], bytes | None]:
+def _events_and_ret(
+    backend: str, logs: tuple[Any, ...], ret: Any, ret_kind: str | None
+) -> tuple[tuple[Any, ...], bytes | None]:
     """An accepted call's events and return value, canonically encoded."""
     if backend == "evm":
-        events = tuple([(event, tuple(map(canon, payload))) for event, payload in result.logs])
-        ret = result.ret
+        events = tuple([(event, tuple(map(canon, payload))) for event, payload in logs])
     else:
-        events, ret = _parse_avm_logs(result.logs)
+        events, ret = _parse_avm_logs(logs)
         if ret is not None and ret_kind == "uint":
             ret = int.from_bytes(ret, "big")
     return events, None if ret_kind is None or ret is None else canon(ret)
@@ -489,11 +577,18 @@ def _events_and_ret(backend: str, result: StepResult, ret_kind: str | None) -> t
 def _observables(backend: str, result: StepResult, layout: StateLayout, ret_kind: str | None) -> list[tuple[str, Any]]:
     """Every observable effect of an accepted call, canonically encoded
     and labelled the way a divergence message names it."""
-    present = {entry: canon(value) for entry, value in result.state.maps}
-    events, ret = _events_and_ret(backend, result, ret_kind)
+    state = result.state
+    events, ret = _events_and_ret(backend, result.logs, result.ret, ret_kind)
     return [
-        *((f"global {name!r} differs", canon(value)) for name, value in result.state.scalars),
-        *((f"map entry {entry} differs", present.get(entry)) for entry in layout.entries),
+        *(
+            (f"global {name!r} differs", canon(value))
+            for name, value in zip(layout.names, state.cells)
+            if value is not UNSET
+        ),
+        *(
+            (f"map entry {entry} differs", None if value is UNSET else canon(value))
+            for entry, value in state.map_cells()
+        ),
         ("transfers differ", result.transfers),
         ("events differ", events),
         ("return value differs", ret),
@@ -548,35 +643,28 @@ class Lockstep:
         self.evm = EvmModel(compiled.evm_code, layout)
         self.avm = AvmModel(program, layout)
         self.layout = layout
+        self.genesis = MCState.of(layout, {}, {}, 0, GENESIS_NOW)  # the empty store the constructor runs against
         self.ret_kinds = {name: function.ret_kind for name, function in compiled.ir.functions.items()}
         # Digests by state value: most steps land on a state already
         # seen, and a lookup is far cheaper than re-encoding.  Equal
         # states encode equally (the VM stores hold only ints, bytes and
         # strs), and one layout serves both backends.
         self._digests: dict[MCState, bytes] = {}
-        # Canonical events and return values by raw logs: a few dozen
-        # distinct ones recur across thousands of steps.
-        self._canonical: dict[tuple[Any, ...], tuple[tuple[Any, ...], bytes | None]] = {}
+        # Whether two outcomes agree, by (EVM outcome id, AVM outcome id,
+        # return kind): a few hundred pairs recur across ten thousand
+        # steps.  Each entry holds its two outcomes, so their ids name
+        # no other object while it lives.
+        self._agreed: dict[tuple[int, int, str | None], tuple[_Outcome, _Outcome, bool]] = {}
 
     def digest(self, state: MCState) -> bytes:
         digest = self._digests.get(state)
         if digest is None:
-            digest = self.layout.digest(state.scalars, state.maps, state.balance, state.now)
+            digest = self.layout.digest(state.cells, state.balance, state.now)
             self._digests[state] = digest
         return digest
 
-    def _canonical_logs(
-        self, backend: str, result: StepResult, ret_kind: str | None
-    ) -> tuple[tuple[Any, ...], bytes | None]:
-        """:func:`_events_and_ret`, memoized per raw logs and return value."""
-        key = (backend, result.logs, result.ret, ret_kind)
-        canonical = self._canonical.get(key)
-        if canonical is None:
-            canonical = self._canonical[key] = _events_and_ret(backend, result, ret_kind)
-        return canonical
-
     def deploy(self) -> LockstepResult:
-        return self.step(Pair(GENESIS, GENESIS), DEPLOY)
+        return self.step(Pair(self.genesis, self.genesis), DEPLOY)
 
     def step(self, pair: Pair, template: ActionTemplate) -> LockstepResult:
         """Apply ``template`` on both backends and compare what they did."""
@@ -585,16 +673,53 @@ class Lockstep:
     def step_all(self, pair: Pair, templates: Sequence[ActionTemplate]) -> list[LockstepResult]:
         """:meth:`step` for each template from one state.
 
-        Each VM runs all its calls before the other starts, which keeps
-        one interpreter's working set hot: the PoL sweep measured a few
-        percent faster than with the two VMs stepping turn about.
+        Each VM makes all its calls before the other starts, which keeps
+        one interpreter's working set hot.  When the two states have one
+        digest and the two outcomes agree (:meth:`_agree`), the
+        successors have one digest too, so only the EVM's is looked up.
         """
-        evms = [self.evm.step(pair.evm, template) for template in templates]
-        avms = [self.avm.step(pair.avm, template) for template in templates]
-        return [self._compare(template, evm, avm) for template, evm, avm in zip(templates, evms, avms)]
+        evm_state, avm_state = pair
+        evm, avm = self.evm, self.avm
+        evm_outcomes = evm.outcomes(evm_state, templates)
+        avm_outcomes = avm.outcomes(avm_state, templates)
+        evm_base, avm_base = evm.base(evm_state), avm.base(avm_state)
+        twins = self.digest(evm_state) == self.digest(avm_state)
+        results = []
+        for template, evm_outcome, avm_outcome in zip(templates, evm_outcomes, avm_outcomes):
+            if evm_outcome is None or avm_outcome is None:
+                results.append(self._compare(template, evm.tick(evm_state), avm.tick(avm_state)))
+                continue
+            evm_result = evm.result(evm_state, template, evm_base, evm_outcome)
+            avm_result = avm.result(avm_state, template, avm_base, avm_outcome)
+            if twins and self._agree(template, evm_outcome, avm_outcome):
+                digest = self.digest(evm_result.state) if evm_outcome.status == "ok" else None
+                results.append(_new(LockstepResult, (evm_result, avm_result, digest, ())))
+            else:
+                results.append(self._compare(template, evm_result, avm_result))
+        return results
+
+    def _agree(self, template: ActionTemplate, evm: _Outcome, avm: _Outcome) -> bool:
+        """Both calls rejected, or both accepted with equal transfers,
+        canonically equal events and return value, and canonically equal
+        cell edits: from one digest, successors of one digest."""
+        ret_kind = self.ret_kinds.get(template.fn)
+        key = (id(evm), id(avm), ret_kind)
+        known = self._agreed.get(key)
+        if known is None:
+            if evm.status == "ok" == avm.status:
+                agree = (
+                    evm.transfers == avm.transfers
+                    and _events_and_ret("evm", evm.logs, evm.ret, ret_kind)
+                    == _events_and_ret("avm", avm.logs, avm.ret, ret_kind)
+                    and _canonical_edits(evm) == _canonical_edits(avm)
+                )
+            else:
+                agree = evm.status == "rejected" == avm.status
+            known = self._agreed[key] = (evm, avm, agree)
+        return known[2]
 
     def _compare(self, template: ActionTemplate, evm: StepResult, avm: StepResult) -> LockstepResult:
-        """The cheap agreement check; the full difference list only when it fails."""
+        """The full agreement check; the difference list when it fails."""
         ret_kind = self.ret_kinds.get(template.fn)
         digest = None
         if evm.status == "ok" == avm.status:
@@ -602,12 +727,18 @@ class Lockstep:
             if (
                 evm.transfers == avm.transfers
                 and digest == self.digest(avm.state)
-                and self._canonical_logs("evm", evm, ret_kind) == self._canonical_logs("avm", avm, ret_kind)
+                and _events_and_ret("evm", evm.logs, evm.ret, ret_kind)
+                == _events_and_ret("avm", avm.logs, avm.ret, ret_kind)
             ):
                 return LockstepResult(evm, avm, digest, ())
         elif evm.status == "rejected" == avm.status:
             return LockstepResult(evm, avm, None, ())
         return LockstepResult(evm, avm, digest, tuple(_diff(template.name, evm, avm, self.layout, ret_kind)))
+
+
+def _canonical_edits(outcome: _Outcome) -> tuple[tuple[int, bytes | None], ...]:
+    """An accepted outcome's cell edits, canonically encoded."""
+    return tuple([(cell, None if value is UNSET else canon(value)) for cell, value in outcome.edits])
 
 
 def make_lockstep(compiled: CompiledContract, keys: tuple[int, ...]) -> Lockstep:

@@ -19,10 +19,11 @@ Tractability comes from four reductions:
    since no contract state is keyed by caller (see universe.py);
 3. **no-progress pruning** -- accepted calls that leave the digest
    unchanged (and every rejected call) produce no new node;
-4. **read-footprint memoization** -- a step whose action, clock,
-   balance and store reads match an earlier call's reuses that call's
-   outcome instead of running the VM (see exec.py).  It saves time,
-   not states: every transition is still stepped and checked.
+4. **read-footprint memoization** -- a step whose action and reads
+   (store cells, and the balance and the clock when the call uses
+   them) match an earlier call's reuses that call's outcome instead of
+   running the VM (see exec.py).  It saves time, not states: every
+   transition is still stepped and checked.
 
 There is no partial-order reduction: every entry point reads ``_phase``
 in its prologue and every phase has an action that may write it, so no
@@ -33,7 +34,8 @@ sweep, over the shared graph: every explored state must reach a drained
 halt (``_phase`` == halted, balance 0) within ``k_live`` fair steps.
 Distances are computed by a backward BFS over the explored edges, then
 a forward on-the-fly search over agreeing transitions (memoized against
-the distance table) for frontier states the backward pass missed.  It
+the distance table) for frontier states the backward pass missed; the
+forward searches overlap, and step each (state, action) pair once.  It
 is skipped after a funds violation or a divergence: distances over a
 broken ledger, or a graph missing the diverging edges, prove nothing.
 """
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.crypto.hashing import sha256
-from repro.reach.absint.exec import DEPLOY, GENESIS, Lockstep, MCState, Pair
+from repro.reach.absint.exec import DEPLOY, Lockstep, MCState, Pair
 from repro.reach.absint.modelcheck.props import DIVERGENCE, check_transition, halted
 from repro.reach.absint.modelcheck.universe import MCConfig, Universe
 
@@ -115,7 +117,7 @@ def explore(lockstep: Lockstep, universe: Universe, config: MCConfig, phase_coun
             steps.append(index)
         return tuple(reversed(steps))
 
-    for theorem, message in check_transition(universe, phase_count, GENESIS, DEPLOY, deployed.evm):
+    for theorem, message in check_transition(universe, phase_count, lockstep.genesis, DEPLOY, deployed.evm):
         record(theorem, message, ())
 
     while queue:
@@ -199,6 +201,22 @@ def _certify_liveness(
                 dist[predecessor] = dist[digest] + 1
                 frontier.append(predecessor)
 
+    # The forward searches overlap, so each (state, action) pair is
+    # stepped once for all of them: its agreeing successor's digest and
+    # pair, and whether that is a drained halt, or None.
+    stepped: dict[tuple[bytes, int], tuple[bytes, Pair, bool] | None] = {}
+
+    def successor(pair: Pair, digest: bytes, index: int) -> tuple[bytes, Pair, bool] | None:
+        key = (digest, index)
+        if key not in stepped:
+            result = lockstep.step(pair, universe.templates[index])
+            found: tuple[bytes, Pair, bool] | None = None
+            if result.digest is not None and not result.divergence:
+                state = result.evm.state
+                found = (result.digest, result.pair, halted(state, phase_count) and state.balance == 0)
+            stepped[key] = found
+        return stepped[key]
+
     def forward_certify(start: bytes) -> int | None:
         """On-the-fly lockstep BFS from an uncovered state, reusing ``dist``."""
         seen: set[bytes] = {start}
@@ -211,14 +229,14 @@ def _certify_liveness(
             if steps >= config.k_live:
                 continue
             for index in _enabled(pair.evm, universe, phase_count):
-                result = lockstep.step(pair, universe.templates[index])
-                successor_digest = result.digest
-                if successor_digest is None or result.divergence or successor_digest in seen:
+                found = successor(pair, digest, index)
+                if found is None or found[0] in seen:
                     continue
+                successor_digest, successor_pair, drained = found
                 seen.add(successor_digest)
-                if halted(result.evm.state, phase_count) and result.evm.state.balance == 0:
+                if drained:
                     return steps + 1
-                wave.append((result.pair, successor_digest, steps + 1))
+                wave.append((successor_pair, successor_digest, steps + 1))
         return None
 
     live_max = 0

@@ -33,7 +33,7 @@ MC-SPACE-DIVERGE    the EVM and AVM artifacts disagree on a transition
 
 from __future__ import annotations
 
-from repro.reach.absint.encode import canon
+from repro.reach.absint.encode import UNSET, canon
 from repro.reach.absint.exec import ActionTemplate, MCState, StepResult
 from repro.reach.absint.modelcheck.universe import Universe
 
@@ -101,11 +101,13 @@ def check_transition(
 
     # MC-SAFETY-ANCHOR (+ the batch write-once half of MC-SAFETY-BATCH):
     # entries never vanish except through a consumer, never change value.
+    if post.cells is pre.cells:
+        return violations  # the call left every cell as it was
     consumer = universe.consumer_slots.get(template.fn, frozenset())
-    post_maps = dict(post.maps)
-    for (slot, key), value in pre.maps:
-        after = post_maps.get((slot, key))
-        if after is None:
+    for ((slot, key), value), (_entry, after) in zip(pre.map_cells(), post.map_cells()):
+        if value is UNSET or after is value:
+            continue
+        if after is UNSET:
             if slot not in consumer:
                 violations.append(
                     (

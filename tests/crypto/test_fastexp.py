@@ -175,6 +175,28 @@ class TestMakeComb:
         assert built_python_combs == [comb]
         assert comb.pow(group.Q // 2) == pow(group.G, group.Q // 2, group.P)
 
+    @pytest.mark.parametrize("probe", range(13))
+    @pytest.mark.parametrize("base", [group.G, group.H], ids=["G", "H"])
+    def test_native_comb_wrong_on_any_probe_falls_back(self, monkeypatch, built_python_combs, base, probe):
+        exponent, expected = fastexp._probes(base)[probe]
+        assert expected == pow(base, exponent, group.P)  # the cheap derivation is the ground truth
+        fake = _FakeNativeComb(base, wrong_at=exponent)
+        monkeypatch.setattr("repro.crypto.native.load_native_comb", lambda base, modulus: fake)
+        comb = fastexp._make_comb(base)
+        assert built_python_combs == [comb]
+
+    def test_native_comb_of_the_wrong_base_falls_back(self, monkeypatch, built_python_combs):
+        fake = _FakeNativeComb(group.G)
+        monkeypatch.setattr("repro.crypto.native.load_native_comb", lambda base, modulus: fake)
+        comb = fastexp._make_comb(group.H)
+        assert built_python_combs == [comb]
+        assert comb.pow(12345) == pow(group.H, 12345, group.P)
+
+    def test_probes_are_the_thirteen_exponents(self):
+        exponents = [exponent for exponent, _ in fastexp._probes(group.G)]
+        orbit = [pow(1000003, i, group.Q) for i in range(1, 9)]
+        assert exponents == [0, 1, 2, group.Q - 1, group.Q // 2, *orbit]
+
     def test_no_native_comb_gives_the_python_comb(self, monkeypatch, built_python_combs):
         monkeypatch.setattr("repro.crypto.native.load_native_comb", lambda base, modulus: None)
         comb = fastexp._make_comb(group.H)

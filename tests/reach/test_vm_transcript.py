@@ -104,9 +104,10 @@ def _recording(monkeypatch, records):
     monkeypatch.setattr(AVM, "execute", avm_execute)
 
 
-def _run_vm(model, state, template, stores):
-    """A memo lookup forced to miss: the VM runs on every call."""
-    return model._run(state, template, stores)
+def _run_vm(model, state, template, cells):
+    """A memo lookup forced to miss: the VM runs on every call, on fresh
+    stores, with the clock and the balance as plain numbers."""
+    return model._run(template, model._stores(state), float(state.now), state.balance)
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +116,7 @@ def transcript():
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(modelcheck, "_CACHE", {})
         monkeypatch.setattr(equiv, "_CACHE", {})
-        monkeypatch.setattr(BackendModel, "_recall", _run_vm)
+        monkeypatch.setattr(BackendModel, "_outcome", _run_vm)
         _recording(monkeypatch, records)
         for name in CONTRACTS:
             compiled = compile_program(parse_contract((REPO / "contracts" / name).read_text()))

@@ -10,8 +10,8 @@ Typical entry points:
 
 - :class:`repro.core.ProofOfLocationSystem` -- the end-to-end facade.
 - :func:`repro.core.build_pol_program` +
-  :func:`repro.reach.compile_program` -- one contract source, compiled
-  for every connector.
+  :func:`repro.reach.compile_program` -- one contract source,
+  ``contracts/proof_of_location.rsh``, compiled for every connector.
 - :class:`repro.reach.ReachClient` -- deploy/attach/call on any chain.
 - :func:`repro.bench.run_simulation` -- the chapter-5 evaluation harness.
 """

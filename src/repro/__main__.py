@@ -447,7 +447,9 @@ def _cmd_verify_contract(args) -> int:
         try:
             program = parse_contract_file(args.source)
         except (ParseError, OSError) as exc:
-            print(f"cannot compile {args.source}: {exc}", file=sys.stderr)
+            span = getattr(exc, "span", None)
+            where = "" if span is None else f" (line {span[0]}, col {span[1]})"
+            print(f"cannot compile {args.source}{where}: {exc}", file=sys.stderr)
             return 2
     else:
         program = build_pol_program()

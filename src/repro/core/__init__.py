@@ -5,8 +5,9 @@
 - :mod:`repro.core.bluetooth` -- the range-limited proximity channel.
 - :mod:`repro.core.actors` -- Prover, Witness, Verifier and the
   Certification Authority.
-- :mod:`repro.core.contract` -- the PoL smart contract in the
-  blockchain-agnostic DSL (section 4.1).
+- :mod:`repro.core.contract` -- loads the PoL smart contract
+  (section 4.1) from its one source, ``contracts/proof_of_location.rsh``,
+  and formats its Map records.
 - :mod:`repro.core.factory` -- the factory pattern (section 2.4.1).
 - :mod:`repro.core.system` -- the end-to-end facade wiring chain + DHT +
   IPFS + DIDs together.

@@ -47,7 +47,6 @@ class CertificationAuthority:
     witness_keys: list[PublicKey] = field(default_factory=list)
     verifiers: set[str] = field(default_factory=set)
     identities: dict[str, str] = field(default_factory=dict)  # pseudonym -> real identity
-    wallets: dict[str, str] = field(default_factory=dict)  # key fingerprint -> wallet
     # O(1) membership mirror of witness_keys plus a cached delivery set:
     # with tens of thousands of witnesses, scanning the list per
     # registration or per delivered verification is quadratic overall.
@@ -57,7 +56,7 @@ class CertificationAuthority:
     def __post_init__(self) -> None:
         self._members.update(self.witness_keys)
 
-    def register_witness(self, public: PublicKey, real_identity: str = "", wallet: str = "") -> None:
+    def register_witness(self, public: PublicKey, real_identity: str = "") -> None:
         """A user communicates its public key to become a witness."""
         if public not in self._members:
             self._members.add(public)
@@ -65,12 +64,6 @@ class CertificationAuthority:
             self._delivered = None
         if real_identity:
             self.identities[public.fingerprint()] = real_identity
-        if wallet:
-            self.wallets[public.fingerprint()] = wallet
-
-    def witness_wallet(self, public: PublicKey) -> str | None:
-        """The payout wallet of a registered witness (section 2.8)."""
-        return self.wallets.get(public.fingerprint())
 
     def accredit_verifier(self, verifier_id: str) -> None:
         """Permissioned verification: the CA indicates the verifiers."""

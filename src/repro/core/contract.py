@@ -1,13 +1,15 @@
-"""The Proof-of-Location smart contract, in the blockchain-agnostic DSL.
+"""The Proof-of-Location smart contract and its record format.
 
-This is the contract of thesis chapter 4, feature for feature:
+The contract of thesis chapter 4 has one source,
+``contracts/proof_of_location.rsh``, and every run compiles it (the
+thesis's ``index.rsh``: one source, every connector).  It has
 
 - one ``Participant`` (the Creator: the first prover at a location) who
   deploys and publishes ``position``, ``did`` and his concatenated data
   (listings 4.1, 4.5);
-- ``attacherAPI.insert_data(data, did) -> UInt`` lets up to
-  ``max_users`` provers attach, returning the remaining seats
-  (listings 4.2, 4.6) inside the first ``parallelReduce``;
+- ``attacherAPI.insert_data(data, did) -> UInt`` lets up to ``seats``
+  provers attach, returning the remaining seats (listings 4.2, 4.6)
+  inside the first ``parallelReduce``;
 - ``verifierAPI.insert_money(amount) -> UInt`` funds the reward pool and
   ``verifierAPI.verify(did, wallet) -> Address`` pays the reward, deletes
   the Map row and logs the outcome (listings 4.3, 4.8, 4.9) inside the
@@ -24,14 +26,16 @@ restriction the thesis hit -- and the value is the concatenation
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.reach import ast as A
-from repro.reach.types import Address, Bytes, Fun, UInt
+from repro.reach.parser import parse_contract_file
+
+#: the contract source (the repository's ``contracts`` directory)
+POL_SOURCE = Path(__file__).resolve().parents[3] / "contracts" / "proof_of_location.rsh"
 
 #: field separator of the concatenated Map value (listing 4.13)
 RECORD_SEPARATOR = "|"
-MAP_VALUE_CAPACITY = 512
-#: a batch anchor is a hex-encoded 32-byte Merkle root (64 characters)
-BATCH_ROOT_CAPACITY = 64
 
 
 def pol_record(hashed_proof: str, signed_proof: str, wallet: str, nonce: int, cid: str) -> str:
@@ -59,174 +63,17 @@ def build_pol_program(
     reward: int = 10_000,
     attach_timeout: float = 86_400.0,
     verify_timeout: float = 86_400.0,
-    witness_reward: int = 0,
 ) -> A.Program:
-    """Build the PoL contract program.
+    """Parse the PoL contract with its compile-time parameters bound.
 
     ``reward`` is in the connector's base units, so callers pick the
     chain-appropriate amount; everything else is connector-independent
-    (the whole point of the agnostic language).
-
-    ``witness_reward`` enables the section 2.8 extension: "a new
-    strategy could consist in send the reward to the witness after that
-    verifier has to check his signature placed on the proof".  When
-    non-zero, ``verifierAPI.verify`` takes the witness's wallet as a
-    third argument and pays it too.
+    (the whole point of the agnostic language).  Timeouts are whole
+    seconds.
     """
     if max_users < 1:
         raise ValueError("the contract needs at least one seat")
-    if reward < 0 or witness_reward < 0:
-        raise ValueError("rewards cannot be negative")
-
-    creator = A.Participant(
-        name="Creator",
-        interface={
-            "position": Bytes(128),
-            "did": UInt,
-            "data_inserted": Bytes(MAP_VALUE_CAPACITY),
-            "reportData": Fun([UInt, Bytes(MAP_VALUE_CAPACITY)], None),
-            "reportBatch": Fun([UInt, UInt], None),
-            "reportVerification": Fun([UInt, Address], None),
-            "issueDuringVerification": Fun([UInt], None),
-        },
-    )
-    program = A.Program(
-        name="proof-of-location-wr" if witness_reward else "proof-of-location",
-        creator=creator,
-    )
-    program.declare_global("sits", max_users)
-    program.declare_global("pending", 0)
-    program.declare_global("reward", reward)
-    if witness_reward:
-        program.declare_global("witness_reward", witness_reward)
-    program.declare_global("position", "")
-    program.declare_global("anchored", 0)
-    easy_map = program.map("easy_map", key_type=UInt, value_type=Bytes(MAP_VALUE_CAPACITY))
-    batch_map = program.map("batch_map", key_type=UInt, value_type=Bytes(BATCH_ROOT_CAPACITY))
-
-    # Creator's first publication: position, DID and concatenated data.
-    program.publish(
-        params=[("position", Bytes(128)), ("did", UInt), ("data_inserted", Bytes(MAP_VALUE_CAPACITY))],
-        body=[
-            A.SetGlobal("position", A.arg(0)),
-            easy_map.set(A.arg(1), A.arg(2)),
-            A.SetGlobal("sits", A.const(max_users - 1)),
-            A.SetGlobal("pending", A.const(1)),
-            A.Log("reportData", [A.arg(1), A.arg(2)]),
-        ],
-    )
-
-    # Phase 1: attachers insert data while seats remain (listing 4.6).
-    insert_data = A.ApiMethod(
-        name="insert_data",
-        signature=Fun([Bytes(MAP_VALUE_CAPACITY), UInt], UInt),
-        body=[
-            A.Require(easy_map.contains(A.arg(1)).not_(), "DID already attached"),
-            # easy_map[did] = fromSome(easy_map[did], data)
-            easy_map.set(A.arg(1), easy_map.get_or(A.arg(1), A.arg(0))),
-            A.SetGlobal("sits", A.glob("sits") - A.const(1)),
-            A.SetGlobal("pending", A.glob("pending") + A.const(1)),
-            A.Log("reportData", [A.arg(1), A.arg(0)]),
-            A.Return(A.glob("sits")),
-        ],
-    )
-    # Batch anchoring (the rollup-style amortization): one transaction
-    # commits a Merkle root over ``count`` proof records.  The records
-    # themselves stay off-chain with their provers (who hold inclusion
-    # paths); light verification recomputes the root from a record plus
-    # its path and compares against ``batch_map[batch_id]``.
-    insert_batch = A.ApiMethod(
-        name="insert_batch",
-        signature=Fun([Bytes(BATCH_ROOT_CAPACITY), UInt, UInt], UInt),
-        body=[
-            A.Require(batch_map.contains(A.arg(2)).not_(), "batch id already anchored"),
-            A.Require(A.arg(1) > A.const(0), "empty batch"),
-            A.Require(A.arg(1) <= A.glob("sits"), "not enough seats for the batch"),
-            batch_map.set(A.arg(2), A.arg(0)),
-            A.SetGlobal("anchored", A.glob("anchored") + A.arg(1)),
-            A.SetGlobal("sits", A.glob("sits") - A.arg(1)),
-            A.Log("reportBatch", [A.arg(2), A.arg(1)]),
-            A.Return(A.glob("sits")),
-        ],
-    )
-    program.phase(
-        name="attach",
-        while_cond=A.glob("sits") > A.const(0),
-        apis=[A.ApiGroup("attacherAPI", [insert_data, insert_batch])],
-        invariant=A.balance().eq(A.balance()),  # the thesis's trivial invariant
-        timeout=(attach_timeout, []),
-    )
-
-    # Phase 2: verifiers fund and validate (listings 4.8-4.9).
-    insert_money = A.ApiMethod(
-        name="insert_money",
-        signature=Fun([UInt], UInt),
-        pay=0,
-        body=[
-            A.Require(A.arg(0) > A.const(0), "must insert a positive amount"),
-            A.Return(A.arg(0)),
-        ],
-    )
-    if witness_reward:
-        # Section 2.8 variant: the witness whose signature validated the
-        # proof is paid alongside the prover.
-        payout_budget = A.glob("reward") + A.glob("witness_reward")
-        verify = A.ApiMethod(
-            name="verify",
-            signature=Fun([UInt, Address, Address], Address),
-            body=[
-                A.Require(easy_map.contains(A.arg(0)), "unknown DID"),
-                A.If(
-                    A.balance() >= payout_budget,
-                    then=[
-                        A.Transfer(A.arg(1), A.glob("reward")),
-                        A.Transfer(A.arg(2), A.glob("witness_reward")),
-                        easy_map.delete(A.arg(0)),
-                        A.SetGlobal("pending", A.glob("pending") - A.const(1)),
-                        A.Log("reportVerification", [A.arg(0), A.caller()]),
-                        A.If(
-                            A.glob("pending").eq(A.const(0)),
-                            then=[A.Transfer(A.glob("_creator"), A.balance())],
-                        ),
-                    ],
-                    orelse=[A.Log("issueDuringVerification", [A.arg(0)])],
-                ),
-                A.Return(A.arg(1)),
-            ],
-        )
-    else:
-        verify = A.ApiMethod(
-            name="verify",
-            signature=Fun([UInt, Address], Address),
-            body=[
-                A.Require(easy_map.contains(A.arg(0)), "unknown DID"),
-                A.If(
-                    A.balance() >= A.glob("reward"),
-                    then=[
-                        A.Transfer(A.arg(1), A.glob("reward")),
-                        easy_map.delete(A.arg(0)),
-                        A.SetGlobal("pending", A.glob("pending") - A.const(1)),
-                        A.Log("reportVerification", [A.arg(0), A.caller()]),
-                        # When the last prover is verified, the contract is
-                        # about to close: return leftovers to the creator.
-                        A.If(
-                            A.glob("pending").eq(A.const(0)),
-                            then=[A.Transfer(A.glob("_creator"), A.balance())],
-                        ),
-                    ],
-                    orelse=[A.Log("issueDuringVerification", [A.arg(0)])],
-                ),
-                A.Return(A.arg(1)),
-            ],
-        )
-    program.phase(
-        name="verify",
-        while_cond=A.glob("pending") > A.const(0),
-        apis=[A.ApiGroup("verifierAPI", [insert_money, verify])],
-        timeout=(verify_timeout, [A.Transfer(A.glob("_creator"), A.balance())]),
-    )
-
-    program.view("getCtcBalance", A.balance())
-    program.view("getReward", A.glob("reward"))
-    program.view("getAnchored", A.glob("anchored"))
-    return program
+    params = {"seats": max_users, "payout": reward, "attach_timeout": attach_timeout, "verify_timeout": verify_timeout}
+    # the grammar's parameters are ints: a whole-second float binds as one
+    params = {name: int(value) if value == int(value) else value for name, value in params.items()}
+    return parse_contract_file(str(POL_SOURCE), params)

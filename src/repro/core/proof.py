@@ -117,25 +117,6 @@ def _find_signer(
     return next((key for key in witness_keys if key.verify(hashed, signature)), None)
 
 
-def identify_witness(
-    hashed_proof_hex: str,
-    signature_hex: str,
-    witness_keys: Collection[PublicKey],
-    preferred: Collection[PublicKey] | None = None,
-) -> PublicKey | None:
-    """Which CA-listed witness signed this record, if any.
-
-    Used by the section 2.8 witness-reward strategy: the verifier pays
-    the witness whose signature validated the proof.
-    """
-    try:
-        hashed = bytes.fromhex(hashed_proof_hex)
-        signature = Signature.from_bytes(bytes.fromhex(signature_hex))
-    except (ValueError, TypeError):
-        return None
-    return _find_signer(hashed, signature, witness_keys, preferred)
-
-
 def verify_record(
     hashed_proof_hex: str,
     signature_hex: str,

@@ -93,7 +93,6 @@ class ProofOfLocationSystem:
     reward: int = 10_000
     max_users: int = 4
     hypercube_bits: int = 8
-    witness_reward: int = 0  # enable the section 2.8 strategy when > 0
     compiled: CompiledContract = None  # type: ignore[assignment]
     client: ReachClient = field(init=False)
     factory: ContractFactory = field(init=False)
@@ -126,13 +125,7 @@ class ProofOfLocationSystem:
 
     def __post_init__(self) -> None:
         if self.compiled is None:
-            self.compiled = compile_program(
-                build_pol_program(
-                    max_users=self.max_users,
-                    reward=self.reward,
-                    witness_reward=self.witness_reward,
-                )
-            )
+            self.compiled = compile_program(build_pol_program(max_users=self.max_users, reward=self.reward))
         lint = self.compiled.lint_report()
         if lint.has_errors:
             failures = "; ".join(
@@ -183,9 +176,7 @@ class ProofOfLocationSystem:
             latitude=latitude, longitude=longitude,
         )
         self.witnesses[name] = witness
-        self.authority.register_witness(
-            account.keypair.public, real_identity=name, wallet=account.address
-        )
+        self.authority.register_witness(account.keypair.public, real_identity=name)
         self._witness_cells.setdefault(witness.olc[:8], []).append(account.keypair.public)
         return witness
 
@@ -557,27 +548,9 @@ class ProofOfLocationSystem:
         )
         if outcome is not ProofFailure.OK:
             return outcome, None, ""
-        account = self.accounts[verifier_name]
-        if self.witness_reward:
-            # Section 2.8: identify the signing witness and pay it too.
-            from repro.core.proof import identify_witness
-
-            signer = identify_witness(
-                str(fields["hashed_proof"]),
-                str(fields["signed_proof"]),
-                self.authority.witness_set(verifier_name),
-                preferred=self._witness_cells.get(olc[:8]),
-            )
-            witness_wallet = self.authority.witness_wallet(signer) if signer else None
-            if witness_wallet is None:
-                raise PolSystemError("cannot resolve the signing witness's wallet")
-            handle = deployed.api_async(
-                "verifierAPI.verify", did_uint, str(fields["wallet"]), witness_wallet, sender=account
-            )
-        else:
-            handle = deployed.api_async(
-                "verifierAPI.verify", did_uint, str(fields["wallet"]), sender=account
-            )
+        handle = deployed.api_async(
+            "verifierAPI.verify", did_uint, str(fields["wallet"]), sender=self.accounts[verifier_name]
+        )
         return ProofFailure.OK, handle, str(fields["cid"])
 
     def _publish_verified(self, verifier_name: str, olc: str, cid: str) -> None:

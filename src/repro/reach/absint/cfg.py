@@ -41,19 +41,23 @@ class CFG:
 
     def reverse_postorder(self) -> list[int]:
         """Block starts in reverse postorder (a worklist-friendly order)."""
-        seen: set[int] = set()
         order: list[int] = []
-
-        def visit(start: int) -> None:
-            if start in seen:
-                return
-            seen.add(start)
-            for target, _ in self.blocks[start].edges:
-                visit(target)
-            order.append(start)
-
-        visit(self.entry)
+        _postorder(self.blocks, self.entry, set(), order)
         return list(reversed(order))
+
+
+# The recursive walks below are module functions rather than closures: a
+# closure that calls itself is a reference cycle, and every cold lint
+# would leave its CFGs and instruction streams to the cycle collector.
+
+
+def _postorder(blocks: dict[int, BasicBlock], start: int, seen: set[int], order: list[int]) -> None:
+    """Append the blocks reachable from ``start`` to ``order`` in postorder."""
+    seen.add(start)
+    for target, _ in blocks[start].edges:
+        if target not in seen:
+            _postorder(blocks, target, seen, order)
+    order.append(start)
 
 
 def build_cfg(length: int, entry: int, successors: SuccessorFn) -> CFG:
@@ -140,28 +144,43 @@ def path_bounds(
     excluding ``err``-rejection paths when bounding successful runs);
     by default every terminator counts.
     """
-    memo: dict[int, tuple[int, int | None]] = {}
-    in_progress: set[int] = set()
+    result = _PathBounds(length, successors, cost_of, terminal_ok).bounds(entry)
+    if result is None:
+        return (0, 0)
+    return result
 
-    def bounds(index: int) -> tuple[int, int | None] | None:
+
+@dataclass
+class _PathBounds:
+    """The memoized depth-first walk behind :func:`path_bounds`."""
+
+    length: int
+    successors: SuccessorFn
+    cost_of: Callable[[int], tuple[int, int]]
+    terminal_ok: Callable[[int], bool] | None
+    memo: dict[int, tuple[int, int | None]] = field(default_factory=dict)
+    in_progress: set[int] = field(default_factory=set)
+
+    def bounds(self, index: int) -> tuple[int, int | None] | None:
         """(lo, hi) from ``index`` to any terminal; None if no terminal."""
+        memo, in_progress = self.memo, self.in_progress
         if index in memo:
             return memo[index]
         if index in in_progress:  # a cycle: no finite bound through here
             return (0, None)
-        if not 0 <= index < length:
+        if not 0 <= index < self.length:
             return None
         in_progress.add(index)
-        lo_cost, hi_cost = cost_of(index)
-        edges = successors(index)
+        lo_cost, hi_cost = self.cost_of(index)
+        edges = self.successors(index)
         if not edges:
             in_progress.discard(index)
-            if terminal_ok is not None and not terminal_ok(index):
+            if self.terminal_ok is not None and not self.terminal_ok(index):
                 return None
             result = (lo_cost, hi_cost)
             memo[index] = result
             return result
-        child_bounds = [bounds(target) for target, _ in edges]
+        child_bounds = [self.bounds(target) for target, _ in edges]
         child_bounds = [b for b in child_bounds if b is not None]
         in_progress.discard(index)
         if not child_bounds:
@@ -173,8 +192,3 @@ def path_bounds(
             hi = hi_cost + max(b[1] for b in child_bounds)
         memo[index] = (lo, hi)
         return (lo, hi)
-
-    result = bounds(entry)
-    if result is None:
-        return (0, 0)
-    return result

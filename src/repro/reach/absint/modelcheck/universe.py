@@ -119,21 +119,11 @@ def _creator_gated(fn: IRFunction) -> bool:
 
 def _key_arg_indices(body: tuple[A.Stmt, ...] | tuple[A.Expr, ...]) -> set[int]:
     """Argument indices used as Map keys anywhere in ``body``."""
-    found: set[int] = set()
-
-    def walk(node: object) -> None:
-        if isinstance(node, (A.MapGetOr, A.MapContains)):
-            if isinstance(node.key, A.ArgRef):
-                found.add(node.key.index)
-        if isinstance(node, (A.MapSet, A.MapDelete)):
-            if isinstance(node.key, A.ArgRef):
-                found.add(node.key.index)
-        for child in _children(node):
-            walk(child)
-
-    for item in body:
-        walk(item)
-    return found
+    return {
+        node.key.index
+        for node in _nodes(body)
+        if isinstance(node, (A.MapGetOr, A.MapContains, A.MapSet, A.MapDelete)) and isinstance(node.key, A.ArgRef)
+    }
 
 
 def _anchored_bytes_indices(body: tuple[A.Stmt, ...] | tuple[A.Expr, ...]) -> set[int]:
@@ -144,17 +134,18 @@ def _anchored_bytes_indices(body: tuple[A.Stmt, ...] | tuple[A.Expr, ...]) -> se
     a single value cannot distinguish "replay wrote the same record"
     from "a conflicting write clobbered an anchored record".
     """
-    found: set[int] = set()
+    return {
+        node.value.index for node in _nodes(body) if isinstance(node, A.MapSet) and isinstance(node.value, A.ArgRef)
+    }
 
-    def walk(node: object) -> None:
-        if isinstance(node, A.MapSet) and isinstance(node.value, A.ArgRef):
-            found.add(node.value.index)
-        for child in _children(node):
-            walk(child)
 
-    for item in body:
-        walk(item)
-    return found
+def _nodes(body: tuple[A.Stmt, ...] | tuple[A.Expr, ...]) -> Iterator[object]:
+    """Every statement and expression in ``body``, nested ones included."""
+    stack: list[object] = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(_children(node))
 
 
 def _children(node: object) -> Iterator[object]:

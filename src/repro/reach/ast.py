@@ -6,7 +6,9 @@ deployment data), ``API`` groups for attachers and verifiers, ``View``s
 for free reads, a ``Map`` for the DID-keyed data, and a sequence of
 ``parallelReduce`` phases, each with a timeout.
 
-Expressions are built with Python operators (``glob("sits") > const(0)``)
+Contracts are written as ``.rsh`` source and built by
+:mod:`repro.reach.parser`; tests also build small programs directly.
+Expressions compose with Python operators (``glob("sits") > const(0)``)
 and are *pure descriptions* -- compilation and execution happen in
 :mod:`repro.reach.compiler` and the chain VMs.
 """
@@ -43,7 +45,7 @@ class Expr:
     """Base expression; supports arithmetic/comparison operator building."""
 
     #: source location, attached by the parser (None for programs built
-    #: directly from Python, e.g. ``build_pol_program``)
+    #: directly from Python, as tests do)
     span: Span | None = None
 
     def _wrap(self, other: Any) -> "Expr":
@@ -289,10 +291,9 @@ class Return(Stmt):
 
 @dataclass(frozen=True)
 class Participant:
-    """A named participant and its frontend interface (listing 4.1)."""
+    """The named deploying participant (listing 4.1)."""
 
     name: str
-    interface: dict[str, ReachType | Fun] = field(default_factory=dict)
 
 
 @dataclass
@@ -377,7 +378,6 @@ class Phase:
     name: str
     while_cond: Expr
     apis: tuple[ApiGroup, ...]
-    invariant: Expr | None = None
     timeout: tuple[float, tuple[Stmt, ...]] | None = None
 
     span = None  # class-level Span default; the parser attaches real ones
@@ -387,13 +387,11 @@ class Phase:
         name: str,
         while_cond: Expr,
         apis: list[ApiGroup],
-        invariant: Expr | None = None,
         timeout: tuple[float, list[Stmt]] | None = None,
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "while_cond", while_cond)
         object.__setattr__(self, "apis", tuple(apis))
-        object.__setattr__(self, "invariant", invariant)
         if timeout is not None:
             timeout = (timeout[0], tuple(timeout[1]))
         object.__setattr__(self, "timeout", timeout)
@@ -449,11 +447,10 @@ class Program:
         name: str,
         while_cond: Expr,
         apis: list[ApiGroup],
-        invariant: Expr | None = None,
         timeout: tuple[float, list[Stmt]] | None = None,
     ) -> Phase:
         """Append a ``parallelReduce`` phase."""
-        new_phase = Phase(name=name, while_cond=while_cond, apis=apis, invariant=invariant, timeout=timeout)
+        new_phase = Phase(name=name, while_cond=while_cond, apis=apis, timeout=timeout)
         self.phases.append(new_phase)
         return new_phase
 

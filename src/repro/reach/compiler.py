@@ -240,7 +240,7 @@ class _Lowering:
                 for method in group.methods:
                     qualified = f"{group.name}.{method.name}"
                     if qualified in functions:
-                        raise CompileError(f"duplicate API method {qualified}")
+                        raise CompileError(f"duplicate API method {qualified}", method.span)
                     functions[qualified] = self._api_method(qualified, phase_index, phase, method)
             if phase.timeout is not None:
                 functions[f"timeout_{phase_index}"] = self._timeout(phase_index, phase)

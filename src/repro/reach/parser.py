@@ -1,19 +1,24 @@
-"""A textual frontend for the contract language (``.rsh``-style files).
+"""The textual frontend of the contract language (``.rsh``-style files).
 
-The thesis writes its contract in textual Reach (``index.rsh``); this
-parser gives the reproduction the same authoring experience.  The
-grammar is a compact, Reach-flavoured surface over the Python AST:
+The thesis writes its contract once, in textual Reach (``index.rsh``),
+and compiles that one source for every connector; this parser does the
+same for ``contracts/proof_of_location.rsh``, the only source of the PoL
+contract.  The grammar is a compact, Reach-flavoured surface over the
+AST of :mod:`repro.reach.ast`:
 
     contract "proof-of-location" {
         participant Creator;
 
-        global sits = 4;
-        global reward = 10000;
+        param seats = 4;
+        param payout = 10000;
+
+        global sits = seats;
+        global reward = payout;
         map easy_map : UInt => Bytes(512);
 
         publish(position: Bytes(128), did: UInt, data: Bytes(512)) {
             easy_map[did] = data;
-            sits := sits - 1;
+            sits := seats - 1;
             emit reportData(did, data);
         }
 
@@ -32,11 +37,19 @@ grammar is a compact, Reach-flavoured surface over the Python AST:
         view getCtcBalance = balance();
     }
 
+``param name = default;`` declares a compile-time parameter: a
+non-negative integer that stands wherever a literal may (a ``global``
+initializer, a ``timeout (...)``, an expression).  ``parse_contract(...,
+params={"seats": 16})`` binds other values.  A parameter folds to a
+constant, and so does any arithmetic on two constants whose result is a
+``UInt``: ``seats - 1`` lowers to ``const(3)``.  Parameters, globals and
+maps share one namespace, and every name is declared once.
+
 Statements: ``name := expr;`` (global assignment), ``map[k] = v;``,
 ``delete map[k];``, ``if (e) { ... } else { ... }``, ``require(e, "msg");``,
 ``transfer(amount).to(addr);``, ``emit Event(a, b);``, ``return e;``.
 
-Expressions: integer/string literals, parameter and global names,
+Expressions: integer/string literals, argument, parameter and global names,
 ``balance()``, ``this`` (caller), ``payAmount``, ``creator`` (the
 deployer), ``map.get(key, default)``, ``map.has(key)``, the usual
 arithmetic/comparison/logical operators with C-like precedence.
@@ -52,7 +65,46 @@ from repro.reach.types import Address, Bytes, Fun, ReachType, UInt
 
 
 class ParseError(Exception):
-    """Syntax or name-resolution error, with a line number."""
+    """Syntax or name-resolution error.
+
+    ``span`` is the (line, col) of the offending token, or None at the
+    end of the input.
+    """
+
+    def __init__(self, message: str, span: A.Span | None = None):
+        super().__init__(message)
+        self.span = span
+
+
+#: arithmetic that folds when both operands are integer constants
+_FOLDABLE = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a // b if b else None,
+    "mod": lambda a, b: a % b if b else None,
+}
+
+
+def _fold(expr: A.Expr) -> A.Expr:
+    """``const op const`` as one constant, when the result is a ``UInt``.
+
+    A result the VMs would reject (underflow, overflow, division by
+    zero) stays an operation, so the call still reverts at run time.
+    """
+    if not (
+        isinstance(expr, A.BinOp)
+        and expr.op in _FOLDABLE
+        and isinstance(expr.left, A.Const)
+        and isinstance(expr.right, A.Const)
+        and type(expr.left.value) is int
+        and type(expr.right.value) is int
+    ):
+        return expr
+    value = _FOLDABLE[expr.op](expr.left.value, expr.right.value)
+    if value is None or not 0 <= value < 2**64:
+        return expr
+    return A.set_span(A.const(value), expr.left.span)
 
 
 @dataclass(frozen=True)
@@ -89,7 +141,9 @@ def _tokenize(source: str) -> list[_Token]:
     while position < len(source):
         match = _TOKEN_RE.match(source, position)
         if match is None:
-            raise ParseError(f"line {line}: unexpected character {source[position]!r}")
+            raise ParseError(
+                f"unexpected character {source[position]!r}", (line, position - line_start + 1)
+            )
         kind = match.lastgroup
         text = match.group()
         if kind not in ("ws", "comment"):
@@ -106,13 +160,16 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], overrides: dict[str, int]):
         self.tokens = tokens
         self.position = 0
         self.program: A.Program | None = None
+        self.overrides = overrides  # caller-bound compile-time parameter values
+        self.constants: dict[str, int] = {}  # compile-time parameter -> bound value
         self.maps: dict[str, A.Map] = {}
         self.globals: set[str] = set()
-        self.params: dict[str, int] = {}  # in-scope parameter name -> arg index
+        self.views: set[str] = set()
+        self.params: dict[str, int] = {}  # in-scope argument name -> arg index
 
     # -- token helpers ---------------------------------------------------------
 
@@ -130,7 +187,7 @@ class _Parser:
     def _expect(self, value: str) -> _Token:
         token = self._next()
         if token.value != value:
-            raise ParseError(f"line {token.line}: expected {value!r}, got {token.value!r}")
+            raise ParseError(f"expected {value!r}, got {token.value!r}", token.span)
         return token
 
     def _accept(self, value: str) -> bool:
@@ -143,8 +200,16 @@ class _Parser:
     def _ident(self) -> str:
         token = self._next()
         if token.kind != "ident":
-            raise ParseError(f"line {token.line}: expected an identifier, got {token.value!r}")
+            raise ParseError(f"expected an identifier, got {token.value!r}", token.span)
         return token.value
+
+    def _constant(self, what: str) -> int | str:
+        """A constant expression: a literal, a parameter or their arithmetic."""
+        token = self._peek()
+        expr = self._expr()
+        if not isinstance(expr, A.Const):
+            raise ParseError(f"{what} must be a constant", token.span)
+        return expr.value
 
     # -- grammar -----------------------------------------------------------------
 
@@ -152,12 +217,12 @@ class _Parser:
         self._expect("contract")
         name_token = self._next()
         if name_token.kind != "string":
-            raise ParseError(f"line {name_token.line}: contract name must be a string")
+            raise ParseError("contract name must be a string", name_token.span)
         self._expect("{")
         self._expect("participant")
         participant = self._ident()
         self._expect(";")
-        self.program = A.Program(name=name_token.value, creator=A.Participant(participant, {}))
+        self.program = A.Program(name=name_token.value, creator=A.Participant(participant))
         while not self._accept("}"):
             self._item()
         return self.program
@@ -166,7 +231,9 @@ class _Parser:
         token = self._peek()
         if token is None:
             raise ParseError("unterminated contract body")
-        if token.value == "global":
+        if token.value == "param":
+            self._param_decl()
+        elif token.value == "global":
             self._global_decl()
         elif token.value == "map":
             self._map_decl()
@@ -177,26 +244,40 @@ class _Parser:
         elif token.value == "view":
             self._view()
         else:
-            raise ParseError(f"line {token.line}: unexpected {token.value!r} at contract scope")
+            raise ParseError(f"unexpected {token.value!r} at contract scope", token.span)
+
+    def _declare(self, keyword: _Token) -> str:
+        """The name a contract-scope declaration introduces, checked unique."""
+        name = self._ident()
+        taken = self.views if keyword.value == "view" else (self.constants.keys() | self.globals | self.maps.keys())
+        if name in taken:
+            raise ParseError(f"{name!r} is already declared", keyword.span)
+        return name
+
+    def _param_decl(self) -> None:
+        keyword = self._expect("param")
+        name = self._declare(keyword)
+        self._expect("=")
+        default = self._constant("a parameter default")
+        if type(default) is not int:
+            raise ParseError(f"parameter {name!r} must default to an integer", keyword.span)
+        self._expect(";")
+        self.constants[name] = self.overrides.get(name, default)
 
     def _global_decl(self) -> None:
-        self._expect("global")
-        name = self._ident()
+        keyword = self._expect("global")
+        name = self._declare(keyword)
+        if name.startswith("_"):
+            raise ParseError(f"global {name!r}: names starting with '_' are reserved for the runtime", keyword.span)
         self._expect("=")
-        token = self._next()
-        if token.kind == "int":
-            initial: object = int(token.value.replace("_", ""))
-        elif token.kind == "string":
-            initial = token.value
-        else:
-            raise ParseError(f"line {token.line}: global initializer must be a literal")
+        initial = self._constant("a global initializer")
         self._expect(";")
         self.program.declare_global(name, initial)
         self.globals.add(name)
 
     def _map_decl(self) -> None:
         keyword = self._expect("map")
-        name = self._ident()
+        name = self._declare(keyword)
         self._expect(":")
         key_type = self._type()
         self._expect("=>")
@@ -215,17 +296,20 @@ class _Parser:
             self._expect("(")
             size = self._next()
             if size.kind != "int":
-                raise ParseError(f"line {size.line}: Bytes size must be an integer")
+                raise ParseError("Bytes size must be an integer", size.span)
             self._expect(")")
             return Bytes(int(size.value))
-        raise ParseError(f"line {token.line}: unknown type {token.value!r}")
+        raise ParseError(f"unknown type {token.value!r}", token.span)
 
     def _param_list(self) -> list[tuple[str, ReachType]]:
         self._expect("(")
         params: list[tuple[str, ReachType]] = []
         if not self._accept(")"):
             while True:
+                name_token = self._peek()
                 name = self._ident()
+                if any(name == declared for declared, _ in params):
+                    raise ParseError(f"duplicate parameter {name!r}", name_token.span)
                 self._expect(":")
                 params.append((name, self._type()))
                 if self._accept(")"):
@@ -251,11 +335,12 @@ class _Parser:
         timeout = None
         if self._accept("timeout"):
             self._expect("(")
-            seconds_token = self._next()
-            if seconds_token.kind != "int":
-                raise ParseError(f"line {seconds_token.line}: timeout takes whole seconds")
+            seconds_token = self._peek()
+            seconds = self._constant("a timeout")
+            if type(seconds) is not int:
+                raise ParseError("timeout takes whole seconds", seconds_token.span)
             self._expect(")")
-            timeout = (float(int(seconds_token.value.replace("_", ""))), self._block())
+            timeout = (float(seconds), self._block())
         self._expect("{")
         groups: list[A.ApiGroup] = []
         while not self._accept("}"):
@@ -282,7 +367,7 @@ class _Parser:
                 pay_name = self._ident()
                 names = [param_name for param_name, _ in params]
                 if pay_name not in names:
-                    raise ParseError(f"pays target {pay_name!r} is not a parameter of {name}")
+                    raise ParseError(f"pays target {pay_name!r} is not a parameter of {name}", name_token.span)
                 pay_index = names.index(pay_name)
             else:
                 break
@@ -299,11 +384,12 @@ class _Parser:
 
     def _view(self) -> None:
         keyword = self._expect("view")
-        name = self._ident()
+        name = self._declare(keyword)
         self._expect("=")
         expr = self._expr()
         self._expect(";")
         A.set_span(self.program.view(name, expr), keyword.span)
+        self.views.add(name)
 
     # -- statements -------------------------------------------------------------------
 
@@ -339,7 +425,7 @@ class _Parser:
             if after is not None and after.value == ":=":
                 name = self._ident()
                 if name not in self.globals:
-                    raise ParseError(f"line {token.line}: {name!r} is not a declared global")
+                    raise ParseError(f"{name!r} is not a declared global", token.span)
                 self._expect(":=")
                 value = self._expr()
                 self._expect(";")
@@ -353,7 +439,7 @@ class _Parser:
                 value = self._expr()
                 self._expect(";")
                 return self.maps[map_name].set(key, value)
-        raise ParseError(f"line {token.line}: unrecognized statement starting at {token.value!r}")
+        raise ParseError(f"unrecognized statement starting at {token.value!r}", token.span)
 
     def _if_stmt(self) -> A.Stmt:
         self._expect("if")
@@ -374,7 +460,7 @@ class _Parser:
         if self._accept(","):
             message_token = self._next()
             if message_token.kind != "string":
-                raise ParseError(f"line {message_token.line}: require message must be a string")
+                raise ParseError("require message must be a string", message_token.span)
             message = message_token.value
         self._expect(")")
         self._expect(";")
@@ -417,9 +503,10 @@ class _Parser:
 
     def _delete_stmt(self) -> A.Stmt:
         self._expect("delete")
+        map_token = self._peek()
         map_name = self._ident()
         if map_name not in self.maps:
-            raise ParseError(f"{map_name!r} is not a declared map")
+            raise ParseError(f"{map_name!r} is not a declared map", map_token.span)
         self._expect("[")
         key = self._expr()
         self._expect("]")
@@ -468,9 +555,9 @@ class _Parser:
         left = self._mul()
         while True:
             if self._accept("+"):
-                left = left + self._mul()
+                left = _fold(left + self._mul())
             elif self._accept("-"):
-                left = left - self._mul()
+                left = _fold(left - self._mul())
             else:
                 return left
 
@@ -478,11 +565,11 @@ class _Parser:
         left = self._unary()
         while True:
             if self._accept("*"):
-                left = left * self._unary()
+                left = _fold(left * self._unary())
             elif self._accept("/"):
-                left = left // self._unary()
+                left = _fold(left // self._unary())
             elif self._accept("%"):
-                left = left % self._unary()
+                left = _fold(left % self._unary())
             else:
                 return left
 
@@ -505,7 +592,7 @@ class _Parser:
             self._expect(")")
             return inner
         if token.kind != "ident":
-            raise ParseError(f"line {token.line}: unexpected {token.value!r} in expression")
+            raise ParseError(f"unexpected {token.value!r} in expression", token.span)
         name = token.value
         if name == "balance":
             self._expect("(")
@@ -531,28 +618,40 @@ class _Parser:
                 key = self._expr()
                 self._expect(")")
                 return self.maps[name].contains(key)
-            raise ParseError(f"line {token.line}: maps support .get(k, d) and .has(k), not .{method}")
+            raise ParseError(f"maps support .get(k, d) and .has(k), not .{method}", token.span)
         if name in self.params:
             return A.arg(self.params[name])
+        if name in self.constants:
+            return A.const(self.constants[name])
         if name in self.globals:
             return A.glob(name)
-        raise ParseError(f"line {token.line}: unknown name {name!r}")
+        raise ParseError(f"unknown name {name!r}", token.span)
 
 
-def parse_contract(source: str) -> A.Program:
-    """Parse ``.rsh``-style source into a :class:`~repro.reach.ast.Program`."""
+def parse_contract(source: str, params: dict[str, int] | None = None) -> A.Program:
+    """Parse ``.rsh``-style source into a :class:`~repro.reach.ast.Program`.
+
+    ``params`` binds compile-time parameters by name, overriding the
+    defaults the source declares; each value is a non-negative int.
+    """
+    params = dict(params or {})
+    for name, value in params.items():
+        if type(value) is not int or value < 0:
+            raise ParseError(f"parameter {name!r} must be a non-negative int, got {value!r}")
     tokens = _tokenize(source)
     if not tokens:
         raise ParseError("empty source")
-    parser = _Parser(tokens)
+    parser = _Parser(tokens, params)
     program = parser.parse_contract()
     if parser._peek() is not None:
-        trailing = parser._peek()
-        raise ParseError(f"line {trailing.line}: trailing input after contract body")
+        raise ParseError("trailing input after contract body", parser._peek().span)
+    unknown = sorted(params.keys() - parser.constants.keys())
+    if unknown:
+        raise ParseError(f"unknown parameter {unknown[0]!r} for contract {program.name!r}")
     return program
 
 
-def parse_contract_file(path: str) -> A.Program:
-    """Parse a contract source file."""
+def parse_contract_file(path: str, params: dict[str, int] | None = None) -> A.Program:
+    """Parse a contract source file (see :func:`parse_contract`)."""
     with open(path, encoding="utf-8") as handle:
-        return parse_contract(handle.read())
+        return parse_contract(handle.read(), params)

@@ -1,7 +1,5 @@
 """Tests for the paper's extension features.
 
-- the section 2.8 witness-reward strategy;
-- the section 2.7 pseudonym rotation;
 - verified-report persistence (gateway pinning);
 - the known limitation the thesis explicitly leaves open
   (Prover-Witness collusion, section 2's caveat).
@@ -10,21 +8,18 @@
 import pytest
 
 from repro.chain.ethereum import EthereumChain
-from repro.core.proof import ProofFailure, ProofRequest, build_proof, identify_witness
+from repro.core.proof import ProofFailure, ProofRequest, build_proof
 from repro.core.system import ProofOfLocationSystem
 from repro.ipfs import ContentNotAvailable
 
 ETH = 10**18
 LAT, LNG = 44.4949, 11.3426
 REWARD = 5_000
-WITNESS_REWARD = 1_500
 
 
-def build_system(witness_reward=0, seed=71, max_users=2):
+def build_system(seed=71, max_users=2):
     chain = EthereumChain(profile="eth-devnet", seed=seed, validator_count=4)
-    system = ProofOfLocationSystem(
-        chain=chain, reward=REWARD, max_users=max_users, witness_reward=witness_reward
-    )
+    system = ProofOfLocationSystem(chain=chain, reward=REWARD, max_users=max_users)
     system.register_prover("anna", LAT, LNG, funding=ETH)
     system.register_prover("bruno", LAT, LNG, funding=ETH)
     system.register_witness("walter", LAT, LNG + 0.0002)
@@ -39,44 +34,6 @@ def file_both(system):
     request_b, proof_b, _ = system.request_location_proof("bruno", "walter", b"report-b")
     system.submit("bruno", request_b, proof_b)
     return request_a.olc
-
-
-class TestWitnessReward:
-    def test_witness_paid_on_verification(self):
-        system = build_system(witness_reward=WITNESS_REWARD)
-        olc = file_both(system)
-        system.fund_contract("vera", olc, (REWARD + WITNESS_REWARD) * 2)
-        chain = system.chain
-        walter_before = chain.balance_of(system.accounts["walter"].address)
-        anna_before = chain.balance_of(system.accounts["anna"].address)
-        outcome = system.verify_and_reward("vera", olc, system.provers["anna"].did_uint)
-        assert outcome is ProofFailure.OK
-        assert chain.balance_of(system.accounts["anna"].address) == anna_before + REWARD
-        assert chain.balance_of(system.accounts["walter"].address) == walter_before + WITNESS_REWARD
-
-    def test_witness_reward_contract_verifies(self):
-        system = build_system(witness_reward=WITNESS_REWARD)
-        assert system.compiled.lint_report().failures == []
-        # The 3-argument verify API is in place.
-        verify = system.compiled.ir.functions["verifierAPI.verify"]
-        assert len(verify.params) == 3
-
-    def test_underfunded_contract_pays_nobody(self):
-        system = build_system(witness_reward=WITNESS_REWARD)
-        olc = file_both(system)
-        system.fund_contract("vera", olc, REWARD)  # not enough for both payouts
-        chain = system.chain
-        walter_before = chain.balance_of(system.accounts["walter"].address)
-        system.verify_and_reward("vera", olc, system.provers["anna"].did_uint)
-        assert chain.balance_of(system.accounts["walter"].address) == walter_before
-
-    def test_identify_witness(self):
-        system = build_system(witness_reward=WITNESS_REWARD)
-        request, proof, _ = system.request_location_proof("anna", "walter", b"r")
-        keys = system.authority.witness_set("vera")
-        signer = identify_witness(proof.hashed_proof_hex, proof.signature_hex, keys)
-        assert signer == system.witnesses["walter"].keypair.public
-        assert identify_witness("zz", "zz", keys) is None
 
 
 class TestReportPersistence:

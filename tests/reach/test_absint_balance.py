@@ -19,7 +19,7 @@ CONTRACTS = "contracts"
 
 def program_with_method(body) -> A.Program:
     """A minimal one-phase program hosting one API method."""
-    program = A.Program(name="probe", creator=A.Participant("Creator", {}))
+    program = A.Program(name="probe", creator=A.Participant("Creator"))
     program.declare_global("count", 1)
     program.publish(params=[("seed", UInt)], body=[A.SetGlobal("count", A.arg(0))])
     method = A.ApiMethod("probe", Fun([UInt, UInt], UInt), body=list(body))

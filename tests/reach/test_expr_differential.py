@@ -41,7 +41,7 @@ expr_trees = st.recursive(leaf, binop, max_leaves=8)
 
 
 def build_calc_program(expression: A.Expr) -> A.Program:
-    program = A.Program(name="calc", creator=A.Participant("Owner", {}))
+    program = A.Program(name="calc", creator=A.Participant("Owner"))
     program.declare_global("runs", 1_000)
     program.publish(params=[], body=[])
     method = A.ApiMethod(

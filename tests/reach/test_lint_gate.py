@@ -7,6 +7,7 @@ grep so a wall-clock or unseeded-randomness regression fails locally
 before it flakes in CI.
 """
 
+import gc
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +18,7 @@ from repro.__main__ import main
 from repro.chain.ethereum import EthereumChain
 from repro.core.contract import build_pol_program
 from repro.core.system import PolSystemError, ProofOfLocationSystem
+from repro.reach.absint import equiv, modelcheck
 from repro.reach.absint.equiv import drop_teal_store
 from repro.reach.compiler import compile_program
 from repro.reach.runtime import ReachClient, ReachRuntimeError
@@ -24,6 +26,7 @@ from repro.reach.runtime import ReachClient, ReachRuntimeError
 REPO = Path(__file__).resolve().parents[2]
 POL = str(REPO / "contracts" / "proof_of_location.rsh")
 CROWDFUNDING = str(REPO / "contracts" / "crowdfunding.rsh")
+GOLDEN_POL_16 = REPO / "tests" / "reach" / "golden" / "lint_pol_16.txt"
 
 
 def mutated_pol():
@@ -77,8 +80,10 @@ class TestExitCodes:
         [
             ("Bytes(64);\n", "Bytes(64);\n    map counts : UInt => UInt;\n", "map counts"),
             ("amount: UInt) returns", "amount: Bytes(8)) returns", "pledge("),
+            ("    refund(", "    sweep(to: Address) returns UInt {\n                return 1;\n            }\n            refund(",
+             "sweep(to:"),
         ],
-        ids=["uint-map-value", "bytes-pay"],
+        ids=["uint-map-value", "bytes-pay", "duplicate-method"],
     )
     def test_ill_formed_declaration_is_an_error_at_its_line(
         self, tmp_path, capsys, old, new, declaration
@@ -92,6 +97,14 @@ class TestExitCodes:
         )
         assert main(["lint", str(broken)]) == 1
         assert f"  [error] COMPILE-ERROR {broken}:{line}:{col}: " in capsys.readouterr().out
+
+    def test_duplicate_declaration_is_a_parse_error_at_its_line(self, tmp_path, capsys):
+        duplicated = tmp_path / "dup-global.rsh"
+        duplicated.write_text(
+            Path(CROWDFUNDING).read_text().replace("global open = 1;\n", "global open = 1;\n    global goal = 5;\n", 1)
+        )
+        assert main(["lint", str(duplicated)]) == 1
+        assert f"  [error] PARSE-ERROR {duplicated}:12:5: 'goal' is already declared" in capsys.readouterr().out
 
     def test_error_report_is_titled_by_the_declared_name(self, tmp_path, capsys):
         # A compile error is reported under the contract's declared name,
@@ -160,6 +173,30 @@ class TestDeployGate:
         chain = EthereumChain(profile="eth-devnet", seed=7, validator_count=4)
         system = ProofOfLocationSystem(chain=chain, reward=5_000, max_users=2)
         assert system.compiled.lint_report().exit_code == 0
+
+
+class TestDeployedContract:
+    def test_sixteen_seat_report_matches_golden(self):
+        # the contract the batch-of-16 workloads deploy, rendered whole
+        compiled = compile_program(build_pol_program(max_users=16, reward=5_000))
+        assert compiled.lint_report().render() + "\n" == GOLDEN_POL_16.read_text()
+
+    def test_cold_lint_leaves_no_cyclic_analysis_garbage(self, monkeypatch):
+        # Analyses must free their CFGs and instruction streams by
+        # reference counting, not leave them to the cycle collector.
+        monkeypatch.setattr(equiv, "_CACHE", {})
+        monkeypatch.setattr(modelcheck, "_CACHE", {})
+        compiled = compile_program(build_pol_program())
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            compiled.lint_report()
+            gc.collect()
+            leaked = sorted({type(obj).__name__ for obj in gc.garbage} & {"TealInstr", "BasicBlock", "CFG"})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 class TestDeterminismLint:

@@ -24,7 +24,7 @@ FUNDING = 10**18
 
 def build_crowdfunding(goal: int, pledge_window: float = 100.0) -> A.Program:
     """Declare the crowdfunding contract."""
-    program = A.Program(name="crowdfunding", creator=A.Participant("Owner", {}))
+    program = A.Program(name="crowdfunding", creator=A.Participant("Owner"))
     program.declare_global("raised", 0)
     program.declare_global("goal", goal)
     program.declare_global("open", 1)

@@ -25,7 +25,7 @@ from repro.reach.types import Bytes, Fun, UInt
 
 def minimal_program():
     """A tiny valid program used as a mutation base."""
-    program = A.Program(name="mini", creator=A.Participant("Creator", {}))
+    program = A.Program(name="mini", creator=A.Participant("Creator"))
     counter = program.declare_global("count", 1)
     program.publish(params=[("seed", UInt)], body=[A.SetGlobal("count", A.arg(0))])
     bump = A.ApiMethod(
@@ -144,7 +144,7 @@ class TestPayDeclarations:
 
 class TestPhaseProgress:
     def test_stuck_phase_without_timeout_fails(self):
-        program = A.Program(name="stuck", creator=A.Participant("Creator", {}))
+        program = A.Program(name="stuck", creator=A.Participant("Creator"))
         program.declare_global("flag", 1)
         program.publish(params=[], body=[])
         noop = A.ApiMethod("noop", Fun([], None), body=[])

@@ -3,13 +3,11 @@
 A scriptable counterpart of the thesis's console frontend (section
 4.5's ``reach run`` flows), driving the in-process simulators:
 
-    python -m repro demo                 # the quickstart PoL pipeline
     python -m repro simulate goerli 16   # one chapter-5 measurement run
     python -m repro analyze              # traced journeys + BENCH_pol.json
-    python -m repro compare              # tables across the three networks
-    python -m repro verify-contract      # compile + theorem report + analysis
+    python -m repro bench diff           # gate the last two analyze runs
     python -m repro lint contracts/      # static-analysis findings gate
-    python -m repro attacks              # run the attack gauntlet
+    python -m repro postmortem FILE      # render a post-mortem bundle
 """
 
 from __future__ import annotations
@@ -18,39 +16,13 @@ import argparse
 import sys
 
 from repro.bench.metrics import render_bar_chart, render_table, summarize
-from repro.bench.simulation import run_simulation
+from repro.bench.simulation import JOURNEY_REWARD, run_simulation
 from repro.chain.params import PROFILES
 
 
-def _cmd_demo(_args) -> int:
-    from repro.chain.ethereum import EthereumChain
-    from repro.core.proof import ProofFailure
-    from repro.core.system import ProofOfLocationSystem
-
-    chain = EthereumChain(profile="eth-devnet", seed=1, validator_count=4)
-    system = ProofOfLocationSystem(chain=chain, reward=10_000, max_users=2)
-    system.register_prover("anna", 44.4949, 11.3426, funding=10**18)
-    system.register_prover("bruno", 44.4949, 11.3426, funding=10**18)
-    system.register_witness("walter", 44.4949, 11.3428)
-    system.register_verifier("vera", funding=10**18)
-    for name in ("anna", "bruno"):
-        request, proof, cid = system.request_location_proof(name, "walter", f"report by {name}".encode())
-        outcome = system.submit(name, request, proof)
-        action = "deployed" if outcome.was_deploy else "attached"
-        print(f"{name}: {action} at {outcome.olc} in {outcome.operation.latency:.1f}s (CID {cid[:16]}...)")
-    olc = system.provers["anna"].olc
-    system.fund_contract("vera", olc, 20_000)
-    for name in ("anna", "bruno"):
-        outcome = system.verify_and_reward("vera", olc, system.provers[name].did_uint)
-        print(f"{name}: verification {outcome.value}")
-        if outcome is not ProofFailure.OK:
-            return 1
-    print(f"published reports at {olc}: {len(system.display_reports(olc))}")
-    return 0
-
-
-def _print_watchtower(watchtower, show_slo: bool) -> int:
-    """Render a finished watchtower's outcome; exit code 1 on violations."""
+def _print_watchtower(watchtower) -> int:
+    """Render a finished watchtower's outcome and its SLO table; exit
+    code 1 on violations."""
     summary = watchtower.summary()
     fired = ", ".join(summary["alerts_fired"]) if summary["alerts_fired"] else "none"
     proofs = summary["proofs"]
@@ -60,32 +32,27 @@ def _print_watchtower(watchtower, show_slo: bool) -> int:
     )
     for violation in summary["violations"]:
         print(f"  violation: {violation}")
-    if show_slo:
-        print("SLOs:")
-        for name, alert in summary["alerts"].items():
-            value = alert["last_value"]
-            shown = "-" if value is None else f"{value:.3f}"
-            print(
-                f"  {name:<22} state={alert['state']:<9} fired={alert['times_fired']} "
-                f"last={shown:<10} {alert['description']}"
-            )
+    print("SLOs:")
+    for name, alert in summary["alerts"].items():
+        value = alert["last_value"]
+        shown = "-" if value is None else f"{value:.3f}"
+        print(
+            f"  {name:<22} state={alert['state']:<9} fired={alert['times_fired']} "
+            f"last={shown:<10} {alert['description']}"
+        )
     for path in watchtower.flight.bundle_paths:
         print(f"  post-mortem bundle: {path} (render with `repro postmortem {path}`)")
     return 1 if summary["violations"] else 0
 
 
 def _cmd_simulate(args) -> int:
-    if args.network not in PROFILES:
-        print(f"unknown network {args.network!r}; choose from {sorted(PROFILES)}", file=sys.stderr)
-        return 2
-    monitored = args.monitor or args.slo
     recorder = None
-    if args.trace or args.metrics or args.report or args.faults is not None or monitored:
+    if args.trace or args.metrics or args.report or args.faults is not None or args.monitor:
         from repro.obs import Recorder
 
         recorder = Recorder()
     watchtower = None
-    if monitored:
+    if args.monitor:
         from repro.obs.monitor import Watchtower
 
         watchtower = Watchtower(recorder, out_dir=args.bundle_dir)
@@ -103,10 +70,10 @@ def _cmd_simulate(args) -> int:
         print()
         result = report.result
     else:
-        # A monitored run (--monitor or --slo) is always concurrent.
+        # A monitored run is always concurrent.
         result = run_simulation(
             args.network, args.users, seed=args.seed, recorder=recorder,
-            concurrent=args.concurrent or monitored, watchtower=watchtower,
+            concurrent=args.concurrent or args.monitor, watchtower=watchtower,
         )
     print(render_bar_chart(f"{args.network}: {args.users} users", result.per_user_series()))
     print()
@@ -137,19 +104,17 @@ def _cmd_simulate(args) -> int:
             print(f"report written to {args.report}")
     if watchtower is not None:
         watchtower.finish()
-        return _print_watchtower(watchtower, show_slo=args.slo)
+        return _print_watchtower(watchtower)
     return 0
 
 
 def _cmd_postmortem(args) -> int:
     """Render a flight-recorder post-mortem bundle."""
-    import json
-
     from repro.obs.flight import load_bundle, render_bundle
 
     try:
         bundle = load_bundle(args.bundle)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"cannot read bundle {args.bundle!r}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -178,8 +143,9 @@ def _check_batch_point(network: str, batch: int, recorder, point: dict) -> list[
 
     Reads the aggregator's receipt extremes back out of the recorder's
     gauges, records them in the point's ``batch`` block, and checks them
-    against the ``COST-BATCH-AMORTIZED`` intervals
-    (:func:`repro.bench.bounds.check_batched_point`).  Returns rendered
+    against the ``COST-BATCH-AMORTIZED`` intervals of the contract the
+    campaign deployed, ``batch`` seats at ``JOURNEY_REWARD``, through
+    :func:`repro.bench.bounds.check_batched_point`.  Returns rendered
     violations (run-failing validation problems).
     """
     from repro.bench.bounds import check_batched_point
@@ -202,7 +168,7 @@ def _check_batch_point(network: str, batch: int, recorder, point: dict) -> list[
         "proofs_anchored": int(recorder.counter_value("batch_proofs_anchored_total")),
         "light_verified": int(recorder.counter_value("light_verify_total")),
     }
-    compiled = compile_program(build_pol_program(max_users=batch))
+    compiled = compile_program(build_pol_program(max_users=batch, reward=JOURNEY_REWARD))
     bounds = check_batched_point(compiled, PROFILES[network], batch - 1, measured)
     return [f"batch bounds: {violation.render()}" for violation in bounds.violations]
 
@@ -290,9 +256,6 @@ def _cmd_analyze(args) -> int:
     if args.profiles:
         os.makedirs(args.profiles, exist_ok=True)
     for network in args.networks:
-        if network not in PROFILES:
-            print(f"unknown network {network!r}; choose from {sorted(PROFILES)}", file=sys.stderr)
-            return 2
         family = PROFILES[network].family
         points: list[dict] = []
         for users, batch in run_specs:
@@ -424,54 +387,6 @@ def _cmd_bench(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_compare(args) -> int:
-    networks = ("goerli", "polygon-mumbai", "algorand-testnet")
-    for operation in ("deploy", "attach"):
-        rows = []
-        for network in networks:
-            result = run_simulation(network, args.users, seed=args.seed)
-            timings = result.deploys() if operation == "deploy" else result.attaches()
-            rows.append(summarize(network, operation, timings))
-        print(render_table(f"{operation.capitalize()} | {args.users} users", rows))
-        print()
-    return 0
-
-
-def _cmd_verify_contract(args) -> int:
-    from repro.core.contract import build_pol_program
-    from repro.reach.absint.cost import analyze_costs
-    from repro.reach.compiler import CompileError, compile_program
-    from repro.reach.parser import ParseError, parse_contract_file
-
-    if getattr(args, "source", None):
-        try:
-            program = parse_contract_file(args.source)
-        except (ParseError, OSError) as exc:
-            span = getattr(exc, "span", None)
-            where = "" if span is None else f" (line {span[0]}, col {span[1]})"
-            print(f"cannot compile {args.source}{where}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        program = build_pol_program()
-    try:
-        compiled = compile_program(program)
-    except CompileError as exc:
-        where = "" if exc.span is None else f" (line {exc.span[0]}, col {exc.span[1]})"
-        print(f"cannot compile {program.name}{where}: {exc}", file=sys.stderr)
-        return 1
-    lint = compiled.lint_report()
-    print(lint.banner())
-    print()
-    print(analyze_costs(compiled).conservative_analysis(compiled))
-    print()
-    print(
-        f"artifacts: EVM {compiled.evm_code.byte_size()} bytes "
-        f"({len(compiled.evm_code.instrs)} instructions), "
-        f"TEAL {len(compiled.teal_source.splitlines())} lines"
-    )
-    return lint.exit_code
-
-
 def _cmd_lint(args) -> int:
     """Static-analysis gate: abstract interpretation, equivalence and
     model checking over each compiled contract.
@@ -594,50 +509,17 @@ def _cmd_lint(args) -> int:
     return worst
 
 
-def _cmd_report(args) -> int:
-    """A full chapter-5-style measurement report to stdout."""
-    networks = ("goerli", "polygon-mumbai", "algorand-testnet")
-    print("# Measurement report (calibrated simulators)\n")
-    for users in (16, 32):
-        for operation in ("deploy", "attach"):
-            rows = []
-            for network in networks:
-                result = run_simulation(network, users, seed=args.seed)
-                timings = result.deploys() if operation == "deploy" else result.attaches()
-                rows.append(summarize(network, operation, timings))
-            print(render_table(f"{operation.capitalize()} | {users} users", rows))
-            print()
-    print("EUR at the paper's Nov 17 2022 rates; fees summed per operation class.")
-    return 0
-
-
-def _cmd_attacks(_args) -> int:
-    from repro.chain.ethereum import EthereumChain
-    from repro.core.attacks import run_all_attacks
-    from repro.core.system import ProofOfLocationSystem
-
-    chain = EthereumChain(profile="eth-devnet", seed=13, validator_count=4)
-    system = ProofOfLocationSystem(chain=chain, reward=5_000, max_users=4)
-    system.register_prover("mallory", 44.4949, 11.3426, funding=10**18)
-    system.register_witness("walter", 44.4949, 11.3428)
-    system.register_witness("remota", 45.4949, 12.3426)
-    system.register_verifier("vera", funding=10**18)
-    outcomes = run_all_attacks(system, "mallory", "walter", "remota", "vera")
-    for outcome in outcomes:
-        status = "SUCCEEDED" if outcome.succeeded else "defeated "
-        print(f"{status} {outcome.attack:20} {outcome.detail}")
-    return 0 if all(not o.succeeded for o in outcomes) else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="repro", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("demo", help="run the quickstart PoL pipeline")
-
     simulate = subparsers.add_parser("simulate", help="run one evaluation workload")
-    simulate.add_argument("network", help="network profile (e.g. goerli, algorand-testnet)")
+    simulate.add_argument(
+        "network", choices=sorted(PROFILES), metavar="network", help="network profile, from %(choices)s"
+    )
     simulate.add_argument("users", type=int, nargs="?", default=16)
     simulate.add_argument("--seed", type=int, default=1)
     simulate.add_argument(
@@ -666,13 +548,9 @@ def main(argv: list[str] | None = None) -> int:
         "--monitor", action="store_true",
         help="attach the watchtower: online invariants at every block "
         "boundary, SLO alerting, and flight-recorder post-mortem bundles "
-        "on violations/firing alerts (implies --concurrent; exits 1 on "
-        "an invariant violation)",
-    )
-    simulate.add_argument(
-        "--slo", action="store_true",
-        help="print the full per-alert SLO state table after the run "
-        "(implies --monitor)",
+        "on violations/firing alerts; prints the per-alert SLO table "
+        "after the run (implies --concurrent; exits 1 on an invariant "
+        "violation)",
     )
     simulate.add_argument(
         "--bundle-dir", default="postmortems", metavar="DIR",
@@ -719,8 +597,9 @@ def main(argv: list[str] | None = None) -> int:
         "and charts cost vs batch size instead of the user trajectory",
     )
     analyze.add_argument(
-        "--networks", nargs="+", default=["goerli", "algorand-testnet"],
-        help="network profiles to trace (default: goerli algorand-testnet)",
+        "--networks", nargs="+", choices=sorted(PROFILES), default=["goerli", "algorand-testnet"],
+        metavar="NETWORK",
+        help="network profiles to trace, from %(choices)s (default: goerli algorand-testnet)",
     )
     analyze.add_argument(
         "--report", default=None, metavar="PATH",
@@ -773,15 +652,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: 0.001)",
     )
 
-    compare = subparsers.add_parser("compare", help="the chapter-5 comparison tables")
-    compare.add_argument("users", type=int, nargs="?", default=16)
-    compare.add_argument("--seed", type=int, default=1)
-
-    verify = subparsers.add_parser(
-        "verify-contract", help="compile + verify a contract (the PoL contract by default)"
-    )
-    verify.add_argument("source", nargs="?", help="a .rsh contract file to compile instead")
-
     lint = subparsers.add_parser(
         "lint",
         help="static analysis gate: balance safety, gas/budget bounds, "
@@ -807,17 +677,11 @@ def main(argv: list[str] | None = None) -> int:
         help="override the model checker's interleaving depth bound",
     )
 
-    subparsers.add_parser("attacks", help="run the attack gauntlet")
-
-    report = subparsers.add_parser("report", help="full deploy/attach report, 16 and 32 users")
-    report.add_argument("--seed", type=int, default=1)
-
     args = parser.parse_args(argv)
     # Counts, strides and depths below their floor are usage errors
     # (exit 2).  A chapter-5 campaign needs a deployer and an attacher.
     floors = {
         "simulate": (simulate, [("users", "users", 2)]),
-        "compare": (compare, [("users", "users", 2)]),
         "analyze": (analyze, [("--users", "users", 1), ("--sample-every", "sample_every", 1),
                               ("--batch-size", "batch_size", 2)]),
         "lint": (lint, [("--mc-depth", "mc_depth", 1)]),
@@ -828,16 +692,11 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and value < floor:
             command_parser.error(f"argument {flag}: must be at least {floor}, got {value}")
     handlers = {
-        "demo": _cmd_demo,
         "simulate": _cmd_simulate,
         "postmortem": _cmd_postmortem,
         "analyze": _cmd_analyze,
         "bench": _cmd_bench,
-        "compare": _cmd_compare,
-        "verify-contract": _cmd_verify_contract,
         "lint": _cmd_lint,
-        "attacks": _cmd_attacks,
-        "report": _cmd_report,
     }
     return handlers[args.command](args)
 

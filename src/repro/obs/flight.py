@@ -194,6 +194,8 @@ def load_bundle(path: str) -> dict[str, Any]:
     """Read one bundle back from disk."""
     with open(path, encoding="utf-8") as handle:
         bundle = json.load(handle)
+    if not isinstance(bundle, dict):
+        raise ValueError(f"a bundle is a JSON object, not {type(bundle).__name__}")
     version = bundle.get("version")
     if version != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {version!r} (expected {BUNDLE_VERSION})")

@@ -1,18 +1,24 @@
-"""Range checks on the CLI's count, stride and depth arguments.
+"""Usage checks on the CLI's arguments, and the commands it offers.
 
-A value below its floor is a usage error: argparse's exit 2 with the
-flag named, before any run starts or any history file is touched.
-The chapter-5 campaigns (``simulate``, ``compare``) need a deployer
-and at least one attacher, so their floor is 2 users.  ``analyze``
-runs whole location groups of four: a remainder that could never fill
-its contract is trimmed, and the point records the users actually run.
+A value below its floor, or a network no profile names, is a usage
+error: argparse's exit 2 with the argument named, before any run
+starts or any history file is touched.  A ``simulate`` campaign needs
+a deployer and at least one attacher, so its floor is 2 users.
+``analyze`` runs whole location groups of four: a remainder that could
+never fill its contract is trimmed, and the point records the users
+actually run.  ``postmortem`` refuses a file that is not a bundle with
+exit 2 too, and the README lists exactly the commands the parser has.
 """
 
 import json
+import pathlib
+import re
 
 import pytest
 
 from repro.__main__ import main
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -21,8 +27,9 @@ from repro.__main__ import main
         (["simulate", "goerli", "0"], "argument users: must be at least 2, got 0"),
         (["simulate", "goerli", "1"], "argument users: must be at least 2, got 1"),
         (["simulate", "goerli", "-3"], "argument users: must be at least 2, got -3"),
-        (["compare", "-2"], "argument users: must be at least 2, got -2"),
-        (["compare", "1"], "argument users: must be at least 2, got 1"),
+        (["simulate", "nosuch", "4"], "argument network: invalid choice: 'nosuch'"),
+        # The whole goerli campaign must not run before the bad name is seen.
+        (["analyze", "--networks", "goerli", "nosuch"], "argument --networks: invalid choice: 'nosuch'"),
         (["analyze", "--users", "0"], "argument --users: must be at least 1, got 0"),
         (["analyze", "--users", "-5"], "argument --users: must be at least 1, got -5"),
         (["analyze", "--sample-every", "0"], "argument --sample-every: must be at least 1, got 0"),
@@ -58,3 +65,28 @@ def test_analyze_runs_whole_groups_and_records_them(tmp_path, capsys):
     families = json.loads(bench.read_text())["runs"][-1]["families"].values()
     points = [point for family in families for point in family["points"]]
     assert [(point["users"], point["validation_problems"]) for point in points] == [(4, []), (4, [])]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json {", "[]", json.dumps({"version": 99})],
+    ids=["missing", "not-json", "json-array", "wrong-version"],
+)
+def test_postmortem_refuses_what_is_not_a_bundle(content, tmp_path, capsys):
+    path = tmp_path / "postmortem-001.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["postmortem", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read bundle" in captured.err
+
+
+def test_readme_lists_exactly_the_parsers_commands(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    # The usage line may wrap before the choices, never inside them.
+    choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+    block = README.read_text().split("A CLI wraps the common flows:", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^python -m repro ([a-z-]+)", block, re.M)
+    assert sorted(listed) == sorted(choices.split(","))

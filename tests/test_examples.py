@@ -52,22 +52,3 @@ def test_all_examples_discovered():
         "multichain_comparison",
         "attack_gauntlet",
     } <= names
-
-
-def test_cli_demo_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "repro", "demo"], capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert "published reports" in result.stdout
-
-
-def test_cli_verify_contract_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "repro", "verify-contract"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "No failures!" in result.stdout

@@ -348,11 +348,17 @@ def _cmd_bench(args) -> int:
     compares two runs (by default the last two) with noise-aware
     thresholds and exits 1 when a regression beyond them is found --
     the CI perf gate.  Wall-clock metrics gate only between runs from
-    the same host; deterministic simulated metrics always gate.
+    the same host; deterministic simulated metrics always gate.  A
+    history that cannot be read, too few runs to diff or a run index
+    out of range is a usage error (exit 2), never a finding.
     """
     from repro.obs.regress import Thresholds, diff_runs, load_history, render_findings
 
-    history = load_history(args.bench)
+    try:
+        history = load_history(args.bench)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        print(f"cannot read bench history {args.bench!r}: {exc}", file=sys.stderr)
+        return 2
     runs = history.get("runs", [])
     if args.action == "list":
         if not runs:
@@ -374,6 +380,14 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
+    for flag, index in (("--before", args.before), ("--after", args.after)):
+        if not -len(runs) <= index < len(runs):
+            print(
+                f"bench diff {flag} {index} is out of range: {args.bench} holds "
+                f"{len(runs)} runs (indices {-len(runs)}..{len(runs) - 1})",
+                file=sys.stderr,
+            )
+            return 2
     before = runs[args.before]
     after = runs[args.after]
     thresholds = Thresholds(

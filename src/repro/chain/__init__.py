@@ -42,18 +42,22 @@ def make_chain(network: str, seed: int = 0, recorder=None) -> BaseChain:
     Reach runtime, the PoL core, the bench harness) is family-agnostic.
     Passing a :class:`repro.obs.Recorder` attaches it to the chain's
     event queue, so every layer's instrumentation lands in one sink.
+    Only the profile's family is imported.
     """
-    from repro.chain.algorand import AlgorandChain
-    from repro.chain.ethereum import EthereumChain
-    from repro.chain.polygon import PolygonChain
     from repro.simnet import EventQueue
 
     profile = PROFILES[network]
     queue = EventQueue(recorder=recorder)
     if network.startswith("polygon"):
+        from repro.chain.polygon import PolygonChain
+
         return PolygonChain(profile=profile, queue=queue, seed=seed, validator_count=8)
     if profile.family == "evm":
+        from repro.chain.ethereum.chain import EthereumChain
+
         return EthereumChain(profile=profile, queue=queue, seed=seed, validator_count=8)
+    from repro.chain.algorand.chain import AlgorandChain
+
     return AlgorandChain(profile=profile, queue=queue, seed=seed, participant_count=10)
 
 

@@ -56,11 +56,14 @@ class AlgorandChain(BaseChain):
         self.avm = AVM()
         # Devnets skip sortition for empty rounds: simulated time often
         # fast-forwards through thousands of idle rounds in tests.  A
-        # round costs every participant two VRF draws, one fixed-base
-        # exponentiation each: 24 for the default 12 participants, ~0.3 ms
-        # with the native comb and ~1.7 ms on the pure-Python one
-        # (credential proofs are made only when read).  That would still
-        # dominate an idle devnet run.
+        # drawn round costs every online participant two VRF draws, one
+        # H-comb exponentiation each (credential proofs are made only
+        # when read): ~0.3 ms for make_chain's 10 participants with the
+        # native comb, ~1.7 ms on the pure-Python one.  The slot-draw
+        # memo (base.SLOT_DRAWS) replays only rounds that a chain of the
+        # same network and seed already drew, so an idle devnet's rounds
+        # would each be a fresh draw that dominates the run; they return
+        # before any draw, and the memo never sees them.
         self.lazy_empty_rounds = profile.name.endswith("devnet")
         self.apps: dict[int, Application] = {}
         self.program_registry: dict[str, TealProgram] = {}
@@ -106,17 +109,38 @@ class AlgorandChain(BaseChain):
     def _select_proposer(self, block_number: int, seed: bytes) -> tuple[str, dict[str, Any]]:
         if self.lazy_empty_rounds and not self._mempool:
             return "relay", {"certified": True, "empty": True}
-        outcome = self.sortition.run_round(block_number, seed)
-        if outcome.leader is None or not outcome.certified:
+        leader, seats, approvals, certified, committee = self._slot_outcome(
+            self.sortition.draw_inputs(), block_number, seed
+        )
+        if leader is None or not certified:
             # No quorum this round: an empty relay block keeps the round
             # cadence, but no transaction may be included in it.
-            return "relay", {"certified": False, "committee": len(outcome.committee)}
-        return outcome.leader.address, {
+            return "relay", {"certified": False, "committee": len(committee)}
+        return leader, {
             "certified": True,
-            "leader_seats": outcome.leader.seats,
-            "committee": [c.address for c in outcome.committee],
-            "approvals": outcome.approvals,
+            "leader_seats": seats,
+            "committee": list(committee),
+            "approvals": approvals,
         }
+
+    def _draw(self, block_number: int, seed: bytes) -> tuple:
+        outcome = self.sortition.run_round(block_number, seed)
+        leader = outcome.leader
+        return (
+            None if leader is None else leader.address,
+            0 if leader is None else leader.seats,
+            outcome.approvals,
+            outcome.certified,
+            tuple(credential.address for credential in outcome.committee),
+        )
+
+    def _replay(self, outcome: tuple) -> None:
+        leader, _seats, _approvals, _certified, committee = outcome
+        if leader is not None:
+            participants = self.sortition.participants
+            participants[leader].blocks_led += 1
+            for address in committee:
+                participants[address].votes_cast += 1
 
     def _block_can_include(self, block: Block) -> bool:
         return bool(block.metadata.get("certified", True))

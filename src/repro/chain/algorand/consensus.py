@@ -125,6 +125,19 @@ class Sortition:
         """
         return sum(p.stake for p in self.participants.values())
 
+    def draw_inputs(self) -> tuple:
+        """Everything :meth:`run_round` reads besides the round and seed.
+
+        The selection parameters and each participant's address, stake,
+        online flag and VRF public key, as atoms: two sortitions with
+        equal inputs draw the same round.
+        """
+        return (
+            self.expected_leaders,
+            self.expected_committee,
+            tuple((p.address, p.stake, p.online, p.vrf.public.y) for p in self.participants.values()),
+        )
+
     def set_online(self, address: str, online: bool) -> None:
         """Connect/disconnect a participant (the section 1.4.2 challenge:
         the protocol must "continue to operate even if an adversary

@@ -78,6 +78,55 @@ class NullFaultInjector:
 NULL_FAULTS = NullFaultInjector()
 
 
+class DrawMemo:
+    """Slot consensus outcomes this process has drawn, keyed by their inputs.
+
+    A slot's draw -- an Algorand sortition round, an EVM proposer and
+    committee -- is a pure function of the family, the participant or
+    validator set, the selection parameters, the block number and the
+    block seed.  Chains that replay one network from one genesis (the
+    four user counts of a chapter-5 sweep) meet the same slots, so each
+    is drawn once per process and replayed after.  An entry holds atoms
+    only (addresses, seats, flags and tuples of them): the collector
+    untracks it, and it keeps no chain, credential or validator alive.
+    A full memo starts over.
+    """
+
+    __slots__ = ("cap", "drawn", "replayed", "_entries")
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        #: slot outcomes computed, and slot outcomes served from the memo
+        self.drawn = 0
+        self.replayed = 0
+        self._entries: dict[tuple, tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> tuple | None:
+        """The outcome drawn for ``key``, counted as replayed, or None."""
+        outcome = self._entries.get(key)
+        if outcome is not None:
+            self.replayed += 1
+        return outcome
+
+    def put(self, key: tuple, outcome: tuple) -> tuple:
+        """Keep a freshly drawn ``outcome``; returns it."""
+        self.drawn += 1
+        entries = self._entries
+        if len(entries) >= self.cap:
+            entries.clear()
+        entries[key] = outcome
+        return outcome
+
+
+#: the process's one draw memo, shared by every chain.  2,048 entries
+#: cover the 644 distinct slots of the 13 chapter-5 campaigns with room
+#: to spare, at about 360 bytes each (see DESIGN.md, "Slot draws").
+SLOT_DRAWS = DrawMemo(cap=2048)
+
+
 class TxStatus(Enum):
     """Lifecycle of a submitted transaction."""
 
@@ -523,6 +572,7 @@ class BaseChain:
         self._tx_spans: dict[str, Span] = {}  # open submitted->confirmed windows
         self._block_label = f"{profile.name}-block"  # interned once, not per block
         self._metrics: _ChainMetrics | None = None
+        self._slot_inputs: tuple = ()  # see _slot_outcome
         self._genesis()
 
     @property
@@ -567,6 +617,33 @@ class BaseChain:
     def _select_proposer(self, block_number: int, seed: bytes) -> tuple[str, dict[str, Any]]:
         """Pick the block proposer; return (address, seal metadata)."""
         raise NotImplementedError
+
+    def _draw(self, block_number: int, seed: bytes) -> tuple:
+        """Draw the slot's consensus, updating the duty counters; its outcome as atoms."""
+        raise NotImplementedError
+
+    def _replay(self, outcome: tuple) -> None:
+        """Apply the duty-counter updates :meth:`_draw` made for ``outcome``."""
+        raise NotImplementedError
+
+    def _slot_outcome(self, draw_inputs: tuple, block_number: int, seed: bytes) -> tuple:
+        """This slot's :meth:`_draw` outcome, drawn once per process.
+
+        ``draw_inputs`` holds, as atoms, everything the draw reads besides
+        the number and seed.  The caller rebuilds it every slot, so a
+        changed set (a participant going offline) keys new draws.  An
+        unchanged set keeps this chain's first equal tuple, which every
+        key it makes then shares.
+        """
+        inputs = (self.profile.family, draw_inputs)
+        if inputs != self._slot_inputs:
+            self._slot_inputs = inputs
+        key = (self._slot_inputs, block_number, seed)
+        outcome = SLOT_DRAWS.get(key)
+        if outcome is None:
+            return SLOT_DRAWS.put(key, self._draw(block_number, seed))
+        self._replay(outcome)
+        return outcome
 
     def _begin_block(self, block: Block) -> None:
         """Subclass hook run before executing transactions (fee market)."""

@@ -116,12 +116,21 @@ class EthereumChain(BaseChain):
         return 2 if tx.gas_limit >= 1_000_000 else 0
 
     def _select_proposer(self, block_number: int, seed: bytes) -> tuple[str, dict[str, Any]]:
+        proposer, attesters = self._slot_outcome(self.validators.draw_inputs(), block_number, seed)
+        return proposer, {"attestations": list(attesters)}
+
+    def _draw(self, block_number: int, seed: bytes) -> tuple:
         proposer = self.validators.select_proposer(seed)
         committee = self.validators.select_committee(seed, exclude=proposer.address)
         attestations = self.validators.attest(committee, block_number)
-        return proposer.address, {
-            "attestations": [vote.validator for vote in attestations],
-        }
+        return proposer.address, tuple(vote.validator for vote in attestations)
+
+    def _replay(self, outcome: tuple) -> None:
+        proposer, attesters = outcome
+        validators = self.validators.validators
+        validators[proposer].blocks_proposed += 1
+        for address in attesters:
+            validators[address].attestations += 1
 
     def _begin_block(self, block: Block) -> None:
         # EIP-1559: adjust off the previous block's utilization.  Other

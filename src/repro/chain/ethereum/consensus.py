@@ -56,6 +56,12 @@ class ValidatorSet:
         """Validators eligible for duties, in stable order."""
         return sorted(self.validators.values(), key=lambda v: v.address)
 
+    def draw_inputs(self) -> tuple:
+        """Everything a slot's proposer and committee draw reads besides
+        its seed: the committee size and each validator's address and
+        stake, as atoms."""
+        return self.committee_size, tuple((v.address, v.stake) for v in self.validators.values())
+
     def select_proposer(self, seed: bytes) -> Validator:
         """Pick the slot's block proposer, seeded by the chain randomness."""
         eligible = self.active()

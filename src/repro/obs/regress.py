@@ -131,7 +131,9 @@ def load_history(path: str | Path) -> dict[str, Any]:
 
     A missing or empty file yields an empty history.  A v1 payload (the
     pre-history single-sweep shape with top-level ``families``) is
-    wrapped as the history's first run with placeholder metadata.
+    wrapped as the history's first run with placeholder metadata.  A
+    JSON top level that is not an object raises ``ValueError``, as
+    malformed JSON does.
     """
     path = Path(path)
     if not path.exists():
@@ -140,6 +142,8 @@ def load_history(path: str | Path) -> dict[str, Any]:
     if not raw:
         return {"version": HISTORY_VERSION, "benchmark": "proof-of-location sweep", "runs": []}
     payload = json.loads(raw)
+    if not isinstance(payload, dict):
+        raise ValueError(f"a history is a JSON object, not {type(payload).__name__}")
     if payload.get("version") == HISTORY_VERSION and isinstance(payload.get("runs"), list):
         return payload
     # v1 migration: one run, metadata reconstructed where possible.

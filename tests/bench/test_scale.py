@@ -71,14 +71,19 @@ class TestSixteenUserStageCalls:
     Every stage is entered through the ambient profiler; a change to
     that seam that moves, drops or doubles a stage shows up here as a
     changed ``calls`` count or stack path.  Wall times are not pinned.
+    Each campaign starts from an empty slot-draw memo, as in a fresh
+    process: a chain replaying slots an earlier test drew would make
+    fewer ``crypto.comb`` calls.
     """
 
     @pytest.mark.parametrize("campaign", sorted(TestSixteenUserGoldenSummaries.CAMPAIGNS))
-    def test_stage_calls_and_paths_match_golden(self, campaign):
+    def test_stage_calls_and_paths_match_golden(self, campaign, monkeypatch):
+        from repro.chain import base
         from repro.obs.prof import Profiler
 
         network, batch_size = TestSixteenUserGoldenSummaries.CAMPAIGNS[campaign]
         golden = json.loads(STAGE_GOLDEN.read_text())[campaign]
+        monkeypatch.setattr(base, "SLOT_DRAWS", base.DrawMemo(base.SLOT_DRAWS.cap))
         profiler = Profiler()
         run_traced_journeys(network, 16, seed=SEED, batch_size=batch_size, profiler=profiler)
         stages = profiler.profile()["stages"]

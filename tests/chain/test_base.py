@@ -1,5 +1,10 @@
 """Tests for the shared chain machinery via the Ethereum devnet profile."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.chain import ChainError, ChainService, InsufficientFunds, InvalidTransaction, TxState, TxStatus, drive
@@ -7,6 +12,7 @@ from repro.chain.ethereum import EthereumChain
 from repro.crypto.merkle import MerkleTree, merkle_root
 
 ETH = 10**18
+ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -294,3 +300,28 @@ class TestDriveDiagnostics:
         assert "3 steps" in message
         assert "eth-devnet-block" in message
         assert "mempool depth" in message
+
+
+#: consensus and chain modules of each family, which only its chains need
+FAMILY_MODULES = {
+    "evm": {"repro.chain.ethereum.chain", "repro.chain.ethereum.consensus"},
+    "avm": {"repro.chain.algorand.chain", "repro.chain.algorand.consensus"},
+}
+
+
+@pytest.mark.parametrize(("network", "family"), [("goerli", "evm"), ("algorand-testnet", "avm")])
+def test_a_process_imports_only_the_chain_family_it_runs(network, family):
+    # The lint gate's model checker runs both VMs; make_chain builds one family.
+    code = (
+        "import sys\n"
+        "import repro.reach.absint.exec\n"
+        "from repro.chain import make_chain\n"
+        f"make_chain({network!r}, seed=1)\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    loaded = set(out.stdout.split())
+    (other,) = set(FAMILY_MODULES) - {family}
+    assert FAMILY_MODULES[family] <= loaded
+    assert not FAMILY_MODULES[other] & loaded

@@ -1,10 +1,13 @@
 """Tests for both consensus engines: PoS validators and PPoS sortition."""
 
+import gc
 import hashlib
 
 import pytest
 
-from repro.chain import make_chain
+from repro.chain import ChainService, drive, make_chain
+from repro.chain import base
+from repro.chain.base import DrawMemo
 from repro.crypto.hashing import sha256
 from repro.crypto.vrf import VRFKeyPair
 from repro.chain.algorand.consensus import (
@@ -207,3 +210,106 @@ class TestRoundCost:
         assert self._comb_calls(profiler) == 3
         assert proof.output() == outcome.leader.output
         assert chain.sortition.verify_credential(outcome.leader, seed, 1, role="leader")
+
+
+def _replayable(chain, blocks):
+    """Every block's consensus fields and every duty counter of a chain."""
+    chain.start()
+    drive(chain.queue, lambda: chain.height >= blocks, chain=chain)
+    rows = [(b.number, b.proposer, b.metadata, b.seed, b.block_hash) for b in chain.blocks]
+    if hasattr(chain, "sortition"):
+        counters = [(p.address, p.blocks_led, p.votes_cast) for p in chain.sortition.participants.values()]
+    else:
+        counters = [(v.address, v.blocks_proposed, v.attestations) for v in chain.validators.validators.values()]
+    return rows, counters
+
+
+def _busy(chain):
+    """Submit one transfer, so a devnet draws its first rounds instead of skipping them."""
+    alice = chain.create_account(seed=b"alice", funding=10**21)
+    tx = ChainService(chain).build(alice, "transfer", to=alice.address, value=1)
+    chain.submit(chain.sign(alice, tx))
+    return chain
+
+
+class TestSlotDrawMemo:
+    """Chains that replay one network draw each slot once per process."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """Empties the process's memo, as a new process would have it."""
+        def fresh():
+            memo = DrawMemo(base.SLOT_DRAWS.cap)
+            monkeypatch.setattr(base, "SLOT_DRAWS", memo)
+            return memo
+
+        return fresh
+
+    @pytest.mark.parametrize("network", ["goerli", "polygon-mumbai", "algorand-testnet"])
+    def test_warm_chain_replays_the_cold_chain_exactly(self, network, fresh):
+        memo = fresh()
+        cold = _replayable(make_chain(network, seed=1), 24)
+        assert memo.drawn == 24 and memo.replayed == 0
+        warm = _replayable(make_chain(network, seed=1), 24)
+        assert memo.drawn == 24 and memo.replayed == 24
+        assert warm == cold
+        memo = fresh()
+        assert _replayable(make_chain(network, seed=1), 24) == cold
+        assert memo.drawn == 24 and memo.replayed == 0
+
+    def test_other_seed_draws_fresh_slots(self, fresh):
+        memo = fresh()
+        _replayable(make_chain("goerli", seed=1), 8)
+        _replayable(make_chain("goerli", seed=2), 8)
+        assert memo.drawn == 16 and memo.replayed == 0
+
+    def test_participant_offline_mid_run_draws_fresh_rounds(self, fresh):
+        memo = fresh()
+        _replayable(make_chain("algorand-testnet", seed=1), 16)
+        chain = make_chain("algorand-testnet", seed=1)
+        _replayable(chain, 8)
+        assert memo.replayed == 8
+        chain.sortition.set_online(sorted(chain.sortition.participants)[0], False)
+        rows, _counters = _replayable(chain, 16)
+        assert memo.drawn == 24 and memo.replayed == 8
+        # What the reduced set drew is what it draws from an empty memo.
+        memo = fresh()
+        offline = make_chain("algorand-testnet", seed=1)
+        offline.sortition.set_online(sorted(offline.sortition.participants)[0], False)
+        for number, proposer, metadata, seed, _hash in rows[9:17]:
+            assert offline._select_proposer(number, seed) == (proposer, metadata)
+        assert memo.drawn == 8 and memo.replayed == 0
+
+    def test_devnet_idle_rounds_skip_the_memo_and_busy_rounds_match_a_cold_draw(self, fresh):
+        memo = fresh()
+        idle = make_chain("algo-devnet", seed=1)
+        idle.start()
+        drive(idle.queue, lambda: idle.height >= 16, chain=idle)
+        assert len(memo) == 0 and memo.drawn == 0
+        assert all(block.proposer == "relay" and block.metadata["empty"] for block in idle.blocks[1:])
+        busy = _replayable(_busy(make_chain("algo-devnet", seed=1)), 4)
+        assert memo.drawn > 0
+        memo = fresh()
+        assert _replayable(_busy(make_chain("algo-devnet", seed=1)), 4) == busy
+        assert memo.replayed == 0
+
+    def test_entries_are_untracked_atoms(self, fresh):
+        memo = fresh()
+        _replayable(make_chain("goerli", seed=1), 8)
+        _replayable(make_chain("algorand-testnet", seed=1), 8)
+        assert len(memo) == 16
+        # A pass untracks a tuple once its members are untracked, so the
+        # key (five tuples deep) drops out on the fifth pass at the latest.
+        for _ in range(5):
+            gc.collect()
+        for key, outcome in memo._entries.items():
+            assert not gc.is_tracked(key) and not gc.is_tracked(outcome)
+
+    def test_a_full_memo_starts_over(self):
+        memo = DrawMemo(cap=4)
+        for index in range(6):
+            memo.put((index,), ("proposer", ()))
+        assert len(memo) == 2 and memo.drawn == 6
+        assert memo.get((5,)) is not None and memo.get((0,)) is None
+        assert memo.replayed == 1
+        assert base.SLOT_DRAWS.cap == 2048

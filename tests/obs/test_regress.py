@@ -3,6 +3,8 @@
 import copy
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.obs.regress import (
     HISTORY_VERSION,
@@ -52,6 +54,13 @@ class TestHistoryFile:
         history = load_history(tmp_path / "nope.json")
         assert history["version"] == HISTORY_VERSION
         assert history["runs"] == []
+
+    @pytest.mark.parametrize("content", ["[]", "[1, 2]", "null", "3"])
+    def test_top_level_that_is_not_an_object_is_refused(self, content, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(content)
+        with pytest.raises(ValueError, match="a history is a JSON object"):
+            load_history(path)
 
     def test_v1_payload_migrates_as_one_run(self, tmp_path):
         legacy = {

@@ -7,7 +7,9 @@ a deployer and at least one attacher, so its floor is 2 users.
 ``analyze`` runs whole location groups of four: a remainder that could
 never fill its contract is trimmed, and the point records the users
 actually run.  ``postmortem`` refuses a file that is not a bundle with
-exit 2 too, and the README lists exactly the commands the parser has.
+exit 2 too, as ``bench`` does a history it cannot read or a run index
+it does not hold: exit 1 is the perf gate's "regression found".  The
+README lists exactly the commands the parser has.
 """
 
 import json
@@ -80,6 +82,47 @@ def test_postmortem_refuses_what_is_not_a_bundle(content, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot read bundle" in captured.err
+
+
+def _two_run_history(path):
+    from repro.obs.regress import append_run
+
+    for sha in ("sha0", "sha1"):
+        meta = {"git_sha": sha, "seed": 1, "users": [16], "networks": ["goerli"], "host": "h"}
+        append_run(path, meta, {})
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--before", "7"], ["--after", "2"], ["--before", "-3"], ["--after", "-3"]],
+    ids=["before-7", "after-2", "before-minus-3", "after-minus-3"],
+)
+def test_bench_diff_index_out_of_range_is_a_usage_error(argv, tmp_path, capsys):
+    bench = _two_run_history(tmp_path / "bench.json")
+    assert main(["bench", "diff", "--bench", str(bench)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[0]} {argv[1]} is out of range" in captured.err
+
+
+def test_bench_diff_in_range_indices_still_compare(tmp_path, capsys):
+    bench = _two_run_history(tmp_path / "bench.json")
+    assert main(["bench", "diff", "--bench", str(bench), "--before", "0", "--after", "-1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("action", ["list", "diff"])
+@pytest.mark.parametrize(
+    "content", ["not json {", "[]", '"runs"'], ids=["not-json", "json-array", "json-string"]
+)
+def test_bench_refuses_what_is_not_a_history(action, content, tmp_path, capsys):
+    bench = tmp_path / "bench.json"
+    bench.write_text(content)
+    assert main(["bench", action, "--bench", str(bench)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read bench history" in captured.err
 
 
 def test_readme_lists_exactly_the_parsers_commands(capsys):

@@ -44,24 +44,6 @@ def main() -> None:
         f"and costs EUR {algorand.total_fees_eur:.4f} vs EUR {goerli.total_fees_eur:.2f}."
     )
 
-    # Bonus: the same EVM artifact also runs on the third Reach connector,
-    # Conflux (Tree-Graph consensus), without recompilation.
-    from repro.chain.conflux import ConfluxChain
-    from repro.reach.runtime import ReachClient
-    from repro.core.contract import pol_record
-
-    conflux = ConfluxChain(profile="conflux-devnet", seed=1, miner_count=4)
-    client = ReachClient(conflux)
-    creator = conflux.create_account(seed=b"cfx-creator", funding=100 * 10**18)
-    deployed = client.deploy(
-        compiled, creator, ["7H369F4W+Q8", 1, pol_record("h", "s", creator.address, 1, "c")]
-    )
-    print(
-        f"Conflux (Tree-Graph): deployed the identical artifact at {deployed.ref} "
-        f"in {deployed.deploy_result.latency:.1f}s; DAG holds {len(conflux.dag)} blocks "
-        f"over a {len(conflux.dag.pivot_chain())}-block pivot chain."
-    )
-
 
 if __name__ == "__main__":
     main()

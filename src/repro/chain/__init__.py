@@ -1,16 +1,16 @@
-"""Blockchain substrate: Ethereum-, Polygon- and Algorand-style chains.
+"""Blockchain substrate: the EVM and AVM chain families.
 
-The thesis evaluates one Reach contract on three live networks (Goerli,
-Polygon Mumbai, Algorand testnet).  This package provides in-process
-simulators for all three, sharing common account/transaction/block
-machinery (:mod:`repro.chain.base`) but with genuinely different
-execution engines and consensus:
+The thesis evaluates one Reach contract on Ropsten, Goerli, Polygon
+Mumbai and Algorand testnet: two VM families.  This package provides an
+in-process simulator for each family, sharing common
+account/transaction/block machinery (:mod:`repro.chain.base`) but with
+genuinely different execution engines and consensus:
 
 - :mod:`repro.chain.ethereum` -- an EVM-style stack VM with the
   Yellow-Paper gas schedule, EIP-1559 base-fee dynamics and
-  proof-of-stake slot/committee consensus.
-- :mod:`repro.chain.polygon` -- a layer-2 parametrization of the EVM
-  chain (2 s blocks, low fees).
+  proof-of-stake slot/committee consensus.  Ropsten, Goerli and Polygon
+  Mumbai are network profiles (:mod:`repro.chain.params`) of this one
+  chain class; Polygon is the Mumbai profile (2 s blocks, low fees).
 - :mod:`repro.chain.algorand` -- an AVM/TEAL-style VM with Pure
   Proof-of-Stake: VRF sortition of leader + committee, immediate
   finality, flat minimum fees.
@@ -42,16 +42,13 @@ def make_chain(network: str, seed: int = 0, recorder=None) -> BaseChain:
     Reach runtime, the PoL core, the bench harness) is family-agnostic.
     Passing a :class:`repro.obs.Recorder` attaches it to the chain's
     event queue, so every layer's instrumentation lands in one sink.
-    Only the profile's family is imported.
+    The class is a function of the profile's family alone, and only
+    that family is imported.
     """
     from repro.simnet import EventQueue
 
     profile = PROFILES[network]
     queue = EventQueue(recorder=recorder)
-    if network.startswith("polygon"):
-        from repro.chain.polygon import PolygonChain
-
-        return PolygonChain(profile=profile, queue=queue, seed=seed, validator_count=8)
     if profile.family == "evm":
         from repro.chain.ethereum.chain import EthereumChain
 

@@ -50,7 +50,7 @@ def _exceptional_halt(error: VMError) -> VMRevert:
 
 
 class EthereumChain(BaseChain):
-    """An EVM chain instance (Ropsten/Goerli profiles; Polygon subclasses)."""
+    """An EVM chain instance: the Ropsten, Goerli and Polygon Mumbai profiles."""
 
     def __init__(
         self,
@@ -71,11 +71,8 @@ class EthereumChain(BaseChain):
         self.reference_base_fee = self.base_fee
         self.burned_fees = 0
         self.validators = ValidatorSet(stake_requirement=STAKE_REQUIREMENT_ETH * profile.base_unit)
-        self._bootstrap_validators(validator_count)
-
-    def _bootstrap_validators(self, count: int) -> None:
         stake = self.validators.stake_requirement
-        for index in range(count):
+        for index in range(validator_count):
             account = self.create_account(seed=f"{self.profile.name}/validator/{index}".encode())
             self.faucet(account.address, stake)
             self._debit(account.address, stake)  # locked in the deposit contract

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.chain import ChainError, ChainService, InsufficientFunds, InvalidTransaction, TxState, TxStatus, drive
+from repro.chain import PROFILES, ChainError, ChainService, InsufficientFunds, InvalidTransaction, TxState, TxStatus, drive
 from repro.chain.ethereum import EthereumChain
 from repro.crypto.merkle import MerkleTree, merkle_root
 
@@ -309,7 +309,7 @@ FAMILY_MODULES = {
 }
 
 
-@pytest.mark.parametrize(("network", "family"), [("goerli", "evm"), ("algorand-testnet", "avm")])
+@pytest.mark.parametrize(("network", "family"), [(name, profile.family) for name, profile in PROFILES.items()])
 def test_a_process_imports_only_the_chain_family_it_runs(network, family):
     # The lint gate's model checker runs both VMs; make_chain builds one family.
     code = (

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from repro.chain import ChainService, drive, make_chain
+from repro.chain import PROFILES, ChainService, drive, make_chain
 from repro.chain import base
 from repro.chain.base import DrawMemo
 from repro.crypto.hashing import sha256
@@ -245,7 +245,7 @@ class TestSlotDrawMemo:
 
         return fresh
 
-    @pytest.mark.parametrize("network", ["goerli", "polygon-mumbai", "algorand-testnet"])
+    @pytest.mark.parametrize("network", [name for name in PROFILES if not name.endswith("devnet")])
     def test_warm_chain_replays_the_cold_chain_exactly(self, network, fresh):
         memo = fresh()
         cold = _replayable(make_chain(network, seed=1), 24)

@@ -1,17 +1,40 @@
 """Tests for network profiles and transaction/code serialization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.chain.base import Transaction
 from repro.chain.ethereum.evm import EvmCode, Instr, serialize_code
 from repro.chain.params import PROFILES, NetworkProfile
 
+ROOT = Path(__file__).resolve().parents[2]
+
+
+#: the chapter-5 testnets and one devnet per family: the whole registry
+EXPECTED_PROFILES = ["algo-devnet", "algorand-testnet", "eth-devnet", "goerli", "polygon-mumbai", "ropsten"]
+
 
 class TestProfiles:
     def test_all_expected_profiles_present(self):
-        assert {"ropsten", "goerli", "polygon-mumbai", "algorand-testnet", "eth-devnet", "algo-devnet"} <= set(
-            PROFILES
+        assert sorted(PROFILES) == EXPECTED_PROFILES
+
+    def test_no_module_adds_a_profile(self):
+        # The registry is the CLI's network choices: importing any module,
+        # in any order, must leave it as params.py wrote it.
+        code = (
+            "import importlib, pkgutil, repro\n"
+            "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(module.name)\n"
+            "from repro.chain.params import PROFILES\n"
+            "print(' '.join(sorted(PROFILES)))\n"
         )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.split() == EXPECTED_PROFILES
 
     def test_families(self):
         assert PROFILES["goerli"].family == "evm"

@@ -1,17 +1,16 @@
-"""Tests for the Polygon layer-2 chain."""
+"""Tests for Polygon: the EVM chain on the Mumbai profile."""
 
 import pytest
 
 from repro.chain import ChainService, TxStatus
 from repro.chain.ethereum import EthereumChain
-from repro.chain.polygon import PolygonChain
 
 ETH = 10**18
 
 
 @pytest.fixture
 def polygon():
-    return PolygonChain(seed=9, validator_count=4)
+    return EthereumChain(profile="polygon-mumbai", seed=9, validator_count=4)
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ Two properties must hold in the reproduction:
 import pytest
 
 from repro.chain.ethereum import EthereumChain
-from repro.chain.polygon import PolygonChain
 from repro.core.contract import build_pol_program, pol_record
 from repro.reach.compiler import compile_program
 from repro.reach.runtime import ReachClient
@@ -44,7 +43,7 @@ def goerli_gas():
 
 @pytest.fixture(scope="module")
 def polygon_gas():
-    return measure(PolygonChain(seed=7, validator_count=4))
+    return measure(EthereumChain(profile="polygon-mumbai", seed=7, validator_count=4))
 
 
 class TestGasParity:
